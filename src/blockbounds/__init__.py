@@ -3,7 +3,6 @@
 from .exactmat import (
     CartanData,
     DomainError,
-    Rational,
     RationalMatrix,
     ShapeError,
     SingularMatrixError,
@@ -16,8 +15,6 @@ from .exactmat import (
     matrix_from_record,
     matrix_to_record,
     rank,
-    trace,
-    transpose,
 )
 from .lattice import (
     Certificate,
@@ -62,7 +59,6 @@ from .gendec import (
     cyc_reduce,
     field_trace,
     fourier_split,
-    galois_apply,
     height_zero_valuation_check,
     neg_residue_index,
     rank_check,

@@ -78,30 +78,32 @@ class SubsectionSpec:
         self._rep = self._build_rep()
 
     def _build_rep(self) -> dict[int, tuple[int, ...]]:
-        """Homomorphism N -> S_l as a unit -> permutation table."""
+        """Homomorphism N -> S_l as a unit -> permutation table.
+
+        Closes the (unit, permutation) generator pairs; the images define a
+        homomorphism exactly when no two pairs of the closure share a unit.
+        """
         if self.ibr_action is None:
             return {}
-        degree = self.ibr_action.degree
-        ident = tuple(range(degree))
-        rep = {1: ident}
+        q = self.q
         pairs = list(zip(self.n_generators, self.ibr_action.generators))
-        frontier = [(1, ident)]
-        while frontier:
-            new = []
-            for unit, perm in frontier:
-                for g, sigma in pairs:
-                    u2 = unit * g % self.q if self.q > 1 else 1
-                    p2 = compose(sigma, perm)
-                    if u2 in rep:
-                        if rep[u2] != p2:
-                            raise DomainError(
-                                "permutations do not define an action of the "
-                                "fusion quotient (inconsistent images)"
-                            )
-                    else:
-                        rep[u2] = p2
-                        new.append((u2, p2))
-            frontier = new
+
+        def step(pair):
+            unit, perm = pair
+            return [
+                (unit * g % q if q > 1 else 1, compose(sigma, perm))
+                for g, sigma in pairs
+            ]
+
+        rep = {}
+        ident = tuple(range(self.ibr_action.degree))
+        for unit, perm in ntheory.closure((1, ident), step):
+            if unit in rep:
+                raise DomainError(
+                    "permutations do not define an action of the "
+                    "fusion quotient (inconsistent images)"
+                )
+            rep[unit] = perm
         return rep
 
     @property
@@ -216,8 +218,7 @@ def _normalized_cartan(
             f"Cartan matrix of b must be divisible by q = {q}; "
             "it does not match the subsection"
         )
-    _, k = ntheory.prime_power_decomposition(q)
-    defect = None if c.defect is None else c.defect - k
+    defect = None if c.defect is None else c.defect - ntheory.valuation(q, spec.p)
     if defect is not None and defect < 0:
         raise DomainError("defect smaller than the order of u")
     return CartanData(scaled, c.p, defect)
@@ -596,16 +597,8 @@ def compare_all(
     if l == 1 and spec.p > 2:
         top = int(cartan_b.matrix[0, 0])
         if ntheory.is_power_of(top, spec.p):
-            d = 0
-            t = top
-            while t > 1:
-                t //= spec.p
-                d += 1
-            s_exp = 0
-            t = spec.n_p
-            while t > 1:
-                t //= spec.p
-                s_exp += 1
+            s_exp = ntheory.valuation(spec.n_p, spec.p)
+            d = ntheory.valuation(top, spec.p)
             rows.append(hks_bound(spec.p, q, s_exp, spec.n_pprime, d))
 
     k_rows = [r for r in rows if r.target == "k(B)"]

@@ -18,6 +18,7 @@ from .bounds import (
     BoundReport,
     ComparisonReport,
     SubsectionSpec,
+    _normalized_cartan,
     compare_all,
     dade_cyclic_bound,
     k0_semidirect,
@@ -38,6 +39,7 @@ from .gendec import (
     verify_all,
 )
 from .lattice import DEFAULT_DIM_CAP, form_minimum
+from .ntheory import euler_phi_prime_power
 from .weights import (
     CertificationError,
     PermutationAction,
@@ -140,14 +142,12 @@ def _load_gendec(record: dict, path: str, spec=None, l_hint=None) -> tuple:
     if spec_rec.get("p", p) != p or spec_rec.get("q", q) != q:
         raise InputError(f"{path}: spec sub-record disagrees on p or q")
     spec = _load_spec({**spec_rec, "p": p, "q": q}, l, path)
-    c_bar = _load_cartan(
+    cartan_b = _load_cartan(
         _require(spec_rec, "cartan", path), p, q, spec_rec.get("defect"), path
     )
-    if c_bar.l != l:
-        raise InputError(f"{path}: cartan size {c_bar.l} does not match l = {l}")
+    if cartan_b.l != l:
+        raise InputError(f"{path}: cartan size {cartan_b.l} does not match l = {l}")
     qm = _require(record, "q_matrix", path)
-    from .ntheory import euler_phi_prime_power
-
     phi = euler_phi_prime_power(q)
     if "stack" in qm:
         stack = [matrix_from_record(m) for m in qm["stack"]]
@@ -169,6 +169,7 @@ def _load_gendec(record: dict, path: str, spec=None, l_hint=None) -> tuple:
         raise InputError(f"{path}: q_matrix needs 'stack' or 'powers'")
     try:
         data = GenDecData(stack, spec)
+        c_bar = _normalized_cartan(cartan_b, spec, cartan_is_b=True)
     except DomainError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if data.k != k or data.l != l:
@@ -179,19 +180,7 @@ def _load_gendec(record: dict, path: str, spec=None, l_hint=None) -> tuple:
     heights = record.get("heights")
     if heights is not None and len(heights) != k:
         raise InputError(f"{path}: need one height per row")
-    return data, _divide_cartan(c_bar, q), heights
-
-
-def _divide_cartan(c_b: CartanData, q: int) -> CartanData:
-    """The loader stores b's Cartan matrix; verifiers want the dominated one."""
-    if q == 1:
-        return c_b
-    scaled = c_b.matrix.scale(Fraction(1, q))
-    if not scaled.is_integral():
-        raise InputError(
-            f"Cartan matrix is not divisible by q = {q}; bundle is inconsistent"
-        )
-    return CartanData(scaled, c_b.p)
+    return data, c_bar, heights
 
 
 def _load_bundle(path: str) -> BlockBundle:
@@ -215,7 +204,7 @@ def _load_bundle(path: str) -> BlockBundle:
         gendec, gd_cbar, heights = _load_gendec(rec["gendec"], path)
         if gendec.q != q or gendec.p != p or gendec.l != l:
             raise InputError(f"{path}: gendec sub-record disagrees with the bundle")
-        if gd_cbar.matrix != _divide_cartan(cartan_b, q).matrix:
+        if gd_cbar.matrix.scale(q) != cartan_b.matrix:
             raise InputError(f"{path}: gendec Cartan disagrees with the bundle")
     return BlockBundle(
         label=rec.get("label", path),
@@ -392,8 +381,8 @@ def _cmd_bounds_compare(args) -> int:
     notes = list(report.notes)
     status = 0
     if bundle.gendec is not None:
-        ver = verify_all(bundle.gendec, _divide_cartan(bundle.cartan_b, bundle.spec.q),
-                         bundle.heights)
+        c_bar = _normalized_cartan(bundle.cartan_b, bundle.spec, cartan_is_b=True)
+        ver = verify_all(bundle.gendec, c_bar, bundle.heights)
         notes.append(
             "gendec verification passed"
             if ver.ok

@@ -2,21 +2,26 @@
 
 Matrices are immutable values over arbitrary-precision rationals
 (``fractions.Fraction``); every operation returns a fresh matrix, so all
-functions here are safe to call concurrently.  Determinants, inverses and
-Smith normal forms run fraction-free (Bareiss style) on denominator-cleared
-integer matrices to keep intermediate coefficient growth polynomial.
+functions here are safe to call concurrently.  Determinants, inverses, ranks
+and leading principal minors share one fraction-free elimination kernel
+(Bareiss 1968) on denominator-cleared integer matrices, which keeps
+intermediate coefficient growth polynomial; ``lattice`` reads its LDL
+decomposition from the same kernel.  Smith normal forms use their own
+integer row and column reduction.
 
 Floating point never enters any result.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
 from .ntheory import is_prime
 
-Rational = Fraction
+# The documented entry format: an integer or a/b, nothing else Fraction parses.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class ShapeError(ValueError):
@@ -34,14 +39,14 @@ class DomainError(ValueError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"entry {x!r} is not an exact rational") from exc
-    raise DomainError(f"entry {x!r} is not an exact rational")
+        except ZeroDivisionError:
+            pass
+    raise DomainError(f"entry {x!r} is not an exact rational (an integer or a/b)")
 
 
 class RationalMatrix:
@@ -150,22 +155,6 @@ class RationalMatrix:
         return all(x.denominator == 1 for row in self._rows for x in row)
 
 
-def mat_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    return a + b
-
-
-def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    return a @ b
-
-
-def transpose(a: RationalMatrix) -> RationalMatrix:
-    return a.transpose()
-
-
-def trace(a: RationalMatrix) -> Fraction:
-    return a.trace()
-
-
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Kronecker product in block (lexicographic) order: a's entry scales b."""
     out = []
@@ -188,43 +177,63 @@ def direct_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(out)
 
 
-def _cleared_int_rows(a: RationalMatrix) -> tuple[list[list[int]], int]:
-    """Return (s*a as int rows, s) for the common denominator s > 0."""
+def _cleared_int_rows(a) -> tuple[list[list[int]], int]:
+    """Return (s*a as int rows, s) for the common denominator s > 0 of the
+    rows of Fractions ``a``."""
     s = lcm(*(x.denominator for row in a for x in row))
     rows = [[int(x * s) for x in row] for row in a]
     return rows, s
 
 
-def _int_det_bareiss(m: list[list[int]]) -> int:
-    """Destructive fraction-free determinant of an integer matrix."""
-    n = len(m)
+def _bareiss(m: list[list[int]], ncols: int, pivoting: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination (Bareiss 1968) of the integer rows ``m``, in place.
+
+    Pivots are sought in the first ``ncols`` columns; row updates run across
+    the whole row, so augmented columns are carried along.  Returns the pivot
+    columns and the sign of the row permutation.  With ``pivoting`` a zero
+    pivot is swapped with the first nonzero entry below it, or its column is
+    skipped; without, no rows move and elimination stops after the first
+    pivot <= 0.
+
+    Each multiplier is kept below its pivot rather than zeroed, so without
+    swaps the diagonal holds the leading principal minors D_1, D_2, ... and the
+    strict lower triangle the unscaled L of L D L^t: L_ji = m_ji / D_{i+1}.
+    """
+    nrows, width = len(m), len(m[0])
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            ri, rk = m[i], m[k]
-            for j in range(k + 1, n):
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if pivoting and m[r][c] == 0:
+            swap = next((i for i in range(r + 1, nrows) if m[i][c]), None)
+            if swap is None:
+                continue
+            m[r], m[swap] = m[swap], m[r]
+            sign = -sign
+        pk = m[r][c]
+        pivots.append(c)
+        if not pivoting and pk <= 0:
+            break
+        rk = m[r]
+        for i in range(r + 1, nrows):
+            ri = m[i]
+            mik = ri[c]
+            for j in range(c + 1, width):
                 ri[j] = (pk * ri[j] - mik * rk[j]) // prev
-            ri[k] = 0
         prev = pk
-    return sign * m[-1][-1]
+    return pivots, sign
 
 
 def determinant(a: RationalMatrix) -> Fraction:
     if not a.is_square():
         raise ShapeError("determinant needs a square matrix")
+    n = a.rows
     ints, s = _cleared_int_rows(a)
-    return Fraction(_int_det_bareiss(ints), s ** a.rows)
+    pivots, sign = _bareiss(ints, n, pivoting=True)
+    return Fraction(sign * ints[-1][-1] if len(pivots) == n else 0, s**n)
 
 
 def inverse(a: RationalMatrix) -> RationalMatrix:
@@ -236,24 +245,7 @@ def inverse(a: RationalMatrix) -> RationalMatrix:
     # augment with s*I so the final result is the inverse of a itself
     for i in range(n):
         ints[i].extend(s if j == i else 0 for j in range(n))
-    prev = 1
-    for k in range(n - 1):
-        if ints[k][k] == 0:
-            for i in range(k + 1, n):
-                if ints[i][k] != 0:
-                    ints[k], ints[i] = ints[i], ints[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular")
-        pk = ints[k][k]
-        for i in range(k + 1, n):
-            mik = ints[i][k]
-            ri, rk = ints[i], ints[k]
-            for j in range(k + 1, 2 * n):
-                ri[j] = (pk * ri[j] - mik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    if ints[n - 1][n - 1] == 0:
+    if len(_bareiss(ints, n, pivoting=True)[0]) < n:
         raise SingularMatrixError("matrix is singular")
     # exact rational back substitution on the augmented columns
     sol = [[Fraction(0)] * n for _ in range(n)]
@@ -267,27 +259,9 @@ def inverse(a: RationalMatrix) -> RationalMatrix:
 
 
 def rank(a: RationalMatrix) -> int:
-    """Rank over the rationals (exact Gaussian elimination)."""
-    m = [list(row) for row in a]
-    nrows, ncols = a.rows, a.cols
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pr = m[r]
-        inv_p = 1 / pr[c]
-        for i in range(r + 1, nrows):
-            f = m[i][c] * inv_p
-            if f:
-                mi = m[i]
-                for j in range(c, ncols):
-                    mi[j] -= f * pr[j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over the rationals: the number of fraction-free pivots."""
+    ints, _ = _cleared_int_rows(a)
+    return len(_bareiss(ints, a.cols, pivoting=True)[0])
 
 
 def elementary_divisors(a: RationalMatrix) -> list[int]:
@@ -352,29 +326,15 @@ def elementary_divisors(a: RationalMatrix) -> list[int]:
 def leading_principal_pivots(a: RationalMatrix) -> list[Fraction]:
     """Leading principal minors D1..Dk, stopping after the first <= 0.
 
-    Runs a swap-free fraction-free elimination whose pivots are exactly the
-    leading principal minors; for symmetric matrices this decides positive
+    Runs the kernel without row swaps, so its pivots are exactly the leading
+    principal minors; for symmetric matrices this decides positive
     definiteness (Sylvester).
     """
     if not a.is_square():
         raise ShapeError("square matrix required")
     ints, s = _cleared_int_rows(a)
-    n = a.rows
-    minors: list[Fraction] = []
-    prev = 1
-    for k in range(n):
-        piv = ints[k][k]
-        minors.append(Fraction(piv, s ** (k + 1)))
-        if piv <= 0 or k == n - 1:
-            break
-        for i in range(k + 1, n):
-            mik = ints[i][k]
-            ri, rk = ints[i], ints[k]
-            for j in range(k + 1, n):
-                ri[j] = (piv * ri[j] - mik * rk[j]) // prev
-            ri[k] = 0
-        prev = piv
-    return minors
+    pivots, _ = _bareiss(ints, a.rows, pivoting=False)
+    return [Fraction(ints[k][k], s ** (k + 1)) for k in pivots]
 
 
 def is_positive_definite(a: RationalMatrix) -> bool:
@@ -444,10 +404,14 @@ def matrix_to_record(a: RationalMatrix) -> dict:
 
 
 def matrix_from_record(rec: dict) -> RationalMatrix:
+    if not isinstance(rec, dict):
+        raise DomainError("matrix record must be an object with rows, cols, entries")
     try:
         rows, cols, entries = rec["rows"], rec["cols"], rec["entries"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DomainError(f"matrix record is missing field {exc}") from exc
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise DomainError("matrix record entries must be a list of rows")
     m = RationalMatrix(entries)
     if m.rows != rows or m.cols != cols:
         raise DomainError(

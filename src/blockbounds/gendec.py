@@ -178,10 +178,6 @@ def cyc_reduce(raw, q: int) -> CyclotomicInteger:
     return CyclotomicInteger(q, arr[1 : phi + 1])
 
 
-def galois_apply(gamma: int, x: CyclotomicInteger) -> CyclotomicInteger:
-    return x.galois(gamma)
-
-
 def field_trace(x: CyclotomicInteger) -> int:
     """Absolute trace of Q(zeta_q)/Q, by the standard case formula:
     phi(q) on exponent 0, -q/p on nonzero multiples of q/p, else 0."""
@@ -474,39 +470,34 @@ def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
                 )
             )
 
-    if q > p:
-        offenders = []
-        for i in range(1, phi + 1):
-            for j in range(1, phi + 1):
-                if (i % p == 0) != (j % p == 0):
-                    if data.stack[i - 1].transpose() @ data.stack[j - 1] != zero:
-                        offenders.append((i, j))
+    def cross_block_check(name: str, divisor: int, holds: str):
+        """A_i^t A_j must vanish when exactly one of i, j is divisible by divisor."""
+        offenders = [
+            (i, j)
+            for i in range(1, phi + 1)
+            for j in range(1, phi + 1)
+            if (i % divisor == 0) != (j % divisor == 0)
+            and data.stack[i - 1].transpose() @ data.stack[j - 1] != zero
+        ]
         checks.append(
             CheckResult(
-                "p-index block vanishing",
+                name,
                 not offenders,
-                "A_i^t A_j = 0 whenever exactly one index is divisible by p"
-                if not offenders
-                else f"nonzero cross blocks at {offenders}",
+                holds if not offenders else f"nonzero cross blocks at {offenders}",
             )
         )
 
-    n_p = spec.n_p
-    if n_p > 1:
-        offenders = []
-        for i in range(1, phi + 1):
-            for j in range(1, phi + 1):
-                if (i % n_p == 0) != (j % n_p == 0):
-                    if data.stack[i - 1].transpose() @ data.stack[j - 1] != zero:
-                        offenders.append((i, j))
-        checks.append(
-            CheckResult(
-                "sylow block vanishing",
-                not offenders,
-                "A_i^t A_j = 0 across the n_p-divisibility split"
-                if not offenders
-                else f"nonzero cross blocks at {offenders}",
-            )
+    if q > p:
+        cross_block_check(
+            "p-index block vanishing",
+            p,
+            "A_i^t A_j = 0 whenever exactly one index is divisible by p",
+        )
+    if spec.n_p > 1:
+        cross_block_check(
+            "sylow block vanishing",
+            spec.n_p,
+            "A_i^t A_j = 0 across the n_p-divisibility split",
         )
     return VerificationReport(tuple(checks))
 

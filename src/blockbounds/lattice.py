@@ -18,6 +18,8 @@ from .exactmat import (
     DomainError,
     RationalMatrix,
     ShapeError,
+    _bareiss,
+    _cleared_int_rows,
     determinant,
     is_positive_definite,
 )
@@ -146,17 +148,23 @@ def lll_reduce(gram: GramForm | RationalMatrix, delta: float = 0.75):
 
 
 def _ldl(m: list[list[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """m = L D L^t with L unit lower triangular, D positive; exact."""
+    """m = L D L^t with L unit lower triangular, for a symmetric integer m; exact.
+
+    Read off the swap-free fraction-free kernel: with D_0 = 1 and D_k the
+    leading principal minors, d_i = D_{i+1} / D_i and L_ji = m'_ji / D_{i+1}.
+    d stops at the first d_i <= 0, and the columns of L from there on are
+    left zero.
+    """
     n = len(m)
-    d = [Fraction(0)] * n
-    lo = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = Fraction(m[i][i]) - sum(lo[i][k] * lo[i][k] * d[k] for k in range(i))
-        lo[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            lo[j][i] = (
-                Fraction(m[j][i]) - sum(lo[j][k] * lo[i][k] * d[k] for k in range(i))
-            ) / d[i]
+    a = [list(row) for row in m]
+    pivots, _ = _bareiss(a, n, pivoting=False)
+    minors = [1] + [a[i][i] for i in pivots]
+    d = [Fraction(minors[i + 1], minors[i]) for i in pivots]
+    lo = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    for i in pivots:
+        if d[i] > 0:
+            for j in range(i + 1, n):
+                lo[j][i] = Fraction(a[j][i], minors[i + 1])
     return d, lo
 
 
@@ -192,8 +200,7 @@ def form_minimum(
 def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
     n = matrix.rows
     u, g = _lll_rows(matrix)
-    s = lcm(*(x.denominator for row in g for x in row))
-    m = [[int(x * s) for x in row] for row in g]
+    m, s = _cleared_int_rows(g)
     d, lo = _ldl(m)
     lcols: list[list[tuple[int, Fraction]]] = [
         [(j, lo[j][i]) for j in range(i + 1, n) if lo[j][i]] for i in range(n)
@@ -250,25 +257,18 @@ def _nonpositive_direction(sym: RationalMatrix):
     solving x L = e_i takes the form value d_i, and clearing denominators
     scales it to an integer witness with value m^2 d_i <= 0.
     """
-    n = sym.rows
-    d: list[Fraction] = []
-    lo = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = sym[i, i] - sum(lo[i][k] * lo[i][k] * d[k] for k in range(i))
-        if di <= 0:
-            x = [Fraction(0)] * n
-            x[i] = Fraction(1)
-            for j in range(i - 1, -1, -1):
-                x[j] = -sum(x[t] * lo[t][j] for t in range(j + 1, i + 1))
-            m = lcm(*(v.denominator for v in x))
-            vec = tuple(int(v * m) for v in x)
-            return vec, m * m * di, i
-        d.append(di)
-        for j in range(i + 1, n):
-            lo[j][i] = (
-                sym[j, i] - sum(lo[j][k] * lo[i][k] * d[k] for k in range(i))
-            ) / di
-    return None
+    ints, s = _cleared_int_rows(sym)
+    d, lo = _ldl(ints)
+    i = len(d) - 1
+    if d[i] > 0:
+        return None
+    x = [Fraction(0)] * sym.rows
+    x[i] = Fraction(1)
+    for j in range(i - 1, -1, -1):
+        x[j] = -sum(x[t] * lo[t][j] for t in range(j + 1, i + 1))
+    m = lcm(*(v.denominator for v in x))
+    vec = tuple(int(v * m) for v in x)
+    return vec, m * m * d[i] / s, i
 
 
 def certify_integral_positive_definite(

@@ -39,13 +39,20 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     return p, k
 
 
+def valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n; 0 for n = 1."""
+    if n == 0:
+        raise ValueError("the valuation of 0 is infinite")
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
 def is_power_of(q: int, p: int) -> bool:
     """True iff q = p**k for some k >= 0."""
-    if q < 1:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
+    return q >= 1 and q == p ** valuation(q, p)
 
 
 def euler_phi_prime_power(q: int) -> int:
@@ -58,17 +65,34 @@ def euler_phi_prime_power(q: int) -> int:
 
 def part_of(n: int, p: int) -> tuple[int, int]:
     """Split n = n_p * n_p' into its p-part and p'-part."""
-    np_ = 1
-    while n % p == 0:
-        n //= p
-        np_ *= p
-    return np_, n
+    np_ = p ** valuation(n, p)
+    return np_, n // np_
 
 
 def units_mod(q: int) -> tuple[int, ...]:
     if q == 1:
         return (1,)
     return tuple(x for x in range(1, q) if gcd(x, q) == 1)
+
+
+def closure(seed, images):
+    """Yield ``seed`` and everything reachable from it, breadth first, once each.
+
+    ``images(x)`` returns the successors of x.  Elements are yielded as they
+    are found, so a caller can stop at the first one it rejects.
+    """
+    seen = {seed}
+    yield seed
+    frontier = [seed]
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in images(a):
+                if b not in seen:
+                    seen.add(b)
+                    new.append(b)
+                    yield b
+        frontier = new
 
 
 def unit_group_closure(q: int, generators) -> tuple[int, ...]:
@@ -81,18 +105,7 @@ def unit_group_closure(q: int, generators) -> tuple[int, ...]:
         if gcd(g, q) != 1:
             raise ValueError(f"{g} is not a unit modulo {q}")
         gens.append(g)
-    elems = {1}
-    frontier = [1]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = a * g % q
-                if b not in elems:
-                    elems.add(b)
-                    new.append(b)
-        frontier = new
-    return tuple(sorted(elems))
+    return tuple(sorted(closure(1, lambda a: [a * g % q for g in gens])))
 
 
 def multiplicative_order(g: int, q: int) -> int:

@@ -19,6 +19,7 @@ from .lattice import (
     certify_integral_positive_definite,
     form_minimum,
 )
+from .ntheory import closure
 
 
 class CertificationError(ValueError):
@@ -59,17 +60,7 @@ class PermutationAction:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        elems = {_identity_perm(degree)}
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    c = compose(g, a)
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-            frontier = new
+        elems = closure(_identity_perm(degree), lambda a: [compose(g, a) for g in gens])
         self.elements = tuple(sorted(elems))
 
     @property

@@ -30,8 +30,6 @@ from blockbounds import (
     rank_check,
     subsection_k0_bound,
     subsection_k_bound,
-    trace,
-    transpose,
     verify_gram_identity,
     verify_orthogonality,
     wada_weight,
@@ -136,8 +134,8 @@ def test_criterion_5b_trace_pairing_basic_set_invariance():
         w = random_pd_int_matrix(rng, dim)
         s = random_unimodular(rng, dim)
         sinv = inverse(s)
-        lhs = trace((sinv @ w @ transpose(sinv)) @ (transpose(s) @ c @ s))
-        assert lhs == trace(w @ c)
+        lhs = ((sinv @ w @ sinv.transpose()) @ (s.transpose() @ c @ s)).trace()
+        assert lhs == (w @ c).trace()
     print(f"ACCEPTANCE 5b (basic-set trace invariance, {N_CASES} cases): PASS")
 
 
@@ -158,8 +156,8 @@ def test_criterion_5c_permutation_trace_inequality():
             if power == RationalMatrix.identity(n):
                 break
         b = random_pd_int_matrix(rng, n, spread=1)
-        lhs = trace(a @ b @ p)
-        rhs = trace(a @ b)
+        lhs = (a @ b @ p).trace()
+        rhs = (a @ b).trace()
         if tuple(perm) == tuple(range(n)):
             assert lhs == rhs
         else:
@@ -255,7 +253,7 @@ def test_criterion_7_cyclic_quotient_bound():
     for l in range(1, 7):
         for m in range(0, 11):
             cmat = RationalMatrix.filled(l, l, m) + RationalMatrix.identity(l)
-            assert trace(wada_weight(l).matrix @ cmat) == l + m
+            assert (wada_weight(l).matrix @ cmat).trace() == l + m
 
     # realizable parameter sweep: m l + 1 must be a power of a prime p, and
     # the inertial order a divides p - 1

@@ -219,6 +219,30 @@ def test_exit_code_on_bad_cartan(tmp_path, capsys):
     assert run(["bounds", "compare", "--input", str(bad)]) == 2
     assert "Cartan" in capsys.readouterr().err
 
+    # a "b" Cartan matrix not divisible by q, in a gendec file and in a
+    # bundle's gendec sub-record
+    s3 = json.loads(emit(tmp_path, "s3-subsection").read_text())
+    s3["spec"]["cartan"] = {
+        "normalization": "b",
+        "matrix": {"rows": 1, "cols": 1, "entries": [["2"]]},
+    }
+    bundle = {
+        "p": 3,
+        "q": 3,
+        "n_generators": [2],
+        "ibr_action": [[1]],
+        "cartan": {
+            "normalization": "b",
+            "matrix": {"rows": 1, "cols": 1, "entries": [["3"]]},
+        },
+        "gendec": s3,
+    }
+    for command, record in [("gendec verify", s3), ("bounds compare", bundle)]:
+        bad.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run(command.split() + ["--input", str(bad)]) == 2
+        assert "must be divisible by q = 3" in capsys.readouterr().err
+
 
 def test_exit_code_on_failing_verification(tmp_path, capsys):
     path = emit(tmp_path, "s3-subsection")
@@ -236,12 +260,14 @@ def test_exit_code_on_unknown_arguments():
 
 
 def test_exit_code_on_bad_entry_string(tmp_path, capsys):
+    # entries are integers or a/b; decimals, exponents and booleans are not
     gram = tmp_path / "bad.json"
-    gram.write_text(
-        json.dumps({"rows": 1, "cols": 1, "entries": [["one half"]]})
-    )
-    assert run(["lattice", "min", "--input", str(gram)]) == 2
-    assert "rational" in capsys.readouterr().err
+    for entry in ["one half", "0.1", "1.5e3", "1/0", True]:
+        gram.write_text(
+            json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]})
+        )
+        assert run(["lattice", "min", "--input", str(gram)]) == 2
+        assert "rational" in capsys.readouterr().err
 
 
 def test_exit_code_on_ragged_matrix(tmp_path, capsys):
@@ -250,3 +276,14 @@ def test_exit_code_on_ragged_matrix(tmp_path, capsys):
         json.dumps({"rows": 2, "cols": 2, "entries": [["1", "0"], ["0"]]})
     )
     assert run(["lattice", "min", "--input", str(gram)]) == 2
+    # records that are not shaped like a matrix at all
+    for record, message in [
+        ([["1", "0"], ["0", "1"]], "must be an object"),
+        ({"rows": 1, "cols": 1, "entries": 5}, "list of rows"),
+        ({"rows": 1, "cols": 1, "entries": ["1"]}, "list of rows"),
+    ]:
+        gram.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run(["lattice", "min", "--input", str(gram)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err

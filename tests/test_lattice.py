@@ -12,6 +12,7 @@ from blockbounds import (
     determinant,
     elementary_divisors,
     form_minimum,
+    is_positive_definite,
     inverse,
     kron,
     lll_reduce,
@@ -19,7 +20,12 @@ from blockbounds import (
 )
 from blockbounds.fixtures import agl18_cartan
 
-from conftest import box_minimum, random_pd_int_matrix, random_unimodular
+from conftest import (
+    box_minimum,
+    cofactor_determinant,
+    random_pd_int_matrix,
+    random_unimodular,
+)
 
 
 def test_gram_form_rejects_indefinite():
@@ -143,17 +149,51 @@ def test_certify_rejects_small_form():
 
 
 def test_certify_rejects_indefinite_with_vector_witness():
-    w = RationalMatrix([[1, 2], [2, 1]])
-    cert = certify_integral_positive_definite(w)
-    assert not cert.ok
-    assert cert.minimum is None
-    assert "vector" in cert.reason and "minor" in cert.reason
-    # the named witness really achieves a nonpositive value
+    # a negative second minor, semidefinite forms (a zero leading minor) and
+    # rational indefinite ones: the named vector must reach a value <= 0, and
+    # the named minor must be the first nonpositive leading principal minor
     import re
 
-    vec = tuple(int(t) for t in re.findall(r"-?\d+", cert.reason.split(")")[0])[:2])
-    vm = RationalMatrix([vec])
-    assert (vm @ w @ vm.transpose())[0, 0] <= 0
+    rng = random.Random(105)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+
+    forms = [
+        RationalMatrix([[1, 2], [2, 1]]),
+        RationalMatrix([[1, 1], [1, 1]]),
+        RationalMatrix([[0]]),
+    ]
+    while len(forms) < 60:
+        n = rng.randint(1, 4)
+        if rng.random() < 0.3:  # thin Gram product: semidefinite, singular
+            k = rng.randint(1, n)
+            b = RationalMatrix([[entry() for _ in range(k)] for _ in range(n)])
+            w = b @ b.transpose()
+        else:
+            upper = [[entry() for _ in range(n)] for _ in range(n)]
+            w = RationalMatrix(
+                [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            )
+        if not is_positive_definite(w):
+            forms.append(w)
+    for w in forms:
+        cert = certify_integral_positive_definite(w)
+        assert not cert.ok
+        assert cert.minimum is None
+        assert "vector" in cert.reason and "minor" in cert.reason
+        vec = re.search(r"vector \(([^)]*)\)", cert.reason).group(1)
+        vm = RationalMatrix([[int(t) for t in vec.split(",") if t.strip()]])
+        assert any(vm.row(0))
+        assert (vm @ w @ vm.transpose())[0, 0] <= 0
+        k = int(re.search(r"minor (\d+) fails", cert.reason).group(1))
+        minors = [
+            cofactor_determinant(
+                RationalMatrix([[w[i, j] for j in range(t)] for i in range(t)])
+            )
+            for t in range(1, w.rows + 1)
+        ]
+        assert k == next(t for t, d in enumerate(minors, start=1) if d <= 0)
 
 
 def test_certify_symmetrizes_and_reports():
@@ -165,8 +205,6 @@ def test_certify_symmetrizes_and_reports():
 def test_every_certified_matrix_is_positive_definite():
     # integral positive definite implies positive definite
     rng = random.Random(104)
-    from blockbounds import is_positive_definite
-
     for _ in range(50):
         g = random_pd_int_matrix(rng, rng.randint(1, 3))
         cert = certify_integral_positive_definite(g)
