@@ -60,6 +60,10 @@ class SubsectionSpec:
             raise DomainError(f"{p} is not a prime")
         if not ntheory.is_power_of(q, p):
             raise DomainError(f"q = {q} is not a power of p = {p}")
+        n_generators = tuple(n_generators)
+        for g in n_generators:
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise DomainError(f"generator {g!r} is not an integer")
         gens = tuple(g % q if q > 1 else 1 for g in n_generators)
         if q > 1:
             for g in gens:

@@ -95,12 +95,27 @@ def _require(record: dict, field: str, path: str):
     return record[field]
 
 
+def _integer(value, field: str, path: str) -> int:
+    """``value`` if it is an integer; booleans are not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{path}: '{field}' must be an integer, not {value!r}")
+    return value
+
+
+def _integer_list(value, field: str, path: str) -> list:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise InputError(f"{path}: '{field}' must be a list of integers, not {value!r}")
+    return value
+
+
 def _load_action(arrays, degree: int, path: str) -> PermutationAction | None:
     if arrays is None:
         return None
     gens = []
     for arr in arrays:
-        if sorted(arr) != list(range(1, degree + 1)):
+        if sorted(_integer_list(arr, "ibr_action", path)) != list(range(1, degree + 1)):
             raise InputError(
                 f"{path}: permutation {arr} is not 1-indexed of degree {degree}"
             )
@@ -113,6 +128,8 @@ def _load_cartan(record: dict, p: int, q: int, defect, path: str) -> CartanData:
     if normalization not in ("b", "b_bar"):
         raise InputError(f"{path}: normalization must be 'b' or 'b_bar'")
     matrix = matrix_from_record(_require(record, "matrix", path))
+    if defect is not None:
+        defect = _integer(defect, "defect", path)
     if normalization == "b_bar":
         matrix = matrix.scale(q)
     try:
@@ -122,9 +139,9 @@ def _load_cartan(record: dict, p: int, q: int, defect, path: str) -> CartanData:
 
 
 def _load_spec(record: dict, l: int, path: str) -> SubsectionSpec:
-    p = _require(record, "p", path)
-    q = _require(record, "q", path)
-    gens = record.get("n_generators") or ()
+    p = _integer(_require(record, "p", path), "p", path)
+    q = _integer(_require(record, "q", path), "q", path)
+    gens = _integer_list(record.get("n_generators") or [], "n_generators", path)
     action = _load_action(record.get("ibr_action"), l, path)
     try:
         return SubsectionSpec(p, q, gens, action)
@@ -136,8 +153,8 @@ def _load_gendec(record: dict, path: str, spec=None, l_hint=None) -> tuple:
     """Returns (GenDecData, CartanData of the dominated block, heights)."""
     q = _require(record, "q", path)
     p = _require(record, "p", path)
-    k = _require(record, "k", path)
-    l = _require(record, "l", path)
+    k = _integer(_require(record, "k", path), "k", path)
+    l = _integer(_require(record, "l", path), "l", path)
     spec_rec = _require(record, "spec", path)
     if spec_rec.get("p", p) != p or spec_rec.get("q", q) != q:
         raise InputError(f"{path}: spec sub-record disagrees on p or q")
@@ -194,10 +211,18 @@ def _load_bundle(path: str) -> BlockBundle:
     cartan_b = _load_cartan(cartan_rec, p, q, rec.get("defect"), path)
     ordering = rec.get("ordering")
     if ordering is not None:
-        ordering = tuple(x - 1 for x in ordering)
+        ordering = tuple(x - 1 for x in _integer_list(ordering, "ordering", path))
     partition = rec.get("partition")
     if partition is not None:
-        partition = tuple(tuple(x - 1 for x in blk) for blk in partition)
+        if not isinstance(partition, list):
+            raise InputError(f"{path}: 'partition' must be a list of blocks")
+        partition = tuple(
+            tuple(x - 1 for x in _integer_list(blk, "partition", path))
+            for blk in partition
+        )
+    known_kb = rec.get("known_kb")
+    if known_kb is not None:
+        known_kb = _integer(known_kb, "known_kb", path)
     gendec = None
     heights = None
     if rec.get("gendec") is not None:
@@ -213,7 +238,7 @@ def _load_bundle(path: str) -> BlockBundle:
         forms=rec.get("forms") or [],
         ordering=ordering,
         partition=partition,
-        known_kb=rec.get("known_kb"),
+        known_kb=known_kb,
         gendec=gendec,
         heights=heights,
     )

@@ -12,7 +12,6 @@ content, because these tools exist to locate inconsistent inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .bounds import PreconditionError, SubsectionSpec
@@ -336,83 +335,99 @@ def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
     return GenDecData(stack, spec)
 
 
-def _cyc_product_t_conj(a, b, q: int):
-    """(A^t . conj(B)) for equal-height cyclotomic matrices A, B."""
-    k = len(a)
-    la, lb = len(a[0]), len(b[0])
-    out = []
-    for i in range(la):
-        row = []
-        for j in range(lb):
-            acc = CyclotomicInteger.zero(q)
-            for r in range(k):
-                acc = acc + a[r][i] * b[r][j].conjugate()
-            row.append(acc)
-        out.append(row)
-    return out
+def _gram_blocks(data: GenDecData) -> dict:
+    """The products A_i^t A_j (1-based i, j) that are not identically zero by
+    support, as l x l lists of ints, from one sparse pass over the k rows.
 
-
-def _first_mismatch(product, expected: RationalMatrix, q: int):
-    for i in range(len(product)):
-        for j in range(len(product[0])):
-            want = CyclotomicInteger.from_int(q, int(expected[i, j]))
-            if product[i][j] != want:
-                return i, j, product[i][j], want
-    return None
+    These are the blocks of the Gram matrix of the assembled coefficient
+    matrix; a block may still sum to zero."""
+    l = data.l
+    rows = [[] for _ in range(data.k)]  # row r: its nonzero entries (i, a, value)
+    for i, m in enumerate(data.stack, start=1):
+        for r, row in enumerate(m):
+            for a, x in enumerate(row):
+                if x:
+                    rows[r].append((i, a, x.numerator))
+    blocks = {}
+    for terms in rows:
+        for i, a, x in terms:
+            for j, b, y in terms:
+                blk = blocks.get((i, j))
+                if blk is None:
+                    blk = blocks[i, j] = [[0] * l for _ in range(l)]
+                blk[a][b] += x * y
+    return blocks
 
 
 def verify_orthogonality(data: GenDecData, c_bar) -> VerificationReport:
     """Check Q^t conj(Q) = q C_bar, the Galois-twisted products against
     C_b P_gamma (0 across distinct cosets), and that C_b commutes with every
-    fusion permutation matrix."""
+    fusion permutation matrix.
+
+    Galois automorphisms commute with complex conjugation and fix the
+    rational expected matrices, so P(gamma, delta) = (Q^gamma)^t conj(Q^delta)
+    is the image of P(gamma/delta, 1) under zeta -> zeta^delta: it fails
+    exactly when P(gamma/delta, 1) does, at the same entries.  Only the
+    phi(q) products P(gamma, 1) are computed; a failing ratio stands for
+    phi(q) failing pairs.  Entry (a, b) of P(gamma, 1) is
+    sum_{e,f} (A_e^t A_f)[a][b] zeta^(gamma e - f), accumulated on raw
+    exponents and reduced once."""
     spec = data.spec
     q, l = data.q, data.l
     if c_bar.l != l:
         raise DomainError("Cartan size does not match the column count")
-    cb = c_bar.matrix.scale(q)  # Cartan matrix of b itself
-    qmat = data.q_matrix()
-    checks = []
+    cb = [[q * x.numerator for x in row] for row in c_bar.matrix]  # C of b itself
+    perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
+    blocks = _gram_blocks(data).items()
+    units = units_mod(q)
 
-    prod = _cyc_product_t_conj(qmat, qmat, q)
-    bad = _first_mismatch(prod, cb, q)
+    def first_mismatch(gamma):
+        """First entry of P(gamma, 1) off its expected integer, or None."""
+        raws = [[[0] * q for _ in range(l)] for _ in range(l)]
+        for (e, f), blk in blocks:
+            s = (gamma * e - f) % q
+            for a in range(l):
+                for b in range(l):
+                    raws[a][b][s] += blk[a][b]
+        perm = perms.get(gamma)
+        for a in range(l):
+            for b in range(l):
+                got = cyc_reduce(raws[a][b], q)
+                want = CyclotomicInteger.from_int(q, 0 if perm is None else cb[a][perm[b]])
+                if got != want:
+                    return a, b, got, want
+        return None
+
+    bad = {g: m for g in units if (m := first_mismatch(g)) is not None}
+    checks = []
+    one = bad.get(1)
     checks.append(
         CheckResult(
             "orthogonality",
-            bad is None,
+            one is None,
             "Q^t conj(Q) = q*C holds"
-            if bad is None
-            else f"entry {bad[0], bad[1]}: {bad[2]!r} != {bad[3]!r}",
+            if one is None
+            else f"entry {one[0], one[1]}: {one[2]!r} != {one[3]!r}",
         )
     )
 
-    units = units_mod(q)
-    images = {g: [[x.galois(g) for x in row] for row in qmat] for g in units}
-    nset = set(spec.elements)
-    all_ok = True
-    detail = f"all {len(units)**2} Galois pairs match"
-    for g in units:
-        for d in units:
-            ratio = g * pow(d, -1, q) % q if q > 1 else 1
-            prod = _cyc_product_t_conj(images[g], images[d], q)
-            if ratio in nset:
-                pm = spec.perm_matrix_of(ratio, l)
-                expected = cb @ pm
-                bad = _first_mismatch(prod, expected, q)
-            else:
-                bad = _first_mismatch(prod, RationalMatrix.zeros(l, l), q)
-            if bad is not None and all_ok:
-                all_ok = False
-                detail = (
-                    f"pair (gamma={g}, delta={d}) entry {bad[0], bad[1]}: "
-                    f"{bad[2]!r} != {bad[3]!r}"
-                )
-    checks.append(CheckResult("galois-orthogonality", all_ok, detail))
+    pairs = len(units) ** 2
+    detail = f"all {pairs} Galois pairs match"
+    if bad:
+        # in (gamma, delta) order gamma = 1 meets every ratio 1/delta first
+        delta, ratio = min((pow(r, -1, q) if q > 1 else 1, r) for r in bad)
+        a, b, got, want = bad[ratio]
+        detail = (
+            f"{len(bad) * len(units)} of {pairs} Galois pairs fail; first "
+            f"(gamma=1, delta={delta}) entry {a, b}: {got.galois(delta)!r} != {want!r}"
+        )
+    checks.append(CheckResult("galois-orthogonality", not bad, detail))
 
+    # C P = P C  iff  C[perm[a]][perm[b]] = C[a][b] for all a, b
     comm_ok = True
     comm_detail = "C commutes with every fusion permutation"
-    for unit in spec.elements:
-        pm = spec.perm_matrix_of(unit, l)
-        if cb @ pm != pm @ cb:
+    for unit, perm in perms.items():
+        if any(cb[perm[a]][perm[b]] != cb[a][b] for a in range(l) for b in range(l)):
             comm_ok = False
             comm_detail = f"C P_{unit} != P_{unit} C"
             break
@@ -420,25 +435,51 @@ def verify_orthogonality(data: GenDecData, c_bar) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _indicator_weight(i, j, ip, jp, delta, q) -> int:
-    return (
-        (1 if (j * delta - i) % q == 0 else 0)
-        - (1 if (j * delta + ip) % q == 0 else 0)
-        + (1 if (jp * delta - ip) % q == 0 else 0)
-        - (1 if (jp * delta + i) % q == 0 else 0)
-    )
+def _indicator_weights(spec: SubsectionSpec, phi: int) -> dict:
+    """(i, j) -> {delta: w} for the nonzero fusion indicator weights
+
+        w = [j delta = i] - [j delta = -i'] + [j' delta = i'] - [j' delta = -i]
+
+    (mod q, primes from ``neg_residue_index``), found from each (j, delta)
+    instead of by testing every i."""
+    q, p = spec.q, spec.p
+    ip = [0] + [neg_residue_index(i, q, p) for i in range(1, phi + 1)]
+    with_ip = {}
+    for i in range(1, phi + 1):
+        with_ip.setdefault(ip[i], []).append(i)
+    weights = {}
+
+    def add(i, j, delta, w):
+        cell = weights.setdefault((i, j), {})
+        cell[delta] = cell.get(delta, 0) + w
+
+    for j in range(1, phi + 1):
+        for delta in spec.elements:
+            x, y = j * delta % q, ip[j] * delta % q
+            if x <= phi:
+                add(x, j, delta, 1)
+            for i in with_ip.get(-x % q, ()):
+                add(i, j, delta, -1)
+            for i in with_ip.get(y, ()):
+                add(i, j, delta, 1)
+            if 1 <= -y % q <= phi:
+                add(-y % q, j, delta, -1)
+    return weights
 
 
 def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
-    """Check every product A_i^t A_j against the fusion indicator formula,
-    plus the block-vanishing consequences for p | i and for the Sylow part."""
+    """Check every product A_i^t A_j against the fusion indicator formula
+    C_bar sum_delta w(i, j, delta) P_delta, plus the block-vanishing
+    consequences for p | i and for the Sylow part.  One ``gram`` row stands
+    for all phi(q)^2 products when they match; otherwise each failing
+    product has its own ``gram(i,j)`` row."""
     spec = data.spec
     q, p, l = data.q, data.p, data.l
     if c_bar.l != l:
         raise DomainError("Cartan size does not match the column count")
-    cm = c_bar.matrix
     checks = []
     if q == 1:
+        cm = c_bar.matrix
         lhs = data.stack[0].transpose() @ data.stack[0]
         checks.append(
             CheckResult(
@@ -450,34 +491,39 @@ def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
         return VerificationReport(tuple(checks))
 
     phi = len(data.stack)
-    zero = RationalMatrix.zeros(l, l)
-    for i in range(1, phi + 1):
-        ip = neg_residue_index(i, q, p)
-        for j in range(1, phi + 1):
-            jp = neg_residue_index(j, q, p)
-            lhs = data.stack[i - 1].transpose() @ data.stack[j - 1]
-            acc = zero
-            for delta in spec.elements:
-                w = _indicator_weight(i, j, ip, jp, delta, q)
-                if w:
-                    acc = acc + spec.perm_matrix_of(delta, l).scale(w)
-            rhs = cm @ acc
+    cm = [[x.numerator for x in row] for row in c_bar.matrix]
+    perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
+    blocks = _gram_blocks(data)
+    weights = _indicator_weights(spec, phi)
+    zero = [[0] * l for _ in range(l)]
+    for i, j in sorted(blocks.keys() | weights.keys()):
+        lhs = blocks.get((i, j), zero)
+        rhs = [
+            [
+                sum(w * cm[a][perms[d][b]] for d, w in weights.get((i, j), {}).items())
+                for b in range(l)
+            ]
+            for a in range(l)
+        ]
+        if lhs != rhs:
             checks.append(
                 CheckResult(
                     f"gram({i},{j})",
-                    lhs == rhs,
-                    "" if lhs == rhs else f"{lhs!r} != {rhs!r}",
+                    False,
+                    f"{RationalMatrix(lhs)!r} != {RationalMatrix(rhs)!r}",
                 )
             )
+    if not checks:
+        checks.append(
+            CheckResult("gram", True, f"all {phi * phi} products A_i^t A_j match")
+        )
 
     def cross_block_check(name: str, divisor: int, holds: str):
         """A_i^t A_j must vanish when exactly one of i, j is divisible by divisor."""
         offenders = [
             (i, j)
-            for i in range(1, phi + 1)
-            for j in range(1, phi + 1)
-            if (i % divisor == 0) != (j % divisor == 0)
-            and data.stack[i - 1].transpose() @ data.stack[j - 1] != zero
+            for (i, j), blk in sorted(blocks.items())
+            if (i % divisor == 0) != (j % divisor == 0) and blk != zero
         ]
         checks.append(
             CheckResult(
@@ -538,23 +584,22 @@ def height_zero_valuation_check(
 
     Valuation zero is equivalent to a nonzero image under zeta -> 1 modulo p,
     since (1 - zeta) generates the unique prime over p for prime-power
-    conductor.  ``c_tilde`` must be the integral matrix p^d C^{-1}.
+    conductor.  That image is a ring map to F_p which conjugation does not
+    change, so it is sum_ab C~_ab r_a r_b with r_a the residue of d_a.
+    ``c_tilde`` must be the integral matrix p^d C^{-1}.
     """
     if not c_tilde.is_integral():
         raise PreconditionError("p^d C^{-1} must have integer entries")
-    row = list(row)
-    l = len(row)
+    residues = [x.residue_at_one() for x in row]
+    l = len(residues)
     if c_tilde.rows != l or c_tilde.cols != l:
         raise DomainError("row length does not match the matrix")
-    acc = CyclotomicInteger.zero(q)
-    for a in range(l):
-        if row[a].is_zero():
-            continue
-        for b in range(l):
-            cab = int(c_tilde[a, b])
-            if cab:
-                acc = acc + row[a] * row[b].conjugate() * cab
-    return acc.residue_at_one() % p != 0
+    total = sum(
+        x.numerator * residues[a] * residues[b]
+        for a, crow in enumerate(c_tilde)
+        for b, x in enumerate(crow)
+    )
+    return total % p != 0
 
 
 def c_tilde_of(c_bar) -> RationalMatrix:

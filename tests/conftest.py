@@ -15,7 +15,9 @@ from math import gcd, lcm
 
 import numpy as np
 
-from blockbounds import RationalMatrix
+from blockbounds import CyclotomicInteger, RationalMatrix
+from blockbounds.gendec import CheckResult, VerificationReport, neg_residue_index
+from blockbounds.ntheory import units_mod
 
 
 @lru_cache(maxsize=16)
@@ -165,3 +167,204 @@ def minor_gcd_divisors(matrix: RationalMatrix) -> list[int]:
         divisors.append(g // prev)
         prev = g
     return divisors
+
+
+# ---------------------------------------------------------------------------
+# gendec: dihedral test data and the phi(q)^2-pair reference verifiers
+
+# Ordinary decomposition matrices D of S3 (p = 3) and A4 (p = 2); C = D^t D.
+DECOMPOSITION_D = {
+    3: [[1, 0], [0, 1], [1, 1]],
+    2: [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+}
+
+
+def dihedral_rows(q: int) -> tuple[list, list]:
+    """Values chi(u) of the characters of the dihedral group of order 2q at
+    a rotation u of order q, as {zeta exponent: coefficient} maps, and the
+    heights of the characters."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    rows = [{0: 1}, {0: 1}]
+    heights = [0, 0]
+    if p == 2:
+        rows += [{0: -1}, {0: -1}]
+        heights += [0, 0]
+        top = q // 2 - 1
+    else:
+        top = (q - 1) // 2
+    for j in range(1, top + 1):
+        rows.append({j: 1, q - j: 1})
+        heights.append(1 if p == 2 else 0)
+    return rows, heights
+
+
+def dihedral_cells(q: int, expand: bool = False) -> tuple[list, list, list]:
+    """(cells, C_bar, heights): the dihedral rows as a k x 1 matrix of
+    exponent maps, or Kronecker-expanded with the decomposition matrix of
+    S3 or A4 for p = 3 or 2."""
+    rows, heights = dihedral_rows(q)
+    if not expand:
+        return [[row] for row in rows], [[1]], heights
+    d = DECOMPOSITION_D[next(f for f in range(2, q + 1) if q % f == 0)]
+    cbar = [[sum(x[i] * x[j] for x in d) for j in range(len(d[0]))]
+            for i in range(len(d[0]))]
+    cells = [[{e: c * x for e, c in row.items()} for x in drow]
+             for row in rows for drow in d]
+    return cells, cbar, [h for h in heights for _ in d]
+
+
+def gendec_record(q: int, cells, cbar, heights, perm=None) -> dict:
+    """A ``gendec verify`` input: N generated by -1, acting on the columns
+    by ``perm`` (1-indexed images, the identity by default)."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    l = len(cbar)
+    return {
+        "q": q,
+        "p": p,
+        "k": len(cells),
+        "l": l,
+        "spec": {
+            "p": p,
+            "q": q,
+            "n_generators": [q - 1],
+            "ibr_action": [perm or list(range(1, l + 1))],
+            "cartan": {
+                "normalization": "b_bar",
+                "matrix": {"rows": l, "cols": l,
+                           "entries": [[str(x) for x in row] for row in cbar]},
+            },
+        },
+        "q_matrix": {"powers": [[{str(e): c for e, c in cell.items()} for cell in row]
+                                for row in cells]},
+        "heights": heights,
+    }
+
+
+def _cyc_product_t_conj(a, b, q: int):
+    """(A^t . conj(B)) for equal-height cyclotomic matrices A, B."""
+    out = []
+    for i in range(len(a[0])):
+        row = []
+        for j in range(len(b[0])):
+            acc = CyclotomicInteger.zero(q)
+            for r in range(len(a)):
+                acc = acc + a[r][i] * b[r][j].conjugate()
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _first_mismatch(product, expected: RationalMatrix, q: int):
+    for i in range(len(product)):
+        for j in range(len(product[0])):
+            want = CyclotomicInteger.from_int(q, int(expected[i, j]))
+            if product[i][j] != want:
+                return i, j, product[i][j], want
+    return None
+
+
+def reference_orthogonality(data, c_bar):
+    """The orthogonality checks by brute force: a CyclotomicInteger product
+    for every one of the phi(q)^2 Galois pairs (gamma, delta).  Returns the
+    report, whose Galois detail names the first failing pair, and the number
+    of failing pairs."""
+    spec = data.spec
+    q, l = data.q, data.l
+    cb = c_bar.matrix.scale(q)
+    qmat = data.q_matrix()
+    checks = []
+    bad = _first_mismatch(_cyc_product_t_conj(qmat, qmat, q), cb, q)
+    checks.append(CheckResult(
+        "orthogonality", bad is None,
+        "Q^t conj(Q) = q*C holds" if bad is None
+        else f"entry {bad[0], bad[1]}: {bad[2]!r} != {bad[3]!r}",
+    ))
+    units = units_mod(q)
+    images = {g: [[x.galois(g) for x in row] for row in qmat] for g in units}
+    failing = 0
+    detail = f"all {len(units)**2} Galois pairs match"
+    for g in units:
+        for d in units:
+            ratio = g * pow(d, -1, q) % q if q > 1 else 1
+            prod = _cyc_product_t_conj(images[g], images[d], q)
+            if ratio in spec.elements:
+                expected = cb @ spec.perm_matrix_of(ratio, l)
+            else:
+                expected = RationalMatrix.zeros(l, l)
+            bad = _first_mismatch(prod, expected, q)
+            if bad is not None:
+                if not failing:
+                    detail = (f"pair (gamma={g}, delta={d}) entry {bad[0], bad[1]}: "
+                              f"{bad[2]!r} != {bad[3]!r}")
+                failing += 1
+    checks.append(CheckResult("galois-orthogonality", not failing, detail))
+    comm_ok = True
+    comm_detail = "C commutes with every fusion permutation"
+    for unit in spec.elements:
+        pm = spec.perm_matrix_of(unit, l)
+        if cb @ pm != pm @ cb:
+            comm_ok = False
+            comm_detail = f"C P_{unit} != P_{unit} C"
+            break
+    checks.append(CheckResult("cartan-permutation-commutation", comm_ok, comm_detail))
+    return VerificationReport(tuple(checks)), failing
+
+
+def _indicator_weight(i, j, ip, jp, delta, q) -> int:
+    return (
+        (1 if (j * delta - i) % q == 0 else 0)
+        - (1 if (j * delta + ip) % q == 0 else 0)
+        + (1 if (jp * delta - ip) % q == 0 else 0)
+        - (1 if (jp * delta + i) % q == 0 else 0)
+    )
+
+
+def reference_gram_identity(data, c_bar):
+    """The Gram checks by brute force: one ``gram(i,j)`` row per pair, each
+    product A_i^t A_j and its right-hand side built as RationalMatrix values
+    (q > 1 only)."""
+    spec = data.spec
+    q, p, l = data.q, data.p, data.l
+    cm = c_bar.matrix
+    phi = len(data.stack)
+    zero = RationalMatrix.zeros(l, l)
+    products = {
+        (i, j): data.stack[i - 1].transpose() @ data.stack[j - 1]
+        for i in range(1, phi + 1)
+        for j in range(1, phi + 1)
+    }
+    checks = []
+    for (i, j), lhs in products.items():
+        ip, jp = neg_residue_index(i, q, p), neg_residue_index(j, q, p)
+        acc = zero
+        for delta in spec.elements:
+            w = _indicator_weight(i, j, ip, jp, delta, q)
+            if w:
+                acc = acc + spec.perm_matrix_of(delta, l).scale(w)
+        rhs = cm @ acc
+        checks.append(CheckResult(
+            f"gram({i},{j})", lhs == rhs, "" if lhs == rhs else f"{lhs!r} != {rhs!r}"
+        ))
+    for name, divisor, holds, applies in (
+        ("p-index block vanishing", p,
+         "A_i^t A_j = 0 whenever exactly one index is divisible by p", q > p),
+        ("sylow block vanishing", spec.n_p,
+         "A_i^t A_j = 0 across the n_p-divisibility split", spec.n_p > 1),
+    ):
+        if applies:
+            offenders = [(i, j) for (i, j), m in products.items()
+                         if (i % divisor == 0) != (j % divisor == 0) and m != zero]
+            checks.append(CheckResult(
+                name, not offenders,
+                holds if not offenders else f"nonzero cross blocks at {offenders}",
+            ))
+    return VerificationReport(tuple(checks))
+
+
+def reference_height_zero(row, c_tilde: RationalMatrix, p: int, q: int) -> bool:
+    """Residue modulo p of the cyclotomic product d C~ conj(d)^t."""
+    acc = CyclotomicInteger.zero(q)
+    for a, x in enumerate(row):
+        for b, y in enumerate(row):
+            acc = acc + x * y.conjugate() * int(c_tilde[a, b])
+    return acc.residue_at_one() % p != 0

@@ -74,6 +74,14 @@ def test_spec_validation():
     assert not spec.acts_nontrivially
 
 
+def test_spec_rejects_non_integer_generators():
+    # checked for every q, including q = 1 where generators are otherwise unused
+    for q, p, gens in [(1, 2, "ab"), (1, 3, (True,)), (3, 3, (True,)),
+                       (9, 3, (2.0,)), (9, 3, ("2",))]:
+        with pytest.raises(DomainError, match="not an integer"):
+            SubsectionSpec(p, q, gens)
+
+
 def test_spec_action_consistency():
     act = PermutationAction(2, [(1, 0)])
     spec = SubsectionSpec(3, 9, (8,), act)

@@ -5,6 +5,7 @@ import pytest
 
 from blockbounds.cli import run
 from blockbounds.fixtures import FIXTURES
+from conftest import dihedral_cells, gendec_record
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,6 +205,24 @@ def test_exit_code_on_missing_field(tmp_path, capsys):
     assert run(["bounds", "compare", "--input", str(bad)]) == 2
     assert "missing field" in capsys.readouterr().err
 
+    # scalars of the wrong type, booleans included, are input errors too
+    bundle = {
+        "p": 2,
+        "q": 1,
+        "cartan": {
+            "normalization": "b",
+            "matrix": {"rows": 2, "cols": 2, "entries": [["2", "1"], ["1", "2"]]},
+        },
+    }
+    for field, value in [("p", "2"), ("q", True), ("defect", "1"), ("defect", True),
+                         ("known_kb", "3"), ("known_kb", False), ("partition", "x"),
+                         ("partition", [[1], ["2"]]), ("ordering", [1, True]),
+                         ("n_generators", "ab"), ("n_generators", [True])]:
+        bad.write_text(json.dumps({**bundle, field: value}))
+        assert run(["bounds", "compare", "--input", str(bad)]) == 2, field
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"'{field}' must be" in err
+
 
 def test_exit_code_on_bad_cartan(tmp_path, capsys):
     rec = {
@@ -287,3 +306,37 @@ def test_exit_code_on_ragged_matrix(tmp_path, capsys):
         assert run(["lattice", "min", "--input", str(gram)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and message in err
+
+
+def test_verify_report_size_does_not_depend_on_phi(tmp_path, capsys):
+    path = tmp_path / "dihedral.json"
+
+    def verify(q, cells, cbar, heights):
+        path.write_text(json.dumps(gendec_record(q, cells, cbar, heights)))
+        capsys.readouterr()
+        rc = run(["gendec", "verify", "--input", str(path), "--format", "records"])
+        return rc, json.loads(capsys.readouterr().out)["checks"]
+
+    rows = {}
+    for q in (27, 81):
+        rc, checks = verify(q, *dihedral_cells(q))
+        assert rc == 0
+        rows[q] = [c["name"] for c in checks]
+    assert rows[81] == rows[27]
+    assert "gram" in rows[81]
+
+    # double the value zeta^40 + zeta^41 of one character: only the four
+    # products of A_40 and A_41 change, and every Galois pair fails
+    cells, cbar, heights = dihedral_cells(81)
+    r = cells.index([{40: 1, 41: 1}])
+    cells[r] = [{40: 2, 41: 2}]
+    rc, checks = verify(81, cells, cbar, heights)
+    assert rc == 1
+    failing = {c["name"]: c["detail"] for c in checks if not c["passed"]}
+    assert sorted(failing) == sorted(
+        ["orthogonality", "galois-orthogonality"]
+        + [f"gram({i},{j})" for i in (40, 41) for j in (40, 41)]
+    )
+    assert failing["galois-orthogonality"].startswith(
+        "2916 of 2916 Galois pairs fail; first (gamma=1, delta=1) entry (0, 0): "
+    )

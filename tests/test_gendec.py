@@ -23,6 +23,12 @@ from blockbounds import (
 )
 from blockbounds.gendec import GenDecData
 from blockbounds.ntheory import euler_phi_prime_power, units_mod
+from conftest import (
+    dihedral_cells,
+    reference_gram_identity,
+    reference_height_zero,
+    reference_orthogonality,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +426,104 @@ def test_gendec_data_validation():
         GenDecData((RationalMatrix([[1]]),), spec)  # needs phi(3) = 2 matrices
     with pytest.raises(DomainError):
         GenDecData((RationalMatrix([[1]]), RationalMatrix([[1], [2]])), spec)
+
+
+# ---------------------------------------------------------------------------
+# the integer verifiers against the phi(q)^2-pair reference loops
+
+
+def data_from_cells(q, cells, cbar, gens=None, perm=None):
+    """GenDecData and C_bar from exponent-map cells; N = <gens> (default
+    <-1>), each generator acting on the columns by ``perm``."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    l = len(cbar)
+    gens = (q - 1,) if gens is None else gens
+    action = PermutationAction(l, [perm or tuple(range(l))] * len(gens))
+    entries = [[cyc_reduce(cell, q) for cell in row] for row in cells]
+    stack = [
+        RationalMatrix([[x.coeffs[i] for x in row] for row in entries])
+        for i in range(euler_phi_prime_power(q))
+    ]
+    spec = SubsectionSpec(p, q, gens, action)
+    return GenDecData(stack, spec), CartanData(RationalMatrix(cbar), p)
+
+
+def oracle_cases():
+    """(label, data, C_bar, corrupt?) over seeded dihedral data, some of it
+    Kronecker-expanded, the swap-action data, and corrupted copies: one
+    entry doubled, one entry replaced, a wrong permutation action."""
+    rng = random.Random(9041)
+    for q in (3, 4, 5, 7, 8, 9, 16, 25, 27):
+        for expand in (False, True) if q in (3, 4, 8, 9) else (False,):
+            cells, cbar, _ = dihedral_cells(q, expand)
+            rng.shuffle(cells)
+            label = f"q={q}" + (" expanded" if expand else "")
+            yield label, *data_from_cells(q, cells, cbar), False
+            spots = [(r, c) for r, row in enumerate(cells) for c, x in enumerate(row)
+                     if not cyc_reduce(x, q).is_zero()]
+            r, c = rng.choice(spots)
+            doubled = [[dict(x) for x in row] for row in cells]
+            doubled[r][c] = {e: 2 * a for e, a in cells[r][c].items()}
+            yield label + " doubled", *data_from_cells(q, doubled, cbar), True
+            replaced = [[dict(x) for x in row] for row in cells]
+            replaced[r][c] = {rng.randrange(q): rng.choice((-2, -1, 1, 2)),
+                              rng.randrange(q): rng.choice((-1, 1))}
+            yield label + " replaced", *data_from_cells(q, replaced, cbar), None
+            if len(cbar) > 1:
+                swap = (1, 0) + tuple(range(2, len(cbar)))
+                yield (label + " wrong action",
+                       *data_from_cells(q, cells, cbar, perm=swap), True)
+    # a larger fusion quotient, with the Sylow block check (n_p = 3)
+    cells, cbar, _ = dihedral_cells(9)
+    yield "q=9 N=<4>", *data_from_cells(9, cells, cbar, gens=(4,)), None
+    cells, cbar, _ = dihedral_cells(25)
+    yield "q=25 N=<7>", *data_from_cells(25, cells, cbar, gens=(7,)), None
+    swap = swap_action_data()
+    identity = CartanData(RationalMatrix.identity(2), 3)
+    yield "swap action", swap, identity, False
+    wrong = GenDecData(swap.stack, SubsectionSpec(3, 3, (2,), PermutationAction(2, [(0, 1)])))
+    yield "swap action, wrong action", wrong, identity, True
+    doubled = GenDecData((swap.stack[0].scale(2), swap.stack[1]), swap.spec)
+    yield "swap action, doubled", doubled, identity, True
+
+
+def test_integer_verifiers_match_pair_loop_reference():
+    for label, data, c_bar, corrupt in oracle_cases():
+        pairs = len(units_mod(data.q)) ** 2
+        ortho = verify_orthogonality(data, c_bar).checks
+        ref_ortho, failing = reference_orthogonality(data, c_bar)
+        assert [c.name for c in ortho] == [c.name for c in ref_ortho.checks], label
+        for new, old in zip(ortho, ref_ortho.checks):
+            assert new.passed == old.passed, (label, new.name)
+            if new.name == "galois-orthogonality" and failing:
+                # the first failing pair and entry, now after the count
+                assert new.detail == (
+                    f"{failing} of {pairs} Galois pairs fail; first "
+                    + old.detail.removeprefix("pair ")
+                ), label
+            else:
+                assert new.detail == old.detail, (label, new.name)
+
+        gram = verify_gram_identity(data, c_bar).checks
+        ref_gram = reference_gram_identity(data, c_bar).checks
+        ref_failing = [(c.name, c.detail) for c in ref_gram
+                       if c.name.startswith("gram(") and not c.passed]
+        new_gram = [c for c in gram if c.name.startswith("gram")]
+        if ref_failing:
+            assert not any(c.passed for c in new_gram), label
+            assert [(c.name, c.detail) for c in new_gram] == ref_failing, label
+        else:
+            assert [(c.name, c.passed) for c in new_gram] == [("gram", True)], label
+            assert new_gram[0].detail == f"all {pairs} products A_i^t A_j match"
+        others = [(c.name, c.passed, c.detail) for c in gram if not c.name.startswith("gram")]
+        assert others == [(c.name, c.passed, c.detail) for c in ref_gram
+                          if not c.name.startswith("gram")], label
+
+        ok = all(c.passed for c in ortho + gram)
+        if corrupt is not None:
+            assert ok == (not corrupt), label
+        ct = c_tilde_of(c_bar)
+        for r in range(data.k):
+            row = data.row(r)
+            assert height_zero_valuation_check(row, ct, data.p, data.q) == \
+                reference_height_zero(row, ct, data.p, data.q), (label, r)
