@@ -28,7 +28,7 @@ column = [[one], [one], [-1 * one]]
 data = fourier_split(column, spec)
 print("coefficient stack A_1, A_2 (columns of the Fourier split):")
 for i, mat in enumerate(data.stack, start=1):
-    print(f"  A_{i} =", [int(x) for x in mat.column(0)])
+    print(f"  A_{i} =", [row[0] for row in mat])
 
 c_bar = CartanData(RationalMatrix([[1]]), p=3)
 report = verify_all(data, c_bar, heights=[0, 0, 0])

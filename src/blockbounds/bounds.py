@@ -16,8 +16,8 @@ from .exactmat import (
     CartanData,
     DomainError,
     RationalMatrix,
+    _cleared_int_rows,
     determinant,
-    elementary_divisors,
     inverse,
 )
 from .lattice import DEFAULT_DIM_CAP, form_minimum
@@ -403,7 +403,7 @@ def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> Bound
     mres = form_minimum(cinv, max_dim=max_dim)
     l = c.l
     value = l / mres.value
-    top = elementary_divisors(c.matrix)[-1]
+    top = _cleared_int_rows(cinv)[1]  # largest elementary divisor of C
     weak = Fraction(l * top)
     if mres.value * top < 1:
         raise AssertionError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,6 @@ from .bounds import (
 from .exactmat import (
     CartanData,
     DomainError,
-    RationalMatrix,
     ShapeError,
     matrix_from_record,
     matrix_to_record,
@@ -36,10 +36,10 @@ from .gendec import (
     InconsistentDataError,
     VerificationReport,
     cyc_reduce,
+    fourier_split,
     verify_all,
 )
 from .lattice import DEFAULT_DIM_CAP, form_minimum
-from .ntheory import euler_phi_prime_power
 from .weights import (
     CertificationError,
     PermutationAction,
@@ -56,6 +56,8 @@ class InputError(ValueError):
 
 
 MATH_ERRORS = (CertificationError, InconsistentDataError, AssertionError)
+
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 @dataclass
@@ -90,7 +92,7 @@ def _load_json(path: str) -> dict:
 
 
 def _require(record: dict, field: str, path: str):
-    if field not in record:
+    if not isinstance(record, dict) or field not in record:
         raise InputError(f"{path}: missing field '{field}'")
     return record[field]
 
@@ -110,11 +112,23 @@ def _integer_list(value, field: str, path: str) -> list:
     return value
 
 
+def _object(value, field: str, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{path}: '{field}' must be an object, not {value!r}")
+    return value
+
+
+def _list(value, field: str, path: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{path}: '{field}' must be a list, not {value!r}")
+    return value
+
+
 def _load_action(arrays, degree: int, path: str) -> PermutationAction | None:
     if arrays is None:
         return None
     gens = []
-    for arr in arrays:
+    for arr in _list(arrays, "ibr_action", path):
         if sorted(_integer_list(arr, "ibr_action", path)) != list(range(1, degree + 1)):
             raise InputError(
                 f"{path}: permutation {arr} is not 1-indexed of degree {degree}"
@@ -124,7 +138,7 @@ def _load_action(arrays, degree: int, path: str) -> PermutationAction | None:
 
 
 def _load_cartan(record: dict, p: int, q: int, defect, path: str) -> CartanData:
-    normalization = _require(record, "normalization", path)
+    normalization = _require(_object(record, "cartan", path), "normalization", path)
     if normalization not in ("b", "b_bar"):
         raise InputError(f"{path}: normalization must be 'b' or 'b_bar'")
     matrix = matrix_from_record(_require(record, "matrix", path))
@@ -149,13 +163,23 @@ def _load_spec(record: dict, l: int, path: str) -> SubsectionSpec:
         raise InputError(f"{path}: bad subsection data: {exc}") from exc
 
 
-def _load_gendec(record: dict, path: str, spec=None, l_hint=None) -> tuple:
+def _powers_cell(cell, field: str, path: str) -> dict:
+    """A ``powers`` cell: integer-string exponents mapped to integers."""
+    if not isinstance(cell, dict) or not all(_EXPONENT.fullmatch(e) for e in cell):
+        raise InputError(f"{path}: '{field}' must be an object keyed by integer "
+                         f"exponents, not {cell!r}")
+    for e, c in cell.items():
+        _integer(c, f"{field}[{e}]", path)
+    return cell
+
+
+def _load_gendec(record: dict, path: str) -> tuple:
     """Returns (GenDecData, CartanData of the dominated block, heights)."""
     q = _require(record, "q", path)
     p = _require(record, "p", path)
     k = _integer(_require(record, "k", path), "k", path)
     l = _integer(_require(record, "l", path), "l", path)
-    spec_rec = _require(record, "spec", path)
+    spec_rec = _object(_require(record, "spec", path), "spec", path)
     if spec_rec.get("p", p) != p or spec_rec.get("q", q) != q:
         raise InputError(f"{path}: spec sub-record disagrees on p or q")
     spec = _load_spec({**spec_rec, "p": p, "q": q}, l, path)
@@ -164,28 +188,24 @@ def _load_gendec(record: dict, path: str, spec=None, l_hint=None) -> tuple:
     )
     if cartan_b.l != l:
         raise InputError(f"{path}: cartan size {cartan_b.l} does not match l = {l}")
-    qm = _require(record, "q_matrix", path)
-    phi = euler_phi_prime_power(q)
-    if "stack" in qm:
-        stack = [matrix_from_record(m) for m in qm["stack"]]
-    elif "powers" in qm:
-        rows = qm["powers"]
-        if len(rows) != k or any(len(r) != l for r in rows):
-            raise InputError(f"{path}: powers array is not {k}x{l}")
-        entries = [
-            [cyc_reduce({int(e): c for e, c in cell.items()}, q) for cell in row]
-            for row in rows
-        ]
-        stack = [
-            RationalMatrix(
-                [[entries[r][c].coeffs[i] for c in range(l)] for r in range(k)]
-            )
-            for i in range(phi)
-        ]
-    else:
-        raise InputError(f"{path}: q_matrix needs 'stack' or 'powers'")
+    qm = _object(_require(record, "q_matrix", path), "q_matrix", path)
     try:
-        data = GenDecData(stack, spec)
+        if "stack" in qm:
+            stack = _list(qm["stack"], "stack", path)
+            data = GenDecData([matrix_from_record(m) for m in stack], spec)
+        elif "powers" in qm:
+            rows = qm["powers"]
+            if not isinstance(rows, list) or len(rows) != k or any(
+                not isinstance(r, list) or len(r) != l for r in rows
+            ):
+                raise InputError(f"{path}: 'powers' must be a {k}x{l} list of lists")
+            data = fourier_split([
+                [cyc_reduce(_powers_cell(cell, f"powers[{r}][{c}]", path), q)
+                 for c, cell in enumerate(row)]
+                for r, row in enumerate(rows)
+            ], spec)
+        else:
+            raise InputError(f"{path}: q_matrix needs 'stack' or 'powers'")
         c_bar = _normalized_cartan(cartan_b, spec, cartan_is_b=True)
     except DomainError as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -195,8 +215,8 @@ def _load_gendec(record: dict, path: str, spec=None, l_hint=None) -> tuple:
             f"{data.k}x{data.l}"
         )
     heights = record.get("heights")
-    if heights is not None and len(heights) != k:
-        raise InputError(f"{path}: need one height per row")
+    if heights is not None and len(_integer_list(heights, "heights", path)) != k:
+        raise InputError(f"{path}: 'heights' must be a list of {k} integers, one a row")
     return data, c_bar, heights
 
 
@@ -204,7 +224,7 @@ def _load_bundle(path: str) -> BlockBundle:
     rec = _load_json(path)
     p = _require(rec, "p", path)
     q = _require(rec, "q", path)
-    cartan_rec = _require(rec, "cartan", path)
+    cartan_rec = _object(_require(rec, "cartan", path), "cartan", path)
     matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
     l = matrix.rows
     spec = _load_spec(rec, l, path)
@@ -226,7 +246,8 @@ def _load_bundle(path: str) -> BlockBundle:
     gendec = None
     heights = None
     if rec.get("gendec") is not None:
-        gendec, gd_cbar, heights = _load_gendec(rec["gendec"], path)
+        gendec_rec = _object(rec["gendec"], "gendec", path)
+        gendec, gd_cbar, heights = _load_gendec(gendec_rec, path)
         if gendec.q != q or gendec.p != p or gendec.l != l:
             raise InputError(f"{path}: gendec sub-record disagrees with the bundle")
         if gd_cbar.matrix.scale(q) != cartan_b.matrix:
@@ -235,7 +256,7 @@ def _load_bundle(path: str) -> BlockBundle:
         label=rec.get("label", path),
         cartan_b=cartan_b,
         spec=spec,
-        forms=rec.get("forms") or [],
+        forms=_list(rec.get("forms") or [], "forms", path),
         ordering=ordering,
         partition=partition,
         known_kb=known_kb,
@@ -383,6 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     emit_p.add_argument("--output", help="target path (default <name>.json)")
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _parse_triples(data, path: str) -> list:
@@ -537,9 +561,8 @@ def _cmd_fixtures(args) -> int:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bounds import PreconditionError, SubsectionSpec
-from .exactmat import DomainError, RationalMatrix, inverse, elementary_divisors, rank
+from .exactmat import (
+    DomainError, RationalMatrix, _as_fraction, _cleared_int_rows, inverse, rank
+)
 from .ntheory import euler_phi_prime_power, prime_power_decomposition, units_mod
 
 
@@ -199,7 +201,8 @@ def neg_residue_index(i: int, q: int, p: int) -> int:
         raise DomainError(f"index {i} outside 1..{phi}")
     qp = q // p
     ip = (-i) % qp
-    assert qp <= i + ip <= phi
+    if not qp <= i + ip <= phi:
+        raise AssertionError(f"i + i' = {i + ip} outside {qp}..{phi}")
     return ip
 
 
@@ -223,23 +226,24 @@ class VerificationReport:
 
 
 class GenDecData:
-    """Coefficient stack A_1..A_phi(q) of a generalized decomposition matrix."""
+    """Coefficient stack A_1..A_phi(q) of a generalized decomposition matrix:
+    each A_i is a tuple of k row tuples of ints."""
 
     __slots__ = ("stack", "spec")
 
     def __init__(self, stack, spec: SubsectionSpec):
-        stack = tuple(
-            m if isinstance(m, RationalMatrix) else RationalMatrix(m) for m in stack
-        )
+        stack = tuple(tuple(map(tuple, m)) for m in stack)
+        if any(type(x) is not int for m in stack for row in m for x in row):
+            stack = tuple(tuple(map(_int_row, m)) for m in stack)
         phi = euler_phi_prime_power(spec.q)
         if len(stack) != phi:
             raise DomainError(f"need {phi} coefficient matrices, got {len(stack)}")
-        k, l = stack[0].rows, stack[0].cols
-        for m in stack:
-            if m.rows != k or m.cols != l:
-                raise DomainError("coefficient matrices must share one shape")
-            if not m.is_integral():
-                raise DomainError("coefficient matrices must be integral")
+        k = len(stack[0])
+        l = len(stack[0][0]) if k else 0
+        if not l:
+            raise DomainError("matrix must be at least 1x1")
+        if any(len(m) != k or any(len(row) != l for row in m) for m in stack):
+            raise DomainError("coefficient matrices must share one shape")
         self.stack = stack
         self.spec = spec
 
@@ -253,86 +257,58 @@ class GenDecData:
 
     @property
     def k(self) -> int:
-        return self.stack[0].rows
+        return len(self.stack[0])
 
     @property
     def l(self) -> int:
-        return self.stack[0].cols
+        return len(self.stack[0][0])
 
     def entry(self, r: int, c: int) -> CyclotomicInteger:
-        return CyclotomicInteger(self.q, [int(m[r, c]) for m in self.stack])
+        return CyclotomicInteger(self.q, [m[r][c] for m in self.stack])
 
     def row(self, r: int) -> tuple[CyclotomicInteger, ...]:
         return tuple(self.entry(r, c) for c in range(self.l))
 
     def q_matrix(self) -> list[list[CyclotomicInteger]]:
-        return [[self.entry(r, c) for c in range(self.l)] for r in range(self.k)]
+        return [list(self.row(r)) for r in range(self.k)]
 
     def assembled(self) -> RationalMatrix:
-        rows = []
-        for r in range(self.k):
-            row = []
-            for m in self.stack:
-                row.extend(m.row(r))
-            rows.append(row)
-        return RationalMatrix(rows)
+        return RationalMatrix(
+            [[x for m in self.stack for x in m[r]] for r in range(self.k)]
+        )
 
     def __repr__(self) -> str:
         return f"GenDecData(k={self.k}, l={self.l}, q={self.q})"
 
 
+def _int_row(row) -> tuple:
+    """A stack row as a tuple of ints; non-integral entries are a DomainError."""
+    row = tuple(map(_as_fraction, row))
+    if any(x.denominator != 1 for x in row):
+        raise DomainError("coefficient matrices must be integral")
+    return tuple(x.numerator for x in row)
+
+
 def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
     """Split a matrix over Z[zeta_q] into its integer coefficient stack.
 
-    Each A_i is computed through the trace identity
-    A_i = T(Q (zeta^{-i} - zeta^{i'})) / q and then checked against direct
-    coefficient extraction (reassembly); any disagreement or non-divisibility
-    signals malformed input.
+    On the basis zeta^1 .. zeta^phi(q), A_i holds the zeta^i coefficients of
+    the entries, as the trace identity A_i = T(Q (zeta^{-i} - zeta^{i'})) / q
+    also gives (the tests keep that identity as an oracle).
     """
     rows = [list(r) for r in entries]
     if not rows or not rows[0]:
         raise DomainError("matrix must be at least 1x1")
-    q = rows[0][0].q
-    for r in rows:
-        for x in r:
-            if x.q != q:
-                raise DomainError("entries must share one conductor")
-    p, phi = _conductor_parts(q)
+    first = rows[0][0]
+    q = first.q
+    if any(x.q != q for r in rows for x in r):
+        raise DomainError("entries must share one conductor")
     if spec is None:
-        spec = SubsectionSpec(p if q > 1 else 2, q)
+        spec = SubsectionSpec(first.p if q > 1 else 2, q)
     if spec.q != q:
         raise DomainError(f"spec has q = {spec.q} but entries have conductor {q}")
-    k, l = len(rows), len(rows[0])
-    stack = []
-    for i in range(1, phi + 1):
-        if q == 1:
-            a = [[rows[r][c].coeffs[0] for c in range(l)] for r in range(k)]
-        else:
-            ip = neg_residue_index(i, q, p)
-            factor = CyclotomicInteger.zeta_power(q, q - i) - CyclotomicInteger.zeta_power(q, ip)
-            a = []
-            for r in range(k):
-                arow = []
-                for c in range(l):
-                    t = field_trace(rows[r][c] * factor)
-                    quot, rem = divmod(t, q)
-                    if rem:
-                        raise InconsistentDataError(
-                            f"trace at entry ({r},{c}), index {i} is {t}, "
-                            f"not divisible by q = {q}"
-                        )
-                    arow.append(quot)
-                a.append(arow)
-        stack.append(RationalMatrix(a))
-    # reassembly: the stack must reproduce the basis coefficients exactly
-    for r in range(k):
-        for c in range(l):
-            got = tuple(int(stack[i][r, c]) for i in range(phi))
-            if got != rows[r][c].coeffs:
-                raise InconsistentDataError(
-                    f"reassembly failed at entry ({r},{c}): {got} != {rows[r][c].coeffs}"
-                )
-    return GenDecData(stack, spec)
+    # row r of A_i is the i-th of the transposed coefficient tuples of row r
+    return GenDecData(zip(*(tuple(zip(*(x.coeffs for x in r))) for r in rows)), spec)
 
 
 def _gram_blocks(data: GenDecData) -> dict:
@@ -347,7 +323,7 @@ def _gram_blocks(data: GenDecData) -> dict:
         for r, row in enumerate(m):
             for a, x in enumerate(row):
                 if x:
-                    rows[r].append((i, a, x.numerator))
+                    rows[r].append((i, a, x))
     blocks = {}
     for terms in rows:
         for i, a, x in terms:
@@ -477,25 +453,19 @@ def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
     q, p, l = data.q, data.p, data.l
     if c_bar.l != l:
         raise DomainError("Cartan size does not match the column count")
-    checks = []
-    if q == 1:
-        cm = c_bar.matrix
-        lhs = data.stack[0].transpose() @ data.stack[0]
-        checks.append(
-            CheckResult(
-                "gram(1,1)",
-                lhs == cm,
-                "A_1^t A_1 = C" if lhs == cm else f"A_1^t A_1 = {lhs!r} != C",
-            )
-        )
-        return VerificationReport(tuple(checks))
-
-    phi = len(data.stack)
     cm = [[x.numerator for x in row] for row in c_bar.matrix]
-    perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
     blocks = _gram_blocks(data)
-    weights = _indicator_weights(spec, phi)
     zero = [[0] * l for _ in range(l)]
+    if q == 1:
+        lhs = blocks.get((1, 1), zero)
+        ok = lhs == cm
+        detail = "A_1^t A_1 = C" if ok else f"A_1^t A_1 = {RationalMatrix(lhs)!r} != C"
+        return VerificationReport((CheckResult("gram(1,1)", ok, detail),))
+
+    checks = []
+    phi = len(data.stack)
+    perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
+    weights = _indicator_weights(spec, phi)
     for i, j in sorted(blocks.keys() | weights.keys()):
         lhs = blocks.get((i, j), zero)
         rhs = [
@@ -603,9 +573,9 @@ def height_zero_valuation_check(
 
 
 def c_tilde_of(c_bar) -> RationalMatrix:
-    """p^d C^{-1} for the dominated block, d read off the elementary divisors."""
-    top = elementary_divisors(c_bar.matrix)[-1]
-    return inverse(c_bar.matrix).scale(top)
+    """p^d C^{-1} for the dominated block: p^d, the largest elementary divisor
+    of the integer matrix C, is the common denominator of C^{-1}."""
+    return RationalMatrix(_cleared_int_rows(inverse(c_bar.matrix))[0])
 
 
 def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
@@ -614,8 +584,7 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
     checks.extend(verify_gram_identity(data, c_bar).checks)
     checks.extend(rank_check(data).checks)
 
-    assembled = data.assembled()
-    nonzero = sum(1 for r in range(data.k) if any(assembled.row(r)))
+    nonzero = sum(1 for r in range(data.k) if any(any(m[r]) for m in data.stack))
     checks.append(
         CheckResult(
             "nonzero-rows",

@@ -16,7 +16,12 @@ from math import gcd, lcm
 import numpy as np
 
 from blockbounds import CyclotomicInteger, RationalMatrix
-from blockbounds.gendec import CheckResult, VerificationReport, neg_residue_index
+from blockbounds.gendec import (
+    CheckResult,
+    VerificationReport,
+    field_trace,
+    neg_residue_index,
+)
 from blockbounds.ntheory import units_mod
 
 
@@ -329,7 +334,8 @@ def reference_gram_identity(data, c_bar):
     phi = len(data.stack)
     zero = RationalMatrix.zeros(l, l)
     products = {
-        (i, j): data.stack[i - 1].transpose() @ data.stack[j - 1]
+        (i, j): RationalMatrix(data.stack[i - 1]).transpose()
+        @ RationalMatrix(data.stack[j - 1])
         for i in range(1, phi + 1)
         for j in range(1, phi + 1)
     }
@@ -368,3 +374,27 @@ def reference_height_zero(row, c_tilde: RationalMatrix, p: int, q: int) -> bool:
         for b, y in enumerate(row):
             acc = acc + x * y.conjugate() * int(c_tilde[a, b])
     return acc.residue_at_one() % p != 0
+
+
+def reference_fourier_split(entries) -> tuple:
+    """The coefficient stack of a matrix over Z[zeta_q] through the trace
+    identity A_i = T(Q (zeta^{-i} - zeta^{i'})) / q, as int row tuples (the
+    library reads A_i off the zeta^i coefficients instead)."""
+    x0 = entries[0][0]
+    q, p = x0.q, x0.p
+    if q == 1:
+        return (tuple(tuple(x.coeffs[0] for x in row) for row in entries),)
+    stack = []
+    for i in range(1, q - q // p + 1):
+        factor = (CyclotomicInteger.zeta_power(q, q - i)
+                  - CyclotomicInteger.zeta_power(q, neg_residue_index(i, q, p)))
+        a = []
+        for row in entries:
+            arow = []
+            for x in row:
+                quot, rem = divmod(field_trace(x * factor), q)
+                assert rem == 0, f"trace {quot * q + rem} not divisible by q = {q}"
+                arow.append(quot)
+            a.append(tuple(arow))
+        stack.append(tuple(a))
+    return tuple(stack)

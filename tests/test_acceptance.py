@@ -46,6 +46,7 @@ from conftest import (
     conjugacy_class_count,
     random_pd_int_matrix,
     random_unimodular,
+    reference_fourier_split,
     semidirect_c9_by_inversion,
 )
 
@@ -207,6 +208,7 @@ def test_criterion_5e_fourier_reassembly():
             for _ in range(k)
         ]
         data = fourier_split(entries, spec)
+        assert data.stack == reference_fourier_split(entries)
         for r in range(k):
             for c in range(l):
                 assert data.entry(r, c) == entries[r][c]

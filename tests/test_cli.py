@@ -201,9 +201,11 @@ def test_exit_code_on_malformed_json(tmp_path, capsys):
 
 def test_exit_code_on_missing_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"p": 2}))
-    assert run(["bounds", "compare", "--input", str(bad)]) == 2
-    assert "missing field" in capsys.readouterr().err
+    for command, record in [("bounds compare", {"p": 2}), ("bounds compare", 5),
+                            ("gendec verify", [3])]:
+        bad.write_text(json.dumps(record))
+        assert run(command.split() + ["--input", str(bad)]) == 2
+        assert "missing field" in capsys.readouterr().err
 
     # scalars of the wrong type, booleans included, are input errors too
     bundle = {
@@ -217,11 +219,38 @@ def test_exit_code_on_missing_field(tmp_path, capsys):
     for field, value in [("p", "2"), ("q", True), ("defect", "1"), ("defect", True),
                          ("known_kb", "3"), ("known_kb", False), ("partition", "x"),
                          ("partition", [[1], ["2"]]), ("ordering", [1, True]),
-                         ("n_generators", "ab"), ("n_generators", [True])]:
+                         ("n_generators", "ab"), ("n_generators", [True]),
+                         ("ibr_action", 5), ("forms", 5)]:
         bad.write_text(json.dumps({**bundle, field: value}))
         assert run(["bounds", "compare", "--input", str(bad)]) == 2, field
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and f"'{field}' must be" in err
+
+    # malformed decomposition files: (field named, place in the record, value)
+    s3 = json.loads(emit(tmp_path, "s3-subsection").read_text())
+    for field, place, value in [
+        ("powers[0][0][0]", ("q_matrix", "powers", 0, 0), {"0": 1.5}),
+        ("powers[0][0][0]", ("q_matrix", "powers", 0, 0), {"0": "1"}),
+        ("powers[0][0][0]", ("q_matrix", "powers", 0, 0), {"0": True}),
+        ("powers[0][0]", ("q_matrix", "powers", 0, 0), 1),
+        ("powers[0][0]", ("q_matrix", "powers", 0, 0), {"x": 1}),
+        ("powers", ("q_matrix", "powers"), {"0": 1}),
+        ("stack", ("q_matrix",), {"stack": 1}),
+        ("heights", ("heights",), 0),
+        ("heights", ("heights",), ["a", "b", "c"]),
+        ("spec", ("spec",), [3]),
+        ("ibr_action", ("spec", "ibr_action"), 7),
+    ]:
+        rec = json.loads(json.dumps(s3))
+        target = rec
+        for key in place[:-1]:
+            target = target[key]
+        target[place[-1]] = value
+        bad.write_text(json.dumps(rec))
+        assert run(["gendec", "verify", "--input", str(bad)]) == 2, (field, value)
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"'{field}' must be" in err, err
+        assert "Traceback" not in err
 
 
 def test_exit_code_on_bad_cartan(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -225,6 +226,9 @@ def test_elementary_divisors_match_minor_gcds():
             continue
         count += 1
         assert elementary_divisors(m) == minor_gcd_divisors(m)
+        # the largest one is the common denominator of the inverse
+        denominators = (x.denominator for row in inverse(m) for x in row)
+        assert elementary_divisors(m)[-1] == lcm(*denominators)
 
 
 def test_trace_identities_on_random_matrices():

@@ -25,6 +25,7 @@ from blockbounds.gendec import GenDecData
 from blockbounds.ntheory import euler_phi_prime_power, units_mod
 from conftest import (
     dihedral_cells,
+    reference_fourier_split,
     reference_gram_identity,
     reference_height_zero,
     reference_orthogonality,
@@ -183,8 +184,8 @@ def s3_data():
 def test_fourier_split_s3_column():
     data = s3_data()
     expected = RationalMatrix([[-1], [-1], [1]])
-    assert data.stack[0] == expected
-    assert data.stack[1] == expected
+    assert RationalMatrix(data.stack[0]) == expected
+    assert RationalMatrix(data.stack[1]) == expected
 
 
 def test_fourier_split_integer_matrix_reassembles():
@@ -196,6 +197,7 @@ def test_fourier_split_integer_matrix_reassembles():
             for _ in range(3)
         ]
         data = fourier_split(entries, spec)
+        assert data.stack == reference_fourier_split(entries)
         for r in range(3):
             for c in range(2):
                 assert data.entry(r, c) == entries[r][c]
@@ -205,15 +207,15 @@ def test_fourier_split_q4_column():
     i = CyclotomicInteger.zeta_power(4, 1)
     one = CyclotomicInteger.from_int(4, 1)
     data = fourier_split([[one], [i], [-1 * one]], SubsectionSpec(2, 4))
-    assert data.stack[0] == RationalMatrix([[0], [1], [0]])
-    assert data.stack[1] == RationalMatrix([[-1], [0], [1]])
+    assert RationalMatrix(data.stack[0]) == RationalMatrix([[0], [1], [0]])
+    assert RationalMatrix(data.stack[1]) == RationalMatrix([[-1], [0], [1]])
 
 
 def test_fourier_split_q1_is_identity():
     spec = SubsectionSpec(2, 1)
     entries = [[CyclotomicInteger.from_int(1, 3)], [CyclotomicInteger.from_int(1, -2)]]
     data = fourier_split(entries, spec)
-    assert data.stack[0] == RationalMatrix([[3], [-2]])
+    assert RationalMatrix(data.stack[0]) == RationalMatrix([[3], [-2]])
 
 
 def cbar1(p):
@@ -257,7 +259,8 @@ def test_verify_gram_identity_s3():
     data = s3_data()
     for i in (0, 1):
         for j in (0, 1):
-            prod = data.stack[i].transpose() @ data.stack[j]
+            a_i, a_j = RationalMatrix(data.stack[i]), RationalMatrix(data.stack[j])
+            prod = a_i.transpose() @ a_j
             assert prod == RationalMatrix([[3]])
 
 
@@ -400,7 +403,7 @@ def dihedral8_data():
 def test_dihedral8_subsection_verifies():
     data = dihedral8_data()
     c_bar = cbar1(2)
-    assert data.stack[0] == RationalMatrix([[0], [0], [0], [0], [0]])
+    assert RationalMatrix(data.stack[0]) == RationalMatrix([[0], [0], [0], [0], [0]])
     report = verify_all(data, c_bar, heights=[0, 0, 0, 0, 1])
     assert report.ok
     assert rank_check(data).ok  # rank 1 = 1*2/2
@@ -483,7 +486,9 @@ def oracle_cases():
     yield "swap action", swap, identity, False
     wrong = GenDecData(swap.stack, SubsectionSpec(3, 3, (2,), PermutationAction(2, [(0, 1)])))
     yield "swap action, wrong action", wrong, identity, True
-    doubled = GenDecData((swap.stack[0].scale(2), swap.stack[1]), swap.spec)
+    doubled = GenDecData(
+        (RationalMatrix(swap.stack[0]).scale(2), swap.stack[1]), swap.spec
+    )
     yield "swap action, doubled", doubled, identity, True
 
 
