@@ -19,6 +19,7 @@ from .exactmat import (
     _cleared_int_rows,
     determinant,
     inverse,
+    trace_pairing,
 )
 from .lattice import DEFAULT_DIM_CAP, form_minimum
 from .weights import (
@@ -28,7 +29,6 @@ from .weights import (
     commutes_with,
     compose,
     from_quadratic_form,
-    perm_matrix,
     symmetrize,
     wada_weight,
     weight_candidates,
@@ -136,9 +136,6 @@ class SubsectionSpec:
                 )
             return self._rep[unit % self.q if self.q > 1 else 1]
         return tuple(range(degree))
-
-    def perm_matrix_of(self, unit: int, degree: int) -> RationalMatrix:
-        return perm_matrix(self.perm_of(unit, degree))
 
     def __repr__(self) -> str:
         return (
@@ -264,7 +261,7 @@ def subsection_k_bound(
         )
     c = _normalized_cartan(c_bar, spec, cartan_is_b)
     weight, notes = _aligned_weight(weight, spec, c.l, max_dim)
-    tr = (weight.matrix @ c.matrix).trace()
+    tr = trace_pairing(weight.matrix, c.matrix)
     n, q = spec.n, spec.q
     value = (Fraction(n) + Fraction(q - 1, n)) * tr
     return BoundReport(
@@ -292,7 +289,7 @@ def subsection_k0_bound(
     """k0(B) <= k0(<u> x| N) tr(W C) <= q tr(W C), any subsection."""
     c = _normalized_cartan(c_bar, spec, cartan_is_b)
     weight, notes = _aligned_weight(weight, spec, c.l, max_dim)
-    tr = (weight.matrix @ c.matrix).trace()
+    tr = trace_pairing(weight.matrix, c.matrix)
     k0 = k0_semidirect(spec)
     return BoundReport(
         name="subsection k0(B) bound",
@@ -386,7 +383,8 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
     value = sum(
         Fraction(v) * c.matrix[i - 1, j - 1] for (i, j), v in form_coeffs.items()
     )
-    assert value == (w.matrix @ c.matrix).trace()
+    if value != trace_pairing(w.matrix, c.matrix):
+        raise AssertionError("form bound differs from the trace pairing tr(W C)")
     return BoundReport(
         name="quadratic form bound",
         target="k(B)",
@@ -481,7 +479,8 @@ def dade_cyclic_bound(
     # cross-check the trace route: tr(U_b (m + delta)) = b + m
     w = wada_weight(b)
     cmat = RationalMatrix.filled(b, b, m) + RationalMatrix.identity(b)
-    assert (w.matrix @ cmat).trace() == second
+    if trace_pairing(w.matrix, cmat) != second:
+        raise AssertionError("path-weight trace pairing differs from b + m")
     notes = []
     if p is not None and m.denominator == 1 and a % p and u_order > 1:
         try:
@@ -582,12 +581,13 @@ def compare_all(
         and q > 1
     ):
         w_aligned, _ = _aligned_weight(best_weight, spec, l, max_dim)
-        p_n = RationalMatrix.zeros(l, l)
-        for unit in spec.elements:
-            p_n = p_n + spec.perm_matrix_of(unit, l)
-        refined = (w_aligned.matrix @ c_bar.matrix @ p_n).trace() + Fraction(
-            q - 1, spec.n
-        ) * (w_aligned.matrix @ c_bar.matrix).trace()
+        wc = w_aligned.matrix @ c_bar.matrix
+        # tr(W C P_g) = sum_i (W C)[g(i), i], summed over g in N
+        refined = sum(
+            wc[g_i, i]
+            for unit in spec.elements
+            for i, g_i in enumerate(spec.perm_of(unit, l))
+        ) + Fraction(q - 1, spec.n) * wc.trace()
         rows.append(
             BoundReport(
                 name="refined k0(B) bound",

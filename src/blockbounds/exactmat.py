@@ -141,6 +141,16 @@ class RationalMatrix:
             raise ShapeError("trace needs a square matrix")
         return sum(self._rows[i][i] for i in range(self.rows))
 
+    def permuted(self, perm) -> "RationalMatrix":
+        """P M P^t with P e_j = e_perm[j]: entry (i, j) moves to (perm[i], perm[j])."""
+        n = self.rows
+        if n != self.cols:
+            raise ShapeError("permuted needs a square matrix")
+        if sorted(perm) != list(range(n)):
+            raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
+        inv = sorted(range(n), key=perm.__getitem__)
+        return RationalMatrix([[self._rows[a][b] for b in inv] for a in inv])
+
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -153,6 +163,13 @@ class RationalMatrix:
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self._rows for x in row)
+
+
+def trace_pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:
+    """tr(a b) = sum a_ij b_ji, without forming the product."""
+    if a.rows != b.cols or a.cols != b.rows:
+        raise ShapeError(f"cannot pair {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import CartanData, DomainError, RationalMatrix, inverse, kron
+from .exactmat import CartanData, DomainError, RationalMatrix, inverse, kron, trace_pairing
 from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeMinimum,
@@ -24,17 +24,6 @@ from .ntheory import closure
 
 class CertificationError(ValueError):
     """A constructed weight matrix failed its integral-PD certificate."""
-
-
-def perm_matrix(perm) -> RationalMatrix:
-    """Permutation matrix P with P e_j = e_perm[j] (0-based images)."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
-    rows = [[0] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        rows[i][j] = 1
-    return RationalMatrix(rows)
 
 
 def compose(a, b) -> tuple[int, ...]:
@@ -70,9 +59,6 @@ class PermutationAction:
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def matrices(self) -> tuple[RationalMatrix, ...]:
-        return tuple(perm_matrix(g) for g in self.elements)
 
     def __repr__(self) -> str:
         return f"PermutationAction(degree={self.degree}, order={self.order})"
@@ -113,8 +99,8 @@ def wada_weight(n: int, max_dim: int = DEFAULT_DIM_CAP) -> WeightMatrix:
 
 
 def commutes_with(matrix: RationalMatrix, perm) -> bool:
-    p = perm_matrix(perm)
-    return matrix @ p == p @ matrix
+    """W P = P W for the permutation matrix P of ``perm``."""
+    return matrix.permuted(perm) == matrix
 
 
 def _shift_matrix(m: int) -> RationalMatrix:
@@ -134,17 +120,19 @@ def block_tridiagonal_weight(
     if m < 1:
         raise DomainError("block count must be at least 1")
     perm = tuple(perm)
-    p = perm_matrix(perm)
-    if wm @ p != p @ wm:
+    if not commutes_with(wm, perm):
         raise DomainError("weight matrix does not commute with the permutation")
     if m == 1:
         return certified_weight(wm, "block-tridiagonal(m=1)", max_dim=max_dim)
     half = Fraction(1, 2)
     shift = _shift_matrix(m)
+    # (P W)[a] = W[perm^-1(a)] and (P^t W)[a] = W[perm(a)]: rows reindexed
+    pw = RationalMatrix([wm.row(perm.index(a)) for a in range(wm.rows)])
+    ptw = RationalMatrix([wm.row(i) for i in perm])
     big = (
         kron(RationalMatrix.identity(m), wm)
-        - kron(shift, (p @ wm).scale(half))
-        - kron(shift.transpose(), (p.transpose() @ wm).scale(half))
+        - kron(shift, pw.scale(half))
+        - kron(shift.transpose(), ptw.scale(half))
     )
     return certified_weight(big, f"block-tridiagonal(m={m})", max_dim=max_dim)
 
@@ -169,11 +157,11 @@ def symmetrize(
     n = action.order
     sym = wm + wm.transpose()
     acc = RationalMatrix.zeros(wm.rows, wm.cols)
-    for pmat in action.matrices():
-        acc = acc + (pmat @ sym @ pmat.transpose())
+    for g in action.elements:
+        acc = acc + sym.permuted(g)
     avg = acc.scale(Fraction(1, 2 * n))
-    for pmat in action.matrices():
-        assert avg @ pmat == pmat @ avg
+    if not all(commutes_with(avg, g) for g in action.generators):
+        raise AssertionError("group average does not commute with the action")
     return certified_weight(avg, "symmetrized", max_dim=max_dim)
 
 
@@ -253,15 +241,6 @@ def _heuristic_path_order(c: RationalMatrix) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _reorder_as(base: RationalMatrix, order) -> RationalMatrix:
-    n = base.rows
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            rows[order[a]][order[b]] = base[a, b]
-    return RationalMatrix(rows)
-
-
 def weight_candidates(
     c: CartanData,
     action: PermutationAction | None = None,
@@ -286,7 +265,7 @@ def weight_candidates(
     if order != tuple(range(l)):
         out.append(
             certified_weight(
-                _reorder_as(wada.matrix, order), "wada-path-reordered", max_dim=max_dim
+                wada.matrix.permuted(order), "wada-path-reordered", max_dim=max_dim
             )
         )
     cinv = inverse(cm)
@@ -305,6 +284,6 @@ def weight_candidates(
                         provenance=f"symmetrized-{wm.provenance}",
                     )
                 )
-    scored = [(wm, (wm.matrix @ cm).trace()) for wm in out]
+    scored = [(wm, trace_pairing(wm.matrix, cm)) for wm in out]
     scored.sort(key=lambda t: (t[1], t[0].provenance))
     return scored

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: brute-force box enumeration for lattice minima, cofactor expansion for
-determinants, gcd-of-minors for elementary divisors.
+determinants, gcd-of-minors for elementary divisors, explicit permutation
+matrices for permutations that the library keeps as index tuples.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ def random_pd_int_matrix(rng: random.Random, dim: int, spread: int = 2) -> Ratio
         for i in range(dim)
     ]
     return RationalMatrix(g)
+
+
+def perm_matrix(perm) -> RationalMatrix:
+    """Permutation matrix P with P e_j = e_perm[j] (0-based images)."""
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
+    rows = [[0] * n for _ in range(n)]
+    for j, i in enumerate(perm):
+        rows[i][j] = 1
+    return RationalMatrix(rows)
 
 
 def random_unimodular(rng: random.Random, dim: int, ops: int = 6) -> RationalMatrix:
@@ -293,7 +305,7 @@ def reference_orthogonality(data, c_bar):
             ratio = g * pow(d, -1, q) % q if q > 1 else 1
             prod = _cyc_product_t_conj(images[g], images[d], q)
             if ratio in spec.elements:
-                expected = cb @ spec.perm_matrix_of(ratio, l)
+                expected = cb @ perm_matrix(spec.perm_of(ratio, l))
             else:
                 expected = RationalMatrix.zeros(l, l)
             bad = _first_mismatch(prod, expected, q)
@@ -306,7 +318,7 @@ def reference_orthogonality(data, c_bar):
     comm_ok = True
     comm_detail = "C commutes with every fusion permutation"
     for unit in spec.elements:
-        pm = spec.perm_matrix_of(unit, l)
+        pm = perm_matrix(spec.perm_of(unit, l))
         if cb @ pm != pm @ cb:
             comm_ok = False
             comm_detail = f"C P_{unit} != P_{unit} C"
@@ -346,7 +358,7 @@ def reference_gram_identity(data, c_bar):
         for delta in spec.elements:
             w = _indicator_weight(i, j, ip, jp, delta, q)
             if w:
-                acc = acc + spec.perm_matrix_of(delta, l).scale(w)
+                acc = acc + perm_matrix(spec.perm_of(delta, l)).scale(w)
         rhs = cm @ acc
         checks.append(CheckResult(
             f"gram({i},{j})", lhs == rhs, "" if lhs == rhs else f"{lhs!r} != {rhs!r}"

@@ -37,13 +37,13 @@ from blockbounds import (
 from blockbounds.gendec import c_tilde_of, height_zero_valuation_check
 from blockbounds.lattice import _form_minimum_cached
 from blockbounds.ntheory import unit_of_order, units_mod
-from blockbounds.weights import perm_matrix
 from blockbounds.fixtures import agl18_cartan, agl18_form_triples, a4xa4_cartan
 
 from conftest import (
     box_minimum,
     commutator_subgroup_order,
     conjugacy_class_count,
+    perm_matrix,
     random_pd_int_matrix,
     random_unimodular,
     reference_fourier_split,

@@ -17,10 +17,10 @@ from blockbounds import (
     wada_weight,
     weight_candidates,
 )
-from blockbounds.weights import commutes_with, perm_matrix
+from blockbounds.weights import commutes_with
 from blockbounds.fixtures import agl18_cartan, agl18_form_triples
 
-from conftest import box_minimum, random_pd_int_matrix, random_unimodular
+from conftest import box_minimum, perm_matrix, random_pd_int_matrix, random_unimodular
 
 
 def half(x):
