@@ -407,7 +407,8 @@ def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> Bound
         raise AssertionError(
             "inverse Cartan minimum is below 1/p^d; inputs are not a Cartan matrix"
         )
-    assert value <= weak
+    if value > weak:
+        raise AssertionError("inverse Cartan bound exceeds l p^d")
     return BoundReport(
         name="inverse Cartan bound",
         target="k(B)",
@@ -491,7 +492,8 @@ def dade_cyclic_bound(
             spec = SubsectionSpec(p, u_order, (gen,))
             cartan = CartanData(cmat, p)
             cross = subsection_k_bound(cartan, spec, w)
-            assert cross.value == value
+            if cross.value != value:
+                raise AssertionError("weighted subsection bound differs from the product")
             notes.append("verified against the weighted subsection bound")
     return BoundReport(
         name="cyclic quotient product bound",

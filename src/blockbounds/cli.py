@@ -490,7 +490,12 @@ def _cmd_weights_build(args) -> int:
         if args.input is None or args.perm is None or args.blocks is None:
             raise InputError("--kind blowup needs --input, --perm and --blocks")
         matrix = matrix_from_record(_load_json(args.input))
-        images = [int(x) for x in args.perm.split(",")]
+        try:
+            images = [int(x) for x in args.perm.split(",")]
+        except ValueError:
+            raise InputError(
+                f"--perm {args.perm!r} must be comma-separated integers"
+            ) from None
         if sorted(images) != list(range(1, matrix.rows + 1)):
             raise InputError(f"--perm {args.perm} is not 1-indexed of degree {matrix.rows}")
         perm = tuple(x - 1 for x in images)

@@ -246,7 +246,8 @@ def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
     witness = min(minimizers, key=lambda w: tuple(reversed(w)))
     # defensive exact re-check of the reported witness in original coordinates
     wm = RationalMatrix([witness])
-    assert (wm @ matrix @ wm.transpose())[0, 0] == value
+    if (wm @ matrix @ wm.transpose())[0, 0] != value:
+        raise AssertionError(f"witness {witness} does not attain the minimum {value}")
     return LatticeMinimum(value=value, witness=witness, num_minimizers=len(minimizers))
 
 

@@ -23,13 +23,16 @@ from blockbounds import (
     wada_weight,
     weight_candidates,
 )
+from blockbounds.bounds import _aligned_weight
 from blockbounds.fixtures import agl18_cartan, agl18_form_triples, a4xa4_cartan
+from blockbounds.lattice import DEFAULT_DIM_CAP
 from blockbounds.ntheory import unit_of_order
 
 
 from conftest import (
     commutator_subgroup_order,
     conjugacy_class_count,
+    perm_matrix,
     semidirect_c9_by_inversion,
 )
 
@@ -363,6 +366,44 @@ def test_compare_all_refined_k0_row_sharpens_under_nontrivial_action():
     assert refined.value == 4  # tr(WCP_N) + ((q-1)/n) tr(WC) = 2 + 2
     assert report.best_k0 is refined
     assert report.best_k.value == 6
+
+    # seeded cases against the matrix formula, P_N summed from explicit
+    # permutation matrices: (p, q, unit generator, order of the unit mod q)
+    rng = random.Random(27)
+    units = [(3, 3, 2, 2), (5, 5, 2, 4), (5, 5, 4, 2), (7, 7, 3, 6), (7, 7, 6, 2),
+             (3, 9, 8, 2)]
+    for case in range(24):
+        p, q, unit, order = units[case % len(units)]
+        l = rng.randint(2, 4)
+        while True:
+            perm = list(range(l))
+            rng.shuffle(perm)
+            pmat = perm_matrix(perm)
+            power = RationalMatrix.identity(l)
+            powers = []
+            for _ in range(order):
+                powers.append(power)
+                power = power @ pmat
+            if power == RationalMatrix.identity(l) != pmat:
+                break
+        spec = SubsectionSpec(p, q, (unit,), PermutationAction(l, [perm]))
+        assert spec.acts_nontrivially and spec.n_p == 1
+        a = RationalMatrix([[rng.randint(0, 2) for _ in range(l)] for _ in range(l)])
+        base = a.transpose() @ a + RationalMatrix.identity(l)
+        c_bar = RationalMatrix.zeros(l, l)
+        for s in powers:  # average over <P> so the action fixes C_bar
+            c_bar = c_bar + s @ base @ s.transpose()
+        report = compare_all(CartanData(c_bar.scale(q), p), spec)
+        refined = {r.name: r for r in report.rows}["refined k0(B) bound"]
+        best = weight_candidates(CartanData(c_bar, p), spec.ibr_action)[0][0]
+        w, _ = _aligned_weight(best, spec, l, DEFAULT_DIM_CAP)
+        assert refined.inputs == (("n", str(spec.n)), ("q", str(q)),
+                                  ("weight", w.provenance))
+        p_n = RationalMatrix.zeros(l, l)
+        for u in spec.elements:
+            p_n = p_n + perm_matrix(spec.perm_of(u, l))
+        wc = w.matrix @ c_bar
+        assert refined.value == (wc @ p_n).trace() + Fraction(q - 1, spec.n) * wc.trace()
 
 
 def test_degenerate_subsection_equals_trace_bound_for_identity_weight():

@@ -1,8 +1,10 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+import blockbounds
 from blockbounds.cli import run
 from blockbounds.fixtures import FIXTURES
 from conftest import dihedral_cells, gendec_record
@@ -134,6 +136,15 @@ def test_weights_build_form_and_blowup(tmp_path, capsys):
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["matrix"]["rows"] == 3
+
+    mat.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}))
+    for perm in ["a,b", "1,,2", "", "1,3", "1"]:
+        assert run(
+            ["weights", "build", "--kind", "blowup", "--input", str(mat), "--perm", perm,
+             "--blocks", "2"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --perm") and "Traceback" not in err
 
 
 def test_weights_build_candidates(tmp_path, capsys):
@@ -369,3 +380,14 @@ def test_verify_report_size_does_not_depend_on_phi(tmp_path, capsys):
     assert failing["galois-orthogonality"].startswith(
         "2916 of 2916 Galois pairs fail; first (gamma=1, delta=1) entry (0, 0): "
     )
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so internal cross-checks must raise explicitly
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(blockbounds.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

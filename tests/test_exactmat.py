@@ -20,9 +20,15 @@ from blockbounds import (
     matrix_to_record,
     rank,
 )
+from blockbounds.exactmat import trace_pairing
 from blockbounds.fixtures import a4xa4_cartan, agl18_cartan
 
-from conftest import cofactor_determinant, minor_gcd_divisors, random_unimodular
+from conftest import (
+    cofactor_determinant,
+    minor_gcd_divisors,
+    perm_matrix,
+    random_unimodular,
+)
 
 
 def ones_plus_identity(n):
@@ -239,6 +245,38 @@ def test_trace_identities_on_random_matrices():
         b = RationalMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
         assert kron(a, b).trace() == a.trace() * b.trace()
         assert direct_sum(a, b).trace() == a.trace() + b.trace()
+
+
+def test_permuted_and_trace_pairing_match_matrix_products():
+    # oracles: P M P^t with an explicit permutation matrix, and tr(a @ b)
+    rng = random.Random(19)
+
+    def rational(rows, cols):
+        return RationalMatrix(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cols)]
+             for _ in range(rows)]
+        )
+
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        m = rational(n, n)
+        p = perm_matrix(perm)
+        assert m.permuted(perm) == p @ m @ p.transpose()
+        assert m.permuted(tuple(perm)) == m.permuted(perm)
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        a, b = rational(r, c), rational(c, r)
+        assert trace_pairing(a, b) == (a @ b).trace()
+    for (r1, c1), (r2, c2) in [((2, 3), (2, 3)), ((2, 3), (3, 3)), ((2, 2), (3, 3)),
+                               ((1, 4), (1, 4))]:
+        with pytest.raises(ShapeError):
+            trace_pairing(rational(r1, c1), rational(r2, c2))
+    with pytest.raises(ShapeError):
+        rational(2, 3).permuted([0, 1])
+    for bad in [(0, 0), (1, 2), (0,), (0, 1, 2)]:
+        with pytest.raises(DomainError):
+            rational(2, 2).permuted(bad)
 
 
 def test_elementary_divisors_larger_entries():
