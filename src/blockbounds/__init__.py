@@ -3,6 +3,7 @@
 from .exactmat import (
     CartanData,
     DomainError,
+    InconsistentDataError,
     RationalMatrix,
     ShapeError,
     SingularMatrixError,
@@ -53,7 +54,6 @@ from .bounds import (
 from .gendec import (
     CyclotomicInteger,
     GenDecData,
-    InconsistentDataError,
     VerificationReport,
     c_tilde_of,
     cyc_reduce,

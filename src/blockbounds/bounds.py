@@ -15,6 +15,7 @@ from . import ntheory
 from .exactmat import (
     CartanData,
     DomainError,
+    InconsistentDataError,
     RationalMatrix,
     _cleared_int_rows,
     determinant,
@@ -157,7 +158,7 @@ class BoundReport:
 
     def __post_init__(self):
         if self.value < 1:
-            raise AssertionError(
+            raise InconsistentDataError(
                 f"bound {self.name} evaluated to {self.value} < 1; "
                 "character counts are at least 1, so the inputs are inconsistent"
             )
@@ -404,7 +405,7 @@ def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> Bound
     top = _cleared_int_rows(cinv)[1]  # largest elementary divisor of C
     weak = Fraction(l * top)
     if mres.value * top < 1:
-        raise AssertionError(
+        raise InconsistentDataError(
             "inverse Cartan minimum is below 1/p^d; inputs are not a Cartan matrix"
         )
     if value > weak:
@@ -522,7 +523,6 @@ def compare_all(
     ordering=None,
     partition=None,
     known_kb: int | None = None,
-    include_candidates: bool = True,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> ComparisonReport:
     """Evaluate every applicable bound; deterministic row order.
@@ -556,9 +556,7 @@ def compare_all(
 
     rows.append(inverse_cartan_bound(cartan_b, max_dim=max_dim))
 
-    candidates = []
-    if include_candidates:
-        candidates = weight_candidates(c_bar, spec.ibr_action, max_dim=max_dim)
+    candidates = weight_candidates(c_bar, spec.ibr_action, max_dim=max_dim)
 
     if spec.n % spec.p:
         for idx, form in enumerate(forms, start=1):
@@ -573,7 +571,7 @@ def compare_all(
             "k(B) subsection bounds skipped: fusion quotient order is divisible by p"
         )
 
-    best_weight = candidates[0][0] if candidates else wada_weight(l, max_dim=max_dim)
+    best_weight = candidates[0][0]
     rows.append(subsection_k0_bound(c_bar, spec, best_weight, max_dim=max_dim))
 
     if (

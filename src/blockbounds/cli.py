@@ -27,13 +27,13 @@ from .bounds import (
 from .exactmat import (
     CartanData,
     DomainError,
+    InconsistentDataError,
     ShapeError,
     matrix_from_record,
     matrix_to_record,
 )
 from .gendec import (
     GenDecData,
-    InconsistentDataError,
     VerificationReport,
     cyc_reduce,
     fourier_split,

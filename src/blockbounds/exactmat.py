@@ -36,6 +36,10 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of the operation."""
 
 
+class InconsistentDataError(ValueError):
+    """Well-formed input that no block can have, such as a bound below 1."""
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -16,13 +16,9 @@ from math import gcd
 
 from .bounds import PreconditionError, SubsectionSpec
 from .exactmat import (
-    DomainError, RationalMatrix, _as_fraction, _cleared_int_rows, inverse, rank
+    DomainError, RationalMatrix, _as_fraction, _bareiss, _cleared_int_rows, inverse
 )
 from .ntheory import euler_phi_prime_power, prime_power_decomposition, units_mod
-
-
-class InconsistentDataError(ValueError):
-    """Raw data does not describe an element of the cyclotomic ring."""
 
 
 def _conductor_parts(q: int) -> tuple[int, int]:
@@ -36,6 +32,14 @@ def _conductor_parts(q: int) -> tuple[int, int]:
     return p, q - q // p
 
 
+def _int_coeffs(values) -> tuple[int, ...]:
+    """The coefficients as a tuple; anything but an int is a DomainError."""
+    values = tuple(values)
+    if any(type(c) is not int for c in values):
+        raise DomainError(f"cyclotomic coefficients must be integers, got {values}")
+    return values
+
+
 class CyclotomicInteger:
     """Element of Z[zeta_q] on the basis zeta^1 .. zeta^phi(q)."""
 
@@ -43,7 +47,7 @@ class CyclotomicInteger:
 
     def __init__(self, q: int, coeffs):
         p, phi = _conductor_parts(q)
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = _int_coeffs(coeffs)
         if len(coeffs) != phi:
             raise DomainError(f"conductor {q} needs {phi} coefficients")
         self.q = q
@@ -149,20 +153,19 @@ def cyc_reduce(raw, q: int) -> CyclotomicInteger:
     -(zeta^{q/p} + ... + zeta^{(p-1)q/p}).
     """
     if q == 1:
-        if isinstance(raw, dict):
-            return CyclotomicInteger(1, [sum(raw.values())])
-        return CyclotomicInteger(1, [sum(raw)])
+        values = raw.values() if isinstance(raw, dict) else raw
+        return CyclotomicInteger(1, [sum(_int_coeffs(values))])
     p, phi = _conductor_parts(q)
     arr = [0] * q
     if isinstance(raw, dict):
-        for e, c in raw.items():
-            arr[int(e) % q] += int(c)
+        for e, c in zip(raw, _int_coeffs(raw.values())):
+            arr[int(e) % q] += c
     else:
-        seq = list(raw)
+        seq = _int_coeffs(raw)
         if len(seq) > q:
             raise DomainError(f"need at most {q} raw coefficients")
         for e, c in enumerate(seq):
-            arr[e] += int(c)
+            arr[e] += c
     qp = q // p
     for e in range(phi + 1, q):
         c = arr[e]
@@ -271,11 +274,6 @@ class GenDecData:
 
     def q_matrix(self) -> list[list[CyclotomicInteger]]:
         return [list(self.row(r)) for r in range(self.k)]
-
-    def assembled(self) -> RationalMatrix:
-        return RationalMatrix(
-            [[x for m in self.stack for x in m[r]] for r in range(self.k)]
-        )
 
     def __repr__(self) -> str:
         return f"GenDecData(k={self.k}, l={self.l}, q={self.q})"
@@ -519,7 +517,8 @@ def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
 
 
 def rank_check(data: GenDecData) -> VerificationReport:
-    """The assembled coefficient matrix must have rank l*phi(q)/n."""
+    """The assembled coefficient matrix (A_1 .. A_phi side by side) must have
+    rank l*phi(q)/n."""
     spec = data.spec
     phi = len(data.stack)
     num = data.l * phi
@@ -535,13 +534,14 @@ def rank_check(data: GenDecData) -> VerificationReport:
             )
         )
     expected = num // spec.n
-    r = rank(data.assembled())
+    rows = [[x for m in data.stack for x in m[r]] for r in range(data.k)]
+    got = len(_bareiss(rows, num, pivoting=True)[0])
     return VerificationReport(
         (
             CheckResult(
                 "rank",
-                r == expected,
-                f"rank {r}, expected l*phi(q)/n = {expected}",
+                got == expected,
+                f"rank {got}, expected l*phi(q)/n = {expected}",
             ),
         )
     )

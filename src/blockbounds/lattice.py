@@ -1,10 +1,10 @@
 """Exact minima of positive definite quadratic forms over nonzero integer vectors.
 
-The search is Fincke-Pohst enumeration on an LLL-reduced Gram matrix.  LLL
-swap decisions use floating point for speed, but every basis change is applied
-to the Gram matrix in exact rational arithmetic, so the reduced Gram matrix,
-the enumeration bounds and the reported minimum are all exact.  Floats can
-only affect how fast the answer arrives, never what it is.
+The search is Fincke-Pohst enumeration on an LLL-reduced Gram matrix.  Both
+run on the denominator-cleared integer Gram matrix and read their
+Gram-Schmidt data (mu and the squared lengths) from one exact LDL
+decomposition, taken from the fraction-free kernel in ``exactmat``; no step
+uses floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isfinite, isqrt, lcm
+from math import isqrt, lcm
 
 from .exactmat import (
     DomainError,
@@ -71,63 +71,45 @@ class Certificate:
     reason: str = ""
 
 
-def _float_gso(g: list[list[Fraction]]) -> tuple[list[list[float]], list[float]]:
-    n = len(g)
-    gf = [[float(x) for x in row] for row in g]
-    mu = [[0.0] * n for _ in range(n)]
-    bstar = [0.0] * n
-    for i in range(n):
-        bstar[i] = gf[i][i] - sum(mu[i][k] * mu[i][k] * bstar[k] for k in range(i))
-        if bstar[i] <= 0.0:
-            # numerically degenerate; harmless, caller only loses reduction quality
-            bstar[i] = 1e-300
-        for j in range(i + 1, n):
-            mu[j][i] = (
-                gf[j][i] - sum(mu[j][k] * mu[i][k] * bstar[k] for k in range(i))
-            ) / bstar[i]
-    return mu, bstar
-
-
-def _row_op(g: list[list[Fraction]], u: list[list[int]], k: int, j: int, r: int):
-    """b_k <- b_k - r*b_j, applied exactly to Gram rows/cols and to u."""
+def _row_op(g: list[list[int]], u: list[list[int]], k: int, j: int, r: int):
+    """b_k <- b_k - r*b_j, applied to the Gram rows/cols and to u."""
     u[k] = [a - r * b for a, b in zip(u[k], u[j])]
     g[k] = [a - r * b for a, b in zip(g[k], g[j])]
     for row in g:
         row[k] = row[k] - r * row[j]
 
 
-def _swap(g: list[list[Fraction]], u: list[list[int]], k: int):
+def _swap(g: list[list[int]], u: list[list[int]], k: int):
     u[k], u[k - 1] = u[k - 1], u[k]
     g[k], g[k - 1] = g[k - 1], g[k]
     for row in g:
         row[k], row[k - 1] = row[k - 1], row[k]
 
 
-def _lll_rows(matrix: RationalMatrix, delta: float = 0.75):
-    """LLL on a Gram matrix; returns (coords u, reduced gram) with g' = u g u^t."""
-    n = matrix.rows
-    g = [list(row) for row in matrix]
+def _lll_rows(g: list[list[int]]):
+    """LLL with Lovasz constant 3/4 on the integer Gram rows ``g``, in place;
+    returns (coords u, reduced gram) with g' = u g u^t.
+
+    At step k, mu and the squared Gram-Schmidt lengths are read from the LDL
+    decomposition of the leading (k+1) x (k+1) block, so every size
+    reduction and swap decision is exact.
+    """
+    n = len(g)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n == 1:
-        return u, g
     max_steps = 1000 + 100 * n * n
     k = 1
     steps = 0
     while k < n and steps < max_steps:
         steps += 1
-        mu, bstar = _float_gso(g)
+        d, mu = _ldl([row[: k + 1] for row in g[: k + 1]])
         for j in range(k - 1, -1, -1):
-            m_kj = mu[k][j]
-            if not isfinite(m_kj) or abs(m_kj) > 1e15:
-                continue  # degenerate float data; skip, exactness is unaffected
-            r = round(m_kj)
+            r = round(mu[k][j])
             if r:
                 _row_op(g, u, k, j, r)
                 for t in range(j):
                     mu[k][t] -= r * mu[j][t]
                 mu[k][j] -= r
-        lovasz = (delta - mu[k][k - 1] * mu[k][k - 1]) * bstar[k - 1]
-        if not isfinite(lovasz) or bstar[k] >= lovasz:
+        if d[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * d[k - 1]:
             k += 1
         else:
             _swap(g, u, k)
@@ -135,11 +117,11 @@ def _lll_rows(matrix: RationalMatrix, delta: float = 0.75):
     return u, g
 
 
-def lll_reduce(gram: GramForm | RationalMatrix, delta: float = 0.75):
+def lll_reduce(gram: GramForm | RationalMatrix):
     """Return (transform, reduced) with transform unimodular and
     reduced = transform^t . gram . transform, recomputed exactly."""
     matrix = gram.matrix if isinstance(gram, GramForm) else GramForm(gram).matrix
-    u, _ = _lll_rows(matrix, delta)
+    u, _ = _lll_rows(_cleared_int_rows(matrix)[0])
     transform = RationalMatrix(u).transpose()
     if abs(determinant(transform)) != 1:
         raise AssertionError("LLL transform is not unimodular")
@@ -199,8 +181,8 @@ def form_minimum(
 @lru_cache(maxsize=128)
 def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
     n = matrix.rows
-    u, g = _lll_rows(matrix)
-    m, s = _cleared_int_rows(g)
+    ints, s = _cleared_int_rows(matrix)
+    u, m = _lll_rows(ints)
     d, lo = _ldl(m)
     lcols: list[list[tuple[int, Fraction]]] = [
         [(j, lo[j][i]) for j in range(i + 1, n) if lo[j][i]] for i in range(n)

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the library code paths they
 check: brute-force box enumeration for lattice minima, cofactor expansion for
 determinants, gcd-of-minors for elementary divisors, explicit permutation
-matrices for permutations that the library keeps as index tuples.
+matrices for permutations that the library keeps as index tuples, and a
+textbook Gram-Schmidt for the LLL conditions.
 """
 
 from __future__ import annotations
@@ -165,6 +166,21 @@ def cofactor_determinant(matrix: RationalMatrix) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * matrix[0, j] * cofactor_determinant(minor)
     return total
+
+
+def gram_schmidt(gram: RationalMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """(mu, B) of the basis with Gram matrix ``gram``, by the textbook
+    recursion mu_ij = (g_ij - sum_{t<j} mu_it mu_jt B_t) / B_j and
+    B_i = g_ii - sum_{j<i} mu_ij^2 B_j, in plain Fractions."""
+    n = gram.rows
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            acc = gram[i, j] - sum(mu[i][t] * mu[j][t] * b[t] for t in range(j))
+            mu[i][j] = acc / b[j]
+        b[i] = gram[i, i] - sum(mu[i][j] ** 2 * b[j] for j in range(i))
+    return mu, b
 
 
 def minor_gcd_divisors(matrix: RationalMatrix) -> list[int]:

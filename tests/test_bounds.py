@@ -5,8 +5,10 @@ from itertools import permutations
 import pytest
 
 from blockbounds import (
+    BoundReport,
     CartanData,
     DomainError,
+    InconsistentDataError,
     PermutationAction,
     PreconditionError,
     RationalMatrix,
@@ -448,6 +450,16 @@ def test_compare_all_agl18():
     assert report.best_k.value == 8
     assert all(r.value >= 8 for r in report.rows if r.target == "k(B)")
     assert any("attains" in n for n in report.notes)
+
+
+def test_bound_below_one_is_inconsistent_data():
+    # inconsistent input, not malformed input: the CLI exits 1, not 2
+    from blockbounds.cli import MATH_ERRORS
+
+    with pytest.raises(InconsistentDataError, match="< 1"):
+        BoundReport(name="toy bound", target="k(B)", value=Fraction(1, 2))
+    assert InconsistentDataError in MATH_ERRORS
+    assert not issubclass(InconsistentDataError, DomainError)
 
 
 def test_compare_all_rejects_inconsistent_cartan():

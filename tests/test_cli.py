@@ -391,3 +391,21 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_library_is_float_free():
+    # every library result is exact; only the CLI prints decimal approximations
+    offenders = []
+    for path in sorted(Path(blockbounds.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a Name's id, an Attribute's attr, an imported alias's name
+            name = next(
+                (getattr(node, a) for a in ("id", "attr", "name") if hasattr(node, a)),
+                None,
+            )
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            if literal or name in ("float", "isfinite"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

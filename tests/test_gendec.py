@@ -16,6 +16,7 @@ from blockbounds import (
     fourier_split,
     height_zero_valuation_check,
     neg_residue_index,
+    rank,
     rank_check,
     verify_all,
     verify_gram_identity,
@@ -94,6 +95,20 @@ def test_reduce_rejects_composite_conductor():
         cyc_reduce({0: 1}, 6)
     with pytest.raises(DomainError):
         CyclotomicInteger(12, [0] * 4)
+
+
+def test_non_integer_coefficients_are_rejected():
+    # coefficients must be ints; exponent keys may still be integer strings
+    for make in (
+        lambda: CyclotomicInteger(3, [1.5, 2.7]),
+        lambda: CyclotomicInteger(3, [True, 0]),
+        lambda: cyc_reduce({0: "2"}, 3),
+        lambda: cyc_reduce([1.5], 3),
+        lambda: cyc_reduce({0: 1.5}, 1),
+    ):
+        with pytest.raises(DomainError, match="must be integers"):
+            make()
+    assert cyc_reduce({"4": 1}, 3) == CyclotomicInteger.zeta_power(3, 1)
 
 
 def test_integer_embedding():
@@ -282,8 +297,26 @@ def c4_data():
 
 def test_rank_check_c4():
     data = c4_data()
-    assert data.assembled().rows == 4
+    assert data.k == 4
     assert rank_check(data).ok  # rank 2 = l*phi(4)/1
+
+
+def test_rank_check_matches_rational_rank():
+    # reference: exactmat.rank of A_1 .. A_phi side by side as a RationalMatrix
+    rng = random.Random(109)
+    for _ in range(60):
+        q = rng.choice((1, 3, 4, 5, 9))
+        spec = SubsectionSpec(2 if q in (1, 4) else 5 if q == 5 else 3, q)
+        phi, k, l = euler_phi_prime_power(q), rng.randint(1, 6), rng.randint(1, 3)
+        basis = [[rng.randint(-2, 2) for _ in range(l * phi)]
+                 for _ in range(rng.randint(1, 3))]
+        rows = [[sum(rng.randint(-1, 1) * v[c] for v in basis) for c in range(l * phi)]
+                for _ in range(k)]
+        stack = [[row[i * l:(i + 1) * l] for row in rows] for i in range(phi)]
+        check = rank_check(GenDecData(stack, spec)).checks[0]
+        want = rank(RationalMatrix(rows))
+        assert check.detail.startswith(f"rank {want}, ")
+        assert check.passed == (want == l * phi)
 
 
 def test_verify_all_c4():

@@ -23,6 +23,7 @@ from blockbounds.fixtures import agl18_cartan
 from conftest import (
     box_minimum,
     cofactor_determinant,
+    gram_schmidt,
     random_pd_int_matrix,
     random_unimodular,
 )
@@ -54,6 +55,40 @@ def test_lll_reduces_skew_form():
     assert abs(determinant(t)) == 1
     assert r == t.transpose() @ g @ t
     assert min(r[0, 0], r[1, 1]) == 2  # achieved by the basis change (1, -1)
+
+
+def _root_gram(kind: str, n: int) -> RationalMatrix:
+    """Gram matrix of the simple roots of A_n, or of D_n (n >= 4), whose last
+    node hangs off node n - 3."""
+    g = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+         for i in range(n)]
+    if kind == "D":
+        g[n - 1][n - 2] = g[n - 2][n - 1] = 0
+        g[n - 1][n - 3] = g[n - 3][n - 1] = -1
+    return RationalMatrix(g)
+
+
+def test_lll_output_is_exactly_reduced():
+    # unimodular T with reduced = T^t G T, |mu_ij| <= 1/2 and the Lovasz
+    # condition at 3/4, all read off an independent Fraction Gram-Schmidt
+    rng = random.Random(107)
+    forms = [_root_gram("A", n) for n in (3, 6)] + [_root_gram("D", n) for n in (4, 6)]
+    forms += [random_pd_int_matrix(rng, rng.randint(1, 6), 3) for _ in range(24)]
+    forms += [inverse(random_pd_int_matrix(rng, rng.randint(2, 5))) for _ in range(8)]
+    disguised = []
+    for g in forms:
+        s = random_unimodular(rng, g.rows, ops=4 * g.rows)
+        disguised.append(s.transpose() @ g @ s)
+    for g in forms + disguised:
+        t, r = lll_reduce(g)
+        assert t.is_integral() and abs(cofactor_determinant(t)) == 1
+        assert r == t.transpose() @ g @ t
+        mu, b = gram_schmidt(r)
+        n = r.rows
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+        assert all(
+            b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1] for k in range(1, n)
+        )
 
 
 def test_minimum_of_identity():
