@@ -4,6 +4,7 @@ from .exactmat import (
     CartanData,
     DomainError,
     InconsistentDataError,
+    InternalInvariantError,
     RationalMatrix,
     ShapeError,
     SingularMatrixError,

@@ -16,6 +16,7 @@ from .exactmat import (
     CartanData,
     DomainError,
     InconsistentDataError,
+    InternalInvariantError,
     RationalMatrix,
     _cleared_int_rows,
     determinant,
@@ -199,7 +200,7 @@ def k0_semidirect(spec: SubsectionSpec) -> int:
         n_p, n_pp = spec.n_p, spec.n_pprime
         num = q - n_p
         if num % n_pp:
-            raise AssertionError("p'-part does not divide q - n_p")
+            raise InternalInvariantError("p'-part does not divide q - n_p")
         return n + num // n_pp
     d = q
     for gamma in spec.elements:
@@ -385,7 +386,7 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
         Fraction(v) * c.matrix[i - 1, j - 1] for (i, j), v in form_coeffs.items()
     )
     if value != trace_pairing(w.matrix, c.matrix):
-        raise AssertionError("form bound differs from the trace pairing tr(W C)")
+        raise InternalInvariantError("form bound differs from the trace pairing tr(W C)")
     return BoundReport(
         name="quadratic form bound",
         target="k(B)",
@@ -409,7 +410,7 @@ def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> Bound
             "inverse Cartan minimum is below 1/p^d; inputs are not a Cartan matrix"
         )
     if value > weak:
-        raise AssertionError("inverse Cartan bound exceeds l p^d")
+        raise InternalInvariantError("inverse Cartan bound exceeds l p^d")
     return BoundReport(
         name="inverse Cartan bound",
         target="k(B)",
@@ -477,12 +478,12 @@ def dade_cyclic_bound(
     second = b + m
     value = first * second
     if value > d_order:
-        raise AssertionError("cyclic-defect product bound exceeded |D|")
+        raise InternalInvariantError("cyclic-defect product bound exceeded |D|")
     # cross-check the trace route: tr(U_b (m + delta)) = b + m
     w = wada_weight(b)
     cmat = RationalMatrix.filled(b, b, m) + RationalMatrix.identity(b)
     if trace_pairing(w.matrix, cmat) != second:
-        raise AssertionError("path-weight trace pairing differs from b + m")
+        raise InternalInvariantError("path-weight trace pairing differs from b + m")
     notes = []
     if p is not None and m.denominator == 1 and a % p and u_order > 1:
         try:
@@ -494,7 +495,9 @@ def dade_cyclic_bound(
             cartan = CartanData(cmat, p)
             cross = subsection_k_bound(cartan, spec, w)
             if cross.value != value:
-                raise AssertionError("weighted subsection bound differs from the product")
+                raise InternalInvariantError(
+                    "weighted subsection bound differs from the product"
+                )
             notes.append("verified against the weighted subsection bound")
     return BoundReport(
         name="cyclic quotient product bound",

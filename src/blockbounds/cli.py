@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit status: 0 success, 1 a mathematical check failed, 2 input error.
+Exit status: 0 success, 1 a mathematical check failed, 2 input error,
+3 an internal cross-check failed (a bug in the library, not in the input).
 All numeric output shows the exact rational alongside a decimal
 approximation; ``--format records`` emits deterministic JSON instead.
 """
@@ -28,6 +29,7 @@ from .exactmat import (
     CartanData,
     DomainError,
     InconsistentDataError,
+    InternalInvariantError,
     ShapeError,
     matrix_from_record,
     matrix_to_record,
@@ -55,7 +57,7 @@ class InputError(ValueError):
     """Malformed input file or arguments."""
 
 
-MATH_ERRORS = (CertificationError, InconsistentDataError, AssertionError)
+MATH_ERRORS = (CertificationError, InconsistentDataError)
 
 _EXPONENT = re.compile(r"-?[0-9]+")
 
@@ -351,6 +353,17 @@ def _emit(payload: dict, output: str | None):
         print(text)
 
 
+def _dim_cap(text: str) -> int:
+    """The --max-dim value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blockbounds")
     sub = parser.add_subparsers(dest="group", required=True)
@@ -360,14 +373,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p = bsub.add_parser("compare", help="evaluate every applicable bound")
     cmp_p.add_argument("--input", required=True, help="bundle file (JSON)")
     cmp_p.add_argument("--format", choices=["table", "records"], default="table")
-    cmp_p.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
+    cmp_p.add_argument("--max-dim", type=_dim_cap, default=DEFAULT_DIM_CAP)
 
     lat_p = sub.add_parser("lattice", help="quadratic form minima")
     lsub = lat_p.add_subparsers(dest="command", required=True)
     min_p = lsub.add_parser("min", help="exact minimum over nonzero integer vectors")
     min_p.add_argument("--input", required=True, help="Gram matrix file (JSON)")
     min_p.add_argument("--format", choices=["table", "records"], default="table")
-    min_p.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
+    min_p.add_argument("--max-dim", type=_dim_cap, default=DEFAULT_DIM_CAP)
 
     w_p = sub.add_parser("weights", help="weight matrix constructions")
     wsub = w_p.add_subparsers(dest="command", required=True)
@@ -382,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build_p.add_argument("--p", type=int, help="prime for --kind candidates")
     build_p.add_argument("--action", help="action file for --kind candidates")
     build_p.add_argument("--output", help="write JSON here instead of stdout")
-    build_p.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
+    build_p.add_argument("--max-dim", type=_dim_cap, default=DEFAULT_DIM_CAP)
 
     g_p = sub.add_parser("gendec", help="decomposition data verification")
     gsub = g_p.add_subparsers(dest="command", required=True)
@@ -593,6 +606,9 @@ def run(argv) -> int:
     except (DomainError, ShapeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

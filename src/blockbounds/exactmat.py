@@ -40,6 +40,10 @@ class InconsistentDataError(ValueError):
     """Well-formed input that no block can have, such as a bound below 1."""
 
 
+class InternalInvariantError(RuntimeError):
+    """A cross-check inside the library failed: a bug, not bad input."""
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

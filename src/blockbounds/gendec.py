@@ -16,7 +16,13 @@ from math import gcd
 
 from .bounds import PreconditionError, SubsectionSpec
 from .exactmat import (
-    DomainError, RationalMatrix, _as_fraction, _bareiss, _cleared_int_rows, inverse
+    DomainError,
+    InternalInvariantError,
+    RationalMatrix,
+    _as_fraction,
+    _bareiss,
+    _cleared_int_rows,
+    inverse,
 )
 from .ntheory import euler_phi_prime_power, prime_power_decomposition, units_mod
 
@@ -205,7 +211,7 @@ def neg_residue_index(i: int, q: int, p: int) -> int:
     qp = q // p
     ip = (-i) % qp
     if not qp <= i + ip <= phi:
-        raise AssertionError(f"i + i' = {i + ip} outside {qp}..{phi}")
+        raise InternalInvariantError(f"i + i' = {i + ip} outside {qp}..{phi}")
     return ip
 
 

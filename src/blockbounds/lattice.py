@@ -1,10 +1,14 @@
 """Exact minima of positive definite quadratic forms over nonzero integer vectors.
 
-The search is Fincke-Pohst enumeration on an LLL-reduced Gram matrix.  Both
-run on the denominator-cleared integer Gram matrix and read their
-Gram-Schmidt data (mu and the squared lengths) from one exact LDL
-decomposition, taken from the fraction-free kernel in ``exactmat``; no step
-uses floating point.
+The search is Fincke-Pohst enumeration on an LLL-reduced Gram matrix, both
+on the denominator-cleared integer Gram matrix and both fed by the one
+fraction-free kernel in ``exactmat``.  LLL reads mu and the squared
+Gram-Schmidt lengths from its exact LDL decomposition (``_ldl``).  The
+search reads the leading minors and the unscaled L entries of the reduced
+matrix straight from the kernel and works on integers only: it scales every
+partial sum by one common multiple of the denominators, so each coordinate
+range is one integer square root, and it visits one vector of each +- pair.
+No step uses floating point, and the search uses no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from math import isqrt, lcm
 
 from .exactmat import (
     DomainError,
+    InternalInvariantError,
     RationalMatrix,
     ShapeError,
     _bareiss,
@@ -124,7 +129,7 @@ def lll_reduce(gram: GramForm | RationalMatrix):
     u, _ = _lll_rows(_cleared_int_rows(matrix)[0])
     transform = RationalMatrix(u).transpose()
     if abs(determinant(transform)) != 1:
-        raise AssertionError("LLL transform is not unimodular")
+        raise InternalInvariantError("LLL transform is not unimodular")
     reduced = transform.transpose() @ matrix @ transform
     return transform, reduced
 
@@ -157,14 +162,6 @@ def _normalize_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
-def _int_range(sigma: Fraction, bound: Fraction) -> tuple[int, int]:
-    """Integers y with (y + sigma)^2 <= bound; bound >= 0."""
-    a, b = sigma.numerator, sigma.denominator
-    bn, bd = bound.numerator, bound.denominator
-    lim = isqrt(b * b * bn * bd) // bd
-    return -((lim + a) // b), (lim - a) // b
-
-
 def form_minimum(
     gram: GramForm | RationalMatrix, max_dim: int = DEFAULT_DIM_CAP
 ) -> LatticeMinimum:
@@ -173,7 +170,7 @@ def form_minimum(
     if matrix.rows > max_dim:
         raise DomainError(
             f"dimension {matrix.rows} exceeds the enumeration cap {max_dim}; "
-            "pass max_dim explicitly to override"
+            "raise it with --max-dim (max_dim= in Python)"
         )
     return _form_minimum_cached(matrix)
 
@@ -183,53 +180,70 @@ def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
     n = matrix.rows
     ints, s = _cleared_int_rows(matrix)
     u, m = _lll_rows(ints)
-    d, lo = _ldl(m)
-    lcols: list[list[tuple[int, Fraction]]] = [
-        [(j, lo[j][i]) for j in range(i + 1, n) if lo[j][i]] for i in range(n)
-    ]
+    # With D_0 = 1, D_k the leading minors and a_ji the unscaled L entries of
+    # the reduced rows, x m x^t = sum_i (D_{i+1} y_i + S_i)^2 / (D_i D_{i+1})
+    # where S_i = sum_{j>i} a_ji y_j.  Every value below is scaled by
+    # w = lcm_i(D_i D_{i+1}), so term i is the integer c_i t^2.
+    a = [list(row) for row in m]
+    pivots, _ = _bareiss(a, n, pivoting=False)
+    minors = [1] + [a[i][i] for i in pivots]
+    if len(pivots) < n or minors[-1] <= 0:
+        raise InternalInvariantError("LLL-reduced Gram matrix is not positive definite")
+    pivot = minors[1:]
+    w = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    coef = [w // (minors[i] * minors[i + 1]) for i in range(n)]
+    cols = [[(j, a[j][i]) for j in range(i + 1, n) if a[j][i]] for i in range(n)]
 
-    best = Fraction(min(m[i][i] for i in range(n)))
+    best = w * min(m[i][i] for i in range(n))
     minimizers: set[tuple[int, ...]] = set()
     y = [0] * n
-    zero = Fraction(0)
 
     def original(yvec) -> tuple[int, ...]:
         return tuple(
             sum(yvec[i] * u[i][c] for i in range(n) if yvec[i]) for c in range(n)
         )
 
-    def descend(level: int, acc: Fraction):
+    def descend(level: int, acc: int, top: bool):
+        # ``top``: every coordinate above ``level`` is zero, so S_i = 0 and
+        # only y_i >= 0 is visited (y_0 >= 1), one vector of each +- pair
         nonlocal best, minimizers
-        sigma = zero
-        for j, lji in lcols[level]:
+        sigma = 0
+        for j, aji in cols[level]:
             if y[j]:
-                sigma += lji * y[j]
-        room = (best - acc) / d[level]
-        lo_i, hi_i = _int_range(sigma, room)
-        for yi in range(lo_i, hi_i + 1):
-            t = yi + sigma
-            acc2 = acc + d[level] * t * t
+                sigma += aji * y[j]
+        c, dl = coef[level], pivot[level]
+        r = isqrt((best - acc) // c)
+        lo_i = (0 if level else 1) if top else -((r + sigma) // dl)
+        for yi in range(lo_i, (r - sigma) // dl + 1):
+            t = dl * yi + sigma
+            acc2 = acc + c * t * t
             if acc2 > best:
                 continue
             y[level] = yi
             if level == 0:
-                if any(y):
-                    if acc2 < best:
-                        best = acc2
-                        minimizers = {_normalize_sign(original(y))}
-                    else:
-                        minimizers.add(_normalize_sign(original(y)))
+                if acc2 < best:
+                    best = acc2
+                    minimizers = {_normalize_sign(original(y))}
+                else:
+                    minimizers.add(_normalize_sign(original(y)))
             else:
-                descend(level - 1, acc2)
+                descend(level - 1, acc2, top and not yi)
         y[level] = 0
 
-    descend(n - 1, zero)
-    value = best / s
-    witness = min(minimizers, key=lambda w: tuple(reversed(w)))
+    descend(n - 1, 0, True)
+    scaled, rem = divmod(best, w)
+    if rem:
+        raise InternalInvariantError(
+            f"minimum {best}/{w} of an integer form is not an integer"
+        )
+    value = Fraction(scaled, s)
+    witness = min(minimizers, key=lambda v: tuple(reversed(v)))
     # defensive exact re-check of the reported witness in original coordinates
     wm = RationalMatrix([witness])
     if (wm @ matrix @ wm.transpose())[0, 0] != value:
-        raise AssertionError(f"witness {witness} does not attain the minimum {value}")
+        raise InternalInvariantError(
+            f"witness {witness} does not attain the minimum {value}"
+        )
     return LatticeMinimum(value=value, witness=witness, num_minimizers=len(minimizers))
 
 

@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import CartanData, DomainError, RationalMatrix, inverse, kron, trace_pairing
+from .exactmat import (
+    CartanData,
+    DomainError,
+    InternalInvariantError,
+    RationalMatrix,
+    inverse,
+    kron,
+    trace_pairing,
+)
 from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeMinimum,
@@ -161,7 +169,7 @@ def symmetrize(
         acc = acc + sym.permuted(g)
     avg = acc.scale(Fraction(1, 2 * n))
     if not all(commutes_with(avg, g) for g in action.generators):
-        raise AssertionError("group average does not commute with the action")
+        raise InternalInvariantError("group average does not commute with the action")
     return certified_weight(avg, "symmetrized", max_dim=max_dim)
 
 

@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the library code paths they
 check: brute-force box enumeration for lattice minima, cofactor expansion for
 determinants, gcd-of-minors for elementary divisors, explicit permutation
-matrices for permutations that the library keeps as index tuples, and a
-textbook Gram-Schmidt for the LLL conditions.
+matrices for permutations that the library keeps as index tuples, a
+textbook Gram-Schmidt for the LLL conditions, and the ``Fraction``
+Fincke-Pohst descent that the library's integer search replaced.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from blockbounds import CyclotomicInteger, RationalMatrix
+from blockbounds import CyclotomicInteger, LatticeMinimum, RationalMatrix, lll_reduce
 from blockbounds.gendec import (
     CheckResult,
     VerificationReport,
@@ -181,6 +182,54 @@ def gram_schmidt(gram: RationalMatrix) -> tuple[list[list[Fraction]], list[Fract
             mu[i][j] = acc / b[j]
         b[i] = gram[i, i] - sum(mu[i][j] ** 2 * b[j] for j in range(i))
     return mu, b
+
+
+def _int_range(sigma: Fraction, bound: Fraction) -> tuple[int, int]:
+    """Integers y with (y + sigma)^2 <= bound; bound >= 0."""
+    a, b = sigma.numerator, sigma.denominator
+    bn, bd = bound.numerator, bound.denominator
+    lim = isqrt(b * b * bn * bd) // bd
+    return -((lim + a) // b), (lim - a) // b
+
+
+def reference_form_minimum(matrix: RationalMatrix) -> LatticeMinimum:
+    """Fincke-Pohst in plain Fractions: the minimum of x G x^t over nonzero
+    integer x, searched over every vector (both signs) of the LLL-reduced
+    basis, with mu and the squared lengths from ``gram_schmidt``."""
+    transform, reduced = lll_reduce(matrix)
+    mu, d = gram_schmidt(reduced)
+    n = matrix.rows
+    best = min(reduced[i, i] for i in range(n))
+    minimizers: set = set()
+    y = [0] * n
+
+    def original() -> tuple:
+        x = [int(sum(transform[c, i] * y[i] for i in range(n))) for c in range(n)]
+        if next(v for v in x if v) < 0:
+            x = [-v for v in x]
+        return tuple(x)
+
+    def descend(level: int, acc: Fraction):
+        nonlocal best, minimizers
+        sigma = sum((mu[j][level] * y[j] for j in range(level + 1, n)), Fraction(0))
+        lo, hi = _int_range(sigma, (best - acc) / d[level])
+        for yi in range(lo, hi + 1):
+            t = yi + sigma
+            acc2 = acc + d[level] * t * t
+            if acc2 > best:
+                continue
+            y[level] = yi
+            if level:
+                descend(level - 1, acc2)
+            elif any(y):
+                if acc2 < best:
+                    best, minimizers = acc2, set()
+                minimizers.add(original())
+        y[level] = 0
+
+    descend(n - 1, Fraction(0))
+    witness = min(minimizers, key=lambda v: tuple(reversed(v)))
+    return LatticeMinimum(value=best, witness=witness, num_minimizers=len(minimizers))
 
 
 def minor_gcd_divisors(matrix: RationalMatrix) -> list[int]:

@@ -318,6 +318,68 @@ def test_exit_code_on_unknown_arguments():
     assert run(["no-such-command"]) == 2
 
 
+def test_exit_code_on_bad_max_dim(tmp_path, capsys):
+    # a cap below 1 is refused when the arguments are parsed; a dimension
+    # above a valid cap is an input error that names the option
+    bundle = emit(tmp_path, "agl18")
+    gram = tmp_path / "id3.json"
+    gram.write_text(json.dumps(
+        {"rows": 3, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    ))
+    commands = [
+        ["bounds", "compare", "--input", str(bundle)],
+        ["lattice", "min", "--input", str(gram)],
+        ["weights", "build", "--kind", "un", "--n", "3"],
+    ]
+    for command in commands:
+        for cap in ("0", "-3", "two"):
+            capsys.readouterr()
+            assert run(command + ["--max-dim", cap]) == 2
+            assert "argument --max-dim" in capsys.readouterr().err
+    capsys.readouterr()
+    assert run(["lattice", "min", "--input", str(gram), "--max-dim", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the enumeration cap 2" in err and "--max-dim" in err
+
+
+def test_exit_code_on_internal_invariant(tmp_path, capsys, monkeypatch):
+    # a failed internal cross-check is a library bug: exit 3, no traceback,
+    # also under python -O, which would strip an assert
+    import subprocess
+    import sys
+
+    import blockbounds.cli as cli
+    from blockbounds import InternalInvariantError
+
+    gram = tmp_path / "g.json"
+    gram.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["2", "1"], ["1", "3"]]}))
+
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("witness does not attain the minimum")
+
+    monkeypatch.setattr(cli, "form_minimum", broken)
+    assert run(["lattice", "min", "--input", str(gram)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "Traceback" not in err
+    assert InternalInvariantError not in cli.MATH_ERRORS
+    assert AssertionError not in cli.MATH_ERRORS
+
+    # a fresh process (empty cache) whose sign normalization is broken, so
+    # the witness re-check in the search fails
+    script = (
+        "import sys; from blockbounds import cli, lattice; "
+        "lattice._normalize_sign = lambda v: tuple(2 * x for x in v); "
+        f"sys.exit(cli.run(['lattice', 'min', '--input', {str(gram)!r}]))"
+    )
+    src = str(Path(blockbounds.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal error: witness") and "Traceback" not in proc.stderr
+
+
 def test_exit_code_on_bad_entry_string(tmp_path, capsys):
     # entries are integers or a/b; decimals, exponents and booleans are not
     gram = tmp_path / "bad.json"

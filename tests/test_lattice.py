@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -26,6 +27,7 @@ from conftest import (
     gram_schmidt,
     random_pd_int_matrix,
     random_unimodular,
+    reference_form_minimum,
 )
 
 
@@ -58,13 +60,15 @@ def test_lll_reduces_skew_form():
 
 
 def _root_gram(kind: str, n: int) -> RationalMatrix:
-    """Gram matrix of the simple roots of A_n, or of D_n (n >= 4), whose last
-    node hangs off node n - 3."""
+    """Gram matrix of the simple roots of A_n, of D_n (n >= 4), whose last
+    node hangs off node n - 3, or of E_8, whose last node hangs off node 4 of
+    a 7-node path."""
     g = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
          for i in range(n)]
-    if kind == "D":
+    if kind in "DE":
         g[n - 1][n - 2] = g[n - 2][n - 1] = 0
-        g[n - 1][n - 3] = g[n - 3][n - 1] = -1
+        t = n - 3 if kind == "D" else 4
+        g[n - 1][t] = g[t][n - 1] = -1
     return RationalMatrix(g)
 
 
@@ -89,6 +93,59 @@ def test_lll_output_is_exactly_reduced():
         assert all(
             b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1] for k in range(1, n)
         )
+
+
+def test_integer_search_matches_fraction_reference():
+    # value, witness and minimizer count against the Fraction descent on
+    # integral A^t A + D, the same forms over a denominator of 2, 3 or 6,
+    # disguised root lattices and (I + J)^-1; the box oracle too up to dim 5
+    rng = random.Random(108)
+    cases = []
+    for dim in range(1, 13):
+        for _ in range(3):
+            a = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+            g = RationalMatrix([
+                [sum(r[i] * r[j] for r in a) + (rng.randint(1, 3) if i == j else 0)
+                 for j in range(dim)]
+                for i in range(dim)
+            ])
+            # g >= I, so a minimizer x has |x|^2 <= min_i g_ii
+            box = isqrt(min(int(g[i, i]) for i in range(dim))) if dim <= 5 else None
+            cases.append((g, box))
+            cases.append((g.scale(Fraction(1, rng.choice((2, 3, 6)))), box))
+    pairs = {("A", 3): 6, ("A", 6): 21, ("D", 4): 12, ("D", 5): 20, ("E", 8): 120}
+    for (kind, n), count in pairs.items():
+        root = _root_gram(kind, n)
+        assert cofactor_determinant(root) == {"A": n + 1, "D": 4, "E": 1}[kind]
+        s = random_unimodular(rng, n, ops=4 * n)
+        disguised = s.transpose() @ root @ s
+        found = form_minimum(disguised)
+        assert (found.value, found.num_minimizers) == (2, count)
+        cases.append((disguised, None))
+    for n in (2, 5, 9):
+        ij = inverse(RationalMatrix([[1 + (i == j) for j in range(n)] for i in range(n)]))
+        s = random_unimodular(rng, n, ops=3 * n)
+        cases += [(ij, None), (s.transpose() @ ij @ s, None)]
+    for g, box in cases:
+        found = form_minimum(g)
+        assert found == reference_form_minimum(g)
+        if box is not None:
+            assert found.value == box_minimum(g, bound=box)[0]
+
+
+def test_minimum_search_keeps_the_benchmark_hooks():
+    # the benchmark reads the cache statistics of _form_minimum_cached and
+    # times __wrapped__ on the rational matrix lll_reduce returns
+    from blockbounds.lattice import _form_minimum_cached
+
+    assert _form_minimum_cached.cache_parameters()["maxsize"] == 128
+    assert hasattr(_form_minimum_cached.cache_info(), "hits")
+    n = 6
+    ij = inverse(RationalMatrix([[1 + (i == j) for j in range(n)] for i in range(n)]))
+    s = random_unimodular(random.Random(109), n, ops=3 * n)
+    g = s.transpose() @ ij @ s
+    _, reduced = lll_reduce(g)
+    assert _form_minimum_cached.__wrapped__(reduced).value == form_minimum(g).value
 
 
 def test_minimum_of_identity():
