@@ -18,9 +18,8 @@ from .exactmat import (
     InconsistentDataError,
     InternalInvariantError,
     RationalMatrix,
-    _cleared_int_rows,
+    _inverse_rows,
     determinant,
-    inverse,
     trace_pairing,
 )
 from .lattice import DEFAULT_DIM_CAP, form_minimum
@@ -399,11 +398,11 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
 
 def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> BoundReport:
     """k(B) <= l/m <= l p^d with m the integer minimum of the C^{-1} form."""
-    cinv = inverse(c.matrix)
+    rows, top = _inverse_rows(c.matrix)  # top: largest elementary divisor of C
+    cinv = RationalMatrix([[Fraction(v, top) for v in row] for row in rows])
     mres = form_minimum(cinv, max_dim=max_dim)
     l = c.l
     value = l / mres.value
-    top = _cleared_int_rows(cinv)[1]  # largest elementary divisor of C
     weak = Fraction(l * top)
     if mres.value * top < 1:
         raise InconsistentDataError(

@@ -345,12 +345,15 @@ def _weight_record(w: WeightMatrix) -> dict:
 
 def _emit(payload: dict, output: str | None):
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if output:
+    if not output:
+        print(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {output}")
-    else:
-        print(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
+    print(f"wrote {output}")
 
 
 def _dim_cap(text: str) -> int:
@@ -423,10 +426,15 @@ _PARSER = _build_parser()
 
 
 def _parse_triples(data, path: str) -> list:
-    try:
-        return [(int(i), int(j), int(v)) for i, j, v in data]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: form must be a list of [i, j, q_ij] triples") from exc
+    """A form: a list of [i, j, q_ij] triples of integers; booleans are not."""
+    if not isinstance(data, list) or not all(
+        isinstance(t, list) and len(t) == 3
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in t)
+        for t in data
+    ):
+        raise InputError(f"{path}: 'form' must be a list of [i, j, q_ij] integer "
+                         f"triples, not {data!r}")
+    return [tuple(t) for t in data]
 
 
 def _cmd_bounds_compare(args) -> int:
@@ -571,10 +579,7 @@ def _cmd_fixtures(args) -> int:
             print(f"{name:<16} {desc}")
         return 0
     builder, _ = fixture_lib.FIXTURES[args.name]
-    path = args.output or f"{args.name}.json"
-    with open(path, "w") as fh:
-        fh.write(json.dumps(builder(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    _emit(builder(), args.output or f"{args.name}.json")
     return 0
 
 

@@ -5,9 +5,10 @@ Matrices are immutable values over arbitrary-precision rationals
 functions here are safe to call concurrently.  Determinants, inverses, ranks
 and leading principal minors share one fraction-free elimination kernel
 (Bareiss 1968) on denominator-cleared integer matrices, which keeps
-intermediate coefficient growth polynomial; ``lattice`` reads its LDL
-decomposition from the same kernel.  Smith normal forms use their own
-integer row and column reduction.
+intermediate coefficient growth polynomial; an inverse back-substitutes on
+integers too and comes out as numerators over one common denominator.
+``lattice`` reads its LDL decomposition from the same kernel.  Smith normal
+forms use their own integer row and column reduction.
 
 Floating point never enters any result.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .ntheory import is_prime
 
@@ -261,26 +262,47 @@ def determinant(a: RationalMatrix) -> Fraction:
     return Fraction(sign * ints[-1][-1] if len(pivots) == n else 0, s**n)
 
 
-def inverse(a: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via fraction-free forward elimination + back substitution."""
+def _inverse_rows(a: RationalMatrix) -> tuple[list[list[int]], int]:
+    """(rows, den) with a^{-1} = rows / den and den > 0 the least common
+    denominator of its entries.
+
+    The kernel reduces [s a | s I] to [U | B] with U X = B for X = a^{-1}.
+    Its last pivot D is +-det(s a), so Y = D X = +-s adj(s a) is integral
+    (Cramer) and each back-substitution step
+    U_ii Y_ic = D B_ic - sum_{j>i} U_ij Y_jc is an exact integer division.
+    """
     if not a.is_square():
         raise ShapeError("inverse needs a square matrix")
     n = a.rows
     ints, s = _cleared_int_rows(a)
-    # augment with s*I so the final result is the inverse of a itself
     for i in range(n):
         ints[i].extend(s if j == i else 0 for j in range(n))
     if len(_bareiss(ints, n, pivoting=True)[0]) < n:
         raise SingularMatrixError("matrix is singular")
-    # exact rational back substitution on the augmented columns
-    sol = [[Fraction(0)] * n for _ in range(n)]
+    d = ints[-1][n - 1]
+    y: list[list[int]] = [[]] * n
     for i in range(n - 1, -1, -1):
-        for c in range(n):
-            acc = Fraction(ints[i][n + c])
-            for j in range(i + 1, n):
-                acc -= ints[i][j] * sol[j][c]
-            sol[i][c] = acc / ints[i][i]
-    return RationalMatrix(sol)
+        u = ints[i]
+        acc = [d * b for b in u[n:]]
+        for j in range(i + 1, n):
+            if u[j]:
+                acc = [x - u[j] * v for x, v in zip(acc, y[j])]
+        qr = [divmod(x, u[i]) for x in acc]
+        if any(r for _, r in qr):
+            raise InternalInvariantError(
+                f"back substitution left a remainder in row {i}: D X is not integral"
+            )
+        y[i] = [q for q, _ in qr]
+    g = gcd(d, *(v for row in y for v in row))
+    if d < 0:
+        g = -g
+    return [[v // g for v in row] for row in y], d // g
+
+
+def inverse(a: RationalMatrix) -> RationalMatrix:
+    """Exact inverse: the integer rows of ``_inverse_rows`` over their denominator."""
+    rows, den = _inverse_rows(a)
+    return RationalMatrix([[Fraction(v, den) for v in row] for row in rows])
 
 
 def rank(a: RationalMatrix) -> int:

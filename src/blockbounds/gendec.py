@@ -21,8 +21,7 @@ from .exactmat import (
     RationalMatrix,
     _as_fraction,
     _bareiss,
-    _cleared_int_rows,
-    inverse,
+    _inverse_rows,
 )
 from .ntheory import euler_phi_prime_power, prime_power_decomposition, units_mod
 
@@ -581,7 +580,7 @@ def height_zero_valuation_check(
 def c_tilde_of(c_bar) -> RationalMatrix:
     """p^d C^{-1} for the dominated block: p^d, the largest elementary divisor
     of the integer matrix C, is the common denominator of C^{-1}."""
-    return RationalMatrix(_cleared_int_rows(inverse(c_bar.matrix))[0])
+    return RationalMatrix(_inverse_rows(c_bar.matrix)[0])
 
 
 def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:

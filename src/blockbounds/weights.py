@@ -79,6 +79,15 @@ class WeightMatrix:
     provenance: str
 
 
+def _check_size(size: int, max_dim: int):
+    """Refuse a weight matrix above the enumeration cap before allocating it."""
+    if size > max_dim:
+        raise DomainError(
+            f"weight matrix size {size} exceeds the enumeration cap {max_dim}; "
+            "raise it with --max-dim (max_dim= in Python)"
+        )
+
+
 def certified_weight(
     matrix: RationalMatrix, provenance: str, max_dim: int = DEFAULT_DIM_CAP
 ) -> WeightMatrix:
@@ -98,6 +107,7 @@ def wada_weight(n: int, max_dim: int = DEFAULT_DIM_CAP) -> WeightMatrix:
     """
     if n < 1:
         raise DomainError("size must be at least 1")
+    _check_size(n, max_dim)
     half = Fraction(-1, 2)
     rows = [
         [1 if i == j else (half if abs(i - j) == 1 else 0) for j in range(n)]
@@ -132,6 +142,7 @@ def block_tridiagonal_weight(
         raise DomainError("weight matrix does not commute with the permutation")
     if m == 1:
         return certified_weight(wm, "block-tridiagonal(m=1)", max_dim=max_dim)
+    _check_size(m * wm.rows, max_dim)
     half = Fraction(1, 2)
     shift = _shift_matrix(m)
     # (P W)[a] = W[perm^-1(a)] and (P^t W)[a] = W[perm(a)]: rows reindexed
@@ -194,6 +205,7 @@ def from_quadratic_form(
             raise DomainError("form coefficients must be integers")
         top = max(top, j)
     size = top if size is None else max(size, top)
+    _check_size(size, max_dim)
     rows = [[Fraction(0)] * size for _ in range(size)]
     for (i, j), v in coeffs.items():
         if i == j:

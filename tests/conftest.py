@@ -4,8 +4,9 @@ The oracles here are deliberately independent of the library code paths they
 check: brute-force box enumeration for lattice minima, cofactor expansion for
 determinants, gcd-of-minors for elementary divisors, explicit permutation
 matrices for permutations that the library keeps as index tuples, a
-textbook Gram-Schmidt for the LLL conditions, and the ``Fraction``
-Fincke-Pohst descent that the library's integer search replaced.
+textbook Gram-Schmidt for the LLL conditions, the ``Fraction``
+Fincke-Pohst descent that the library's integer search replaced, and the
+``Fraction`` back substitution that the library's integer inverse replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from blockbounds import CyclotomicInteger, LatticeMinimum, RationalMatrix, lll_reduce
+from blockbounds import (
+    CyclotomicInteger,
+    LatticeMinimum,
+    RationalMatrix,
+    SingularMatrixError,
+    lll_reduce,
+)
+from blockbounds.exactmat import _bareiss, _cleared_int_rows
 from blockbounds.gendec import (
     CheckResult,
     VerificationReport,
@@ -167,6 +175,26 @@ def cofactor_determinant(matrix: RationalMatrix) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * matrix[0, j] * cofactor_determinant(minor)
     return total
+
+
+def reference_inverse(matrix: RationalMatrix) -> RationalMatrix:
+    """The kernel's forward pass on [s A | s I], then back substitution in
+    ``Fraction``s: the inverse as the library computed it before its back
+    substitution moved to integers."""
+    n = matrix.rows
+    ints, s = _cleared_int_rows(matrix)
+    for i in range(n):
+        ints[i].extend(s if j == i else 0 for j in range(n))
+    if len(_bareiss(ints, n, pivoting=True)[0]) < n:
+        raise SingularMatrixError("matrix is singular")
+    sol = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        for c in range(n):
+            acc = Fraction(ints[i][n + c])
+            for j in range(i + 1, n):
+                acc -= ints[i][j] * sol[j][c]
+            sol[i][c] = acc / ints[i][i]
+    return RationalMatrix(sol)
 
 
 def gram_schmidt(gram: RationalMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:

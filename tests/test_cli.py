@@ -314,6 +314,53 @@ def test_exit_code_on_failing_verification(tmp_path, capsys):
     assert "entry" in out
 
 
+def test_exit_code_on_unwritable_output(tmp_path, capsys):
+    for command in (["fixtures", "emit", "agl18"],
+                    ["weights", "build", "--kind", "un", "--n", "3"]):
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            capsys.readouterr()
+            assert run(command + ["--output", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: cannot write {target}: "), err
+
+
+def test_exit_code_on_non_integer_form(tmp_path, capsys):
+    # JSON integers only: a float, a boolean or a string was once truncated
+    form = tmp_path / "form.json"
+    bundle = json.loads(emit(tmp_path, "agl18").read_text())
+    for triples in ([[1, 1, 2.5]], [[1, 1, True]], [[1, 1, "2"]], [["1", 1, 2]],
+                    [[1, 1]], [[1, 1, 2, 3]], [5], 5):
+        form.write_text(json.dumps(triples))
+        capsys.readouterr()
+        assert run(["weights", "build", "--kind", "form", "--input", str(form)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "'form' must be" in err, err
+        form.write_text(json.dumps({**bundle, "forms": [triples]}))
+        assert run(["bounds", "compare", "--input", str(form)]) == 2
+        assert "'form' must be" in capsys.readouterr().err
+
+
+def test_form_above_the_cap_is_refused_before_it_is_built(tmp_path, capsys):
+    # index 25 under the default cap of 24: an input error (the form itself
+    # is not positive definite, which used to be reported instead)
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps([[25, 25, 1]]))
+    assert run(["weights", "build", "--kind", "form", "--input", str(form)]) == 2
+    assert "size 25 exceeds the enumeration cap 24" in capsys.readouterr().err
+    assert run(["weights", "build", "--kind", "form", "--input", str(form),
+                "--max-dim", "25"]) == 1
+    assert "not positive definite" in capsys.readouterr().err
+    # the same cap, before building, for path weights and blow-ups
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}))
+    for command, size in [
+        (["--kind", "un", "--n", "25"], 25),
+        (["--kind", "blowup", "--input", str(w), "--perm", "2,1", "--blocks", "13"], 26),
+    ]:
+        assert run(["weights", "build"] + command) == 2
+        assert f"weight matrix size {size} exceeds" in capsys.readouterr().err
+
+
 def test_exit_code_on_unknown_arguments():
     assert run(["no-such-command"]) == 2
 

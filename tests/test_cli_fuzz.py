@@ -1,0 +1,226 @@
+"""Fuzzed command line: every input ends in exit status 0, 1, 2 or 3 and
+never in a traceback.
+
+Inputs are valid records with a few fields replaced or deleted, freshly
+drawn matrices of size at most 6x6, form files with indices up to 40, and
+argument lists drawn from the real vocabulary, including unwritable
+``--output`` paths.  Runs are derandomized, so the suite is deterministic.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockbounds.cli import run
+from blockbounds.fixtures import agl18_bundle, s3_subsection
+
+
+def fuzz(cases):
+    """Deterministic runs, no example database, no per-case deadline."""
+    return settings(max_examples=cases, derandomize=True, database=None, deadline=None)
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(-4, 4, allow_nan=False, width=16),
+    st.sampled_from(["", "0", "1", "-2", "3", "1/2", "-1/3", "0/0", "2/0", "x", " 1"]),
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["0", "1", "-1", "x", "rows", "entries"]),
+                      inner, max_size=3),
+    max_leaves=10,
+)
+entries = st.one_of(st.integers(0, 6).map(str), st.integers(-3, 9), scalars)
+
+
+@st.composite
+def matrix_records(draw, symmetric_nonnegative=False):
+    """A matrix record of size at most 6x6, now and then misdeclared."""
+    n = draw(st.integers(1, 6))
+    if symmetric_nonnegative:
+        upper = {(i, j): draw(st.integers(0, 2)) for i in range(n) for j in range(i + 1, n)}
+        rows = [[str(draw(st.integers(1, 8)) if i == j else upper[min(i, j), max(i, j)])
+                 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    return {"rows": draw(st.sampled_from([n, n, n, n + 1])), "cols": n, "entries": rows}
+
+
+def _paths(value, prefix=()):
+    if prefix:
+        yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with one to three fields replaced by JSON values or deleted."""
+    record = copy.deepcopy(base)
+    paths = list(_paths(record))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(paths))
+        delete = draw(st.integers(0, 4)) == 0
+        value = draw(json_values)
+        target = record
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            if delete:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed this path
+    return record
+
+
+@st.composite
+def bundles(draw):
+    if draw(st.booleans()):
+        return draw(mutated(agl18_bundle()))
+    p = draw(st.sampled_from([2, 3, 5]))
+    bundle = {
+        "label": "fuzz",
+        "p": p,
+        "q": draw(st.sampled_from([1, 1, p, p * p])),
+        "cartan": {"normalization": draw(st.sampled_from(["b", "b_bar"])),
+                   "matrix": draw(matrix_records(symmetric_nonnegative=True))},
+        "forms": draw(st.lists(st.lists(
+            st.lists(st.integers(0, 7), min_size=3, max_size=3), max_size=3), max_size=2)),
+        "known_kb": draw(st.one_of(st.none(), st.integers(-1, 30))),
+    }
+    return draw(mutated(bundle)) if draw(st.booleans()) else bundle
+
+
+form_files = st.one_of(
+    st.lists(st.lists(st.integers(-1, 40), min_size=3, max_size=3), max_size=5),
+    st.lists(st.one_of(st.lists(scalars, max_size=4), scalars), max_size=4),
+    json_values,
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_checked(argv):
+    """Run the command line in process; return its status and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    assert status in (0, 1, 2, 3), (argv, status)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    return status, err.getvalue()
+
+
+def run_on(workdir, name, record, argv):
+    path = workdir / name
+    path.write_text(json.dumps(record))
+    return run_checked(argv + ["--input", str(path)])
+
+
+@fuzz(250)
+@given(record=bundles(), records=st.booleans())
+def test_fuzz_bundles(workdir, record, records):
+    fmt = ["--format", "records"] if records else []
+    run_on(workdir, "bundle.json", record, ["bounds", "compare"] + fmt)
+
+
+@fuzz(200)
+@given(record=st.one_of(matrix_records(), matrix_records(symmetric_nonnegative=True),
+                        st.builds(dict), json_values))
+def test_fuzz_gram_files(workdir, record):
+    run_on(workdir, "gram.json", record, ["lattice", "min"])
+
+
+@fuzz(200)
+@given(record=mutated(s3_subsection()))
+def test_fuzz_gendec_files(workdir, record):
+    run_on(workdir, "gendec.json", record, ["gendec", "verify"])
+
+
+@fuzz(200)
+@given(record=form_files)
+def test_fuzz_form_files(workdir, record):
+    run_on(workdir, "form.json", record, ["weights", "build", "--kind", "form"])
+
+
+# each command with its required options, then its optional ones
+COMMANDS = [
+    (["bounds", "compare"], ["--input"], ["--format", "--max-dim"]),
+    (["lattice", "min"], ["--input"], ["--format", "--max-dim"]),
+    (["gendec", "verify"], ["--input"], ["--format"]),
+    (["k0"], ["--p", "--q"], ["--n-gen", "--format"]),
+    (["fixtures", "list"], [], []),
+    (["fixtures", "emit", "agl18"], [], ["--output"]),
+    (["weights", "build", "--kind", "un"], ["--n"], ["--output", "--max-dim"]),
+    (["weights", "build", "--kind", "blowup"], ["--input", "--perm", "--blocks"],
+     ["--output", "--max-dim"]),
+    (["weights", "build", "--kind", "form"], ["--input"], ["--output", "--max-dim"]),
+    (["weights", "build", "--kind", "candidates"], ["--input", "--p"],
+     ["--action", "--output", "--max-dim"]),
+]
+
+
+@pytest.fixture(scope="module")
+def argv_values(workdir):
+    """A strategy of values for each option, files written into ``workdir``."""
+    files = {
+        "cartan.json": {"rows": 2, "cols": 2, "entries": [["2", "1"], ["1", "2"]]},
+        "form.json": [[1, 1, 1], [1, 2, -1], [2, 2, 1]],
+        "bundle.json": {"p": 3, "q": 1, "cartan": {"normalization": "b", "matrix": {
+            "rows": 2, "cols": 2, "entries": [["2", "1"], ["1", "2"]]}}},
+        "gendec.json": s3_subsection(),
+        "action.json": [[2, 1]],
+    }
+    for name, record in files.items():
+        (workdir / name).write_text(json.dumps(record))
+    paths = [str(workdir / name) for name in files] + [
+        str(workdir / "missing.json"), str(workdir)]
+    number = st.one_of(st.integers(-2, 12).map(str), st.just("x"))
+    return {
+        "--input": st.sampled_from(paths),
+        "--action": st.sampled_from(paths),
+        "--format": st.sampled_from(["records", "table", "x"]),
+        "--perm": st.sampled_from(["1,2", "2,1", "1,,2", "", "x", "1"]),
+        "--output": st.sampled_from(["out.json", "/nonexistent/dir/out.json",
+                                     str(workdir), str(workdir / "cartan.json" / "x")]),
+        "--n-gen": number, "--n": number, "--blocks": number, "--p": number,
+        "--q": number, "--max-dim": number,
+    }
+
+
+@fuzz(250)
+@given(data=st.data())
+def test_fuzz_argv(workdir, argv_values, data):
+    command, required, optional = data.draw(st.sampled_from(COMMANDS))
+    options = [o for o in required if data.draw(st.integers(0, 7))]
+    options += data.draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
+    argv = list(command)
+    for option in options:
+        argv += [option, data.draw(argv_values[option])]
+    if data.draw(st.integers(0, 9)) == 0:
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(argv_values["--n"]))
+    # relative outputs (fixtures emit's default <name>.json) land in workdir
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        run_checked(argv)
+    finally:
+        os.chdir(cwd)

@@ -20,7 +20,7 @@ from blockbounds import (
     matrix_to_record,
     rank,
 )
-from blockbounds.exactmat import trace_pairing
+from blockbounds.exactmat import _inverse_rows, trace_pairing
 from blockbounds.fixtures import a4xa4_cartan, agl18_cartan
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     minor_gcd_divisors,
     perm_matrix,
     random_unimodular,
+    reference_inverse,
 )
 
 
@@ -192,6 +193,59 @@ def test_inverse_is_involution_on_random_matrices():
                 break
         assert inverse(inverse(m)) == m
         assert m @ inverse(m) == RationalMatrix.identity(n)
+
+
+def test_integer_inverse_matches_fraction_back_substitution():
+    rng = random.Random(2029)
+    seen = {"negative determinant": 0, "pivot swap": 0, "singular": 0}
+    for trial in range(150):
+        n = 1 + trial % 10
+        den = rng.choice((1, 2, 3, 6))
+        rows = [[Fraction(rng.randint(-6, 6), den) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:
+            # a zero leading minor of order 1 or 2 forces a row swap
+            k = rng.randint(0, 1) if n > 2 else 0
+            if k == 0:
+                rows[0][0] = Fraction(0)
+            else:
+                rows[1][:2] = [2 * x for x in rows[0][:2]]
+        if n > 1 and trial % 7 == 0:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+        a = RationalMatrix(rows)
+        det = determinant(a)
+        if det == 0:
+            seen["singular"] += 1
+            for invert in (inverse, reference_inverse):
+                with pytest.raises(SingularMatrixError):
+                    invert(a)
+            continue
+        seen["negative determinant"] += det < 0
+        seen["pivot swap"] += any(
+            determinant(RationalMatrix([r[:k] for r in rows[:k]])) == 0
+            for k in (1, 2) if k < n
+        )
+        inv = inverse(a)
+        assert inv == reference_inverse(a)
+        assert a @ inv == RationalMatrix.identity(n)
+        ints, d = _inverse_rows(a)
+        assert d > 0 and d == lcm(*(x.denominator for row in inv for x in row))
+        assert RationalMatrix(ints).scale(Fraction(1, d)) == inv
+    assert min(seen.values()) >= 5, seen
+
+
+def test_inverse_denominator_is_the_largest_elementary_divisor():
+    rng = random.Random(31)
+    for trial in range(60):
+        n = 1 + trial % 6
+        a = RationalMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        if determinant(a) == 0:
+            continue
+        rows, den = _inverse_rows(a)
+        assert den == lcm(*(x.denominator for row in inverse(a) for x in row))
+        assert den == elementary_divisors(a)[-1]
+        assert all(isinstance(v, int) for row in rows for v in row)
+    c = agl18_cartan()
+    assert _inverse_rows(c)[1] == elementary_divisors(c)[-1] == 8
 
 
 def test_determinant_is_multiplicative():
