@@ -7,7 +7,7 @@ reported but never used to tighten a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import floor, gcd
 
@@ -26,7 +26,6 @@ from .lattice import DEFAULT_DIM_CAP, form_minimum
 from .weights import (
     PermutationAction,
     WeightMatrix,
-    certified_weight,
     commutes_with,
     compose,
     from_quadratic_form,
@@ -170,19 +169,6 @@ class BoundReport:
 
 def _echo(**kwargs) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in kwargs.items() if v is not None))
-
-
-def _renamed(rep: BoundReport, name: str) -> BoundReport:
-    return BoundReport(
-        name=name,
-        target=rep.target,
-        value=rep.value,
-        citation=rep.citation,
-        weak_value=rep.weak_value,
-        inputs=rep.inputs,
-        strict=rep.strict,
-        notes=rep.notes,
-    )
 
 
 def k0_semidirect(spec: SubsectionSpec) -> int:
@@ -554,7 +540,7 @@ def compare_all(
 
     for idx, form in enumerate(forms, start=1):
         rep = kw_bound(cartan_b, form, max_dim=max_dim)
-        rows.append(_renamed(rep, f"quadratic form bound (form #{idx})"))
+        rows.append(replace(rep, name=f"quadratic form bound (form #{idx})"))
 
     rows.append(inverse_cartan_bound(cartan_b, max_dim=max_dim))
 
@@ -564,10 +550,10 @@ def compare_all(
         for idx, form in enumerate(forms, start=1):
             w = from_quadratic_form(form, size=l, max_dim=max_dim)
             rep = subsection_k_bound(c_bar, spec, w, max_dim=max_dim)
-            rows.append(_renamed(rep, f"subsection k(B) bound (form #{idx})"))
+            rows.append(replace(rep, name=f"subsection k(B) bound (form #{idx})"))
         for wm, _tr in candidates:
             rep = subsection_k_bound(c_bar, spec, wm, max_dim=max_dim)
-            rows.append(_renamed(rep, f"subsection k(B) bound ({wm.provenance})"))
+            rows.append(replace(rep, name=f"subsection k(B) bound ({wm.provenance})"))
     else:
         notes.append(
             "k(B) subsection bounds skipped: fusion quotient order is divisible by p"

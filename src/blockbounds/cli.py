@@ -12,7 +12,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import fixtures as fixture_lib
@@ -22,7 +22,6 @@ from .bounds import (
     SubsectionSpec,
     _normalized_cartan,
     compare_all,
-    dade_cyclic_bound,
     k0_semidirect,
 )
 from .exactmat import (
@@ -460,10 +459,7 @@ def _cmd_bounds_compare(args) -> int:
         )
         if not ver.ok:
             status = 1
-    report = ComparisonReport(
-        rows=report.rows, best_k=report.best_k, best_k0=report.best_k0,
-        notes=tuple(notes),
-    )
+    report = replace(report, notes=tuple(notes))
     if args.format == "records":
         print(json.dumps(_comparison_record(bundle.label, report), indent=2,
                          sort_keys=True))

@@ -7,8 +7,9 @@ and leading principal minors share one fraction-free elimination kernel
 (Bareiss 1968) on denominator-cleared integer matrices, which keeps
 intermediate coefficient growth polynomial; an inverse back-substitutes on
 integers too and comes out as numerators over one common denominator.
-``lattice`` reads its LDL decomposition from the same kernel.  Smith normal
-forms use their own integer row and column reduction.
+Positive definiteness here and every LDL in ``lattice`` are read from the
+swap-free run by one reader, ``_ldl_rows``.  Smith normal forms use their
+own integer row and column reduction.
 
 Floating point never enters any result.
 """
@@ -19,7 +20,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .ntheory import is_prime
+from .ntheory import DomainError, is_prime
 
 # The documented entry format: an integer or a/b, nothing else Fraction parses.
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -31,10 +32,6 @@ class ShapeError(ValueError):
 
 class SingularMatrixError(ValueError):
     """A nonsingular matrix was required."""
-
-
-class DomainError(ValueError):
-    """Input outside the mathematical domain of the operation."""
 
 
 class InconsistentDataError(ValueError):
@@ -219,11 +216,8 @@ def _bareiss(m: list[list[int]], ncols: int, pivoting: bool) -> tuple[list[int],
     columns and the sign of the row permutation.  With ``pivoting`` a zero
     pivot is swapped with the first nonzero entry below it, or its column is
     skipped; without, no rows move and elimination stops after the first
-    pivot <= 0.
-
-    Each multiplier is kept below its pivot rather than zeroed, so without
-    swaps the diagonal holds the leading principal minors D_1, D_2, ... and the
-    strict lower triangle the unscaled L of L D L^t: L_ji = m_ji / D_{i+1}.
+    pivot <= 0.  Each multiplier is kept below its pivot rather than zeroed;
+    ``_ldl_rows`` reads what the swap-free run leaves.
     """
     nrows, width = len(m), len(m[0])
     pivots: list[int] = []
@@ -370,26 +364,23 @@ def elementary_divisors(a: RationalMatrix) -> list[int]:
     return divs
 
 
-def leading_principal_pivots(a: RationalMatrix) -> list[Fraction]:
-    """Leading principal minors D1..Dk, stopping after the first <= 0.
+def _ldl_rows(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(minors, m) after the swap-free kernel ran on square integer ``m`` in place.
 
-    Runs the kernel without row swaps, so its pivots are exactly the leading
-    principal minors; for symmetric matrices this decides positive
-    definiteness (Sylvester).
+    ``minors`` = [D_0 = 1, D_1, ...], the leading principal minors up to the
+    first D_i <= 0.  For symmetric m, m = L D L^t with d_i = D_{i+1} / D_i
+    and, in every column i before the stop, L_ji = m_ji / D_{i+1}.
     """
-    if not a.is_square():
-        raise ShapeError("square matrix required")
-    ints, s = _cleared_int_rows(a)
-    pivots, _ = _bareiss(ints, a.rows, pivoting=False)
-    return [Fraction(ints[k][k], s ** (k + 1)) for k in pivots]
+    pivots, _ = _bareiss(m, len(m), pivoting=False)
+    return [1] + [m[i][i] for i in pivots], m
 
 
 def is_positive_definite(a: RationalMatrix) -> bool:
     """True iff a is symmetric with all leading principal minors positive."""
     if not a.is_symmetric():
         return False
-    minors = leading_principal_pivots(a)
-    return len(minors) == a.rows and all(m > 0 for m in minors)
+    minors, _ = _ldl_rows(_cleared_int_rows(a)[0])
+    return len(minors) > a.rows and minors[-1] > 0
 
 
 class CartanData:

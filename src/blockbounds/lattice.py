@@ -1,14 +1,14 @@
 """Exact minima of positive definite quadratic forms over nonzero integer vectors.
 
 The search is Fincke-Pohst enumeration on an LLL-reduced Gram matrix, both
-on the denominator-cleared integer Gram matrix and both fed by the one
-fraction-free kernel in ``exactmat``.  LLL reads mu and the squared
-Gram-Schmidt lengths from its exact LDL decomposition (``_ldl``).  The
-search reads the leading minors and the unscaled L entries of the reduced
-matrix straight from the kernel and works on integers only: it scales every
-partial sum by one common multiple of the denominators, so each coordinate
-range is one integer square root, and it visits one vector of each +- pair.
-No step uses floating point, and the search uses no ``Fraction``.
+on the denominator-cleared integer Gram matrix.  Every LDL decomposition is
+read through ``exactmat._ldl_rows``: LLL takes mu and the squared
+Gram-Schmidt lengths from it (``_ldl``), and the search takes the reduced
+matrix's leading minors and unscaled L entries and works on integers only,
+scaling every partial sum by one common multiple of the denominators so
+that each coordinate range is one integer square root.  Certification
+decides positive definiteness once, in ``GramForm``; only a refused form is
+eliminated again, for its integer witness.  No step uses floating point.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .exactmat import (
     DomainError,
     InternalInvariantError,
     RationalMatrix,
     ShapeError,
-    _bareiss,
     _cleared_int_rows,
+    _ldl_rows,
     determinant,
     is_positive_definite,
 )
@@ -137,19 +137,16 @@ def lll_reduce(gram: GramForm | RationalMatrix):
 def _ldl(m: list[list[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
     """m = L D L^t with L unit lower triangular, for a symmetric integer m; exact.
 
-    Read off the swap-free fraction-free kernel: with D_0 = 1 and D_k the
-    leading principal minors, d_i = D_{i+1} / D_i and L_ji = m'_ji / D_{i+1}.
-    d stops at the first d_i <= 0, and the columns of L from there on are
-    left zero.
+    LLL's adapter on ``_ldl_rows``, which eliminates m in place: d_i =
+    D_{i+1} / D_i and L_ji = a_ji / D_{i+1}.  d stops at the first d_i <= 0,
+    and the columns of L from there on are left zero.
     """
     n = len(m)
-    a = [list(row) for row in m]
-    pivots, _ = _bareiss(a, n, pivoting=False)
-    minors = [1] + [a[i][i] for i in pivots]
-    d = [Fraction(minors[i + 1], minors[i]) for i in pivots]
+    minors, a = _ldl_rows(m)
+    d = [Fraction(minors[i + 1], minors[i]) for i in range(len(minors) - 1)]
     lo = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    for i in pivots:
-        if d[i] > 0:
+    for i, di in enumerate(d):
+        if di > 0:
             for j in range(i + 1, n):
                 lo[j][i] = Fraction(a[j][i], minors[i + 1])
     return d, lo
@@ -184,10 +181,8 @@ def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
     # the reduced rows, x m x^t = sum_i (D_{i+1} y_i + S_i)^2 / (D_i D_{i+1})
     # where S_i = sum_{j>i} a_ji y_j.  Every value below is scaled by
     # w = lcm_i(D_i D_{i+1}), so term i is the integer c_i t^2.
-    a = [list(row) for row in m]
-    pivots, _ = _bareiss(a, n, pivoting=False)
-    minors = [1] + [a[i][i] for i in pivots]
-    if len(pivots) < n or minors[-1] <= 0:
+    minors, a = _ldl_rows([list(row) for row in m])
+    if len(minors) <= n or minors[-1] <= 0:
         raise InternalInvariantError("LLL-reduced Gram matrix is not positive definite")
     pivot = minors[1:]
     w = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
@@ -248,24 +243,29 @@ def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
 
 
 def _nonpositive_direction(sym: RationalMatrix):
-    """Integer vector with x W x^t <= 0 for symmetric non-PD W, else None.
+    """(x, x W x^t, i) for symmetric non-PD W: x primitive and integral with
+    value <= 0, and D_{i+1} <= 0 the first failing leading minor.
 
-    Walks the LDL decomposition; at the first pivot d_i <= 0 the row vector
-    solving x L = e_i takes the form value d_i, and clearing denominators
-    scales it to an integer witness with value m^2 d_i <= 0.
+    x L = e_i gives the value d_i.  D_i x is integral (cofactors), so back
+    substitution on the kernel's integer rows, X_j = -(sum_t X_t a_tj) /
+    D_{j+1} from X_i = D_i, divides exactly; its primitive part is m x.
     """
     ints, s = _cleared_int_rows(sym)
-    d, lo = _ldl(ints)
-    i = len(d) - 1
-    if d[i] > 0:
-        return None
-    x = [Fraction(0)] * sym.rows
-    x[i] = Fraction(1)
+    minors, a = _ldl_rows(ints)
+    if minors[-1] > 0:
+        raise InternalInvariantError("a refused form has no failing leading minor")
+    i = len(minors) - 2
+    x = [0] * sym.rows
+    x[i] = minors[i]
     for j in range(i - 1, -1, -1):
-        x[j] = -sum(x[t] * lo[t][j] for t in range(j + 1, i + 1))
-    m = lcm(*(v.denominator for v in x))
-    vec = tuple(int(v * m) for v in x)
-    return vec, m * m * d[i] / s, i
+        acc = sum(x[t] * a[t][j] for t in range(j + 1, i + 1))
+        xj, rem = divmod(-acc, minors[j + 1])
+        if rem:
+            raise InternalInvariantError(f"witness coordinate {j} is not integral")
+        x[j] = xj
+    g = gcd(*x)
+    vec = tuple(v // g for v in x)
+    return vec, Fraction(vec[i] ** 2 * minors[i + 1], minors[i] * s), i
 
 
 def certify_integral_positive_definite(
@@ -280,9 +280,10 @@ def certify_integral_positive_definite(
         raise ShapeError("weight matrix must be square")
     symmetrized = not w.is_symmetric()
     sym = (w + w.transpose()).scale(Fraction(1, 2)) if symmetrized else w
-    bad = _nonpositive_direction(sym)
-    if bad is not None:
-        vec, val, k = bad
+    try:
+        form = GramForm(sym)
+    except DomainError:
+        vec, val, k = _nonpositive_direction(sym)
         return Certificate(
             ok=False,
             minimum=None,
@@ -292,7 +293,7 @@ def certify_integral_positive_definite(
                 f"{val} <= 0 (leading principal minor {k + 1} fails)"
             ),
         )
-    m = form_minimum(sym, max_dim=max_dim)
+    m = form_minimum(form, max_dim=max_dim)
     if m.value < 1:
         return Certificate(
             ok=False,

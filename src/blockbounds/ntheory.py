@@ -5,38 +5,78 @@ from __future__ import annotations
 from math import gcd
 
 
+class DomainError(ValueError):
+    """Input outside the mathematical domain of the operation."""
+
+
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# MR_LIMIT (Sorenson and Webster 2015); larger inputs are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+# Largest subgroup of (Z/q)^x that unit_group_closure lists; every catalog
+# uses q <= 81, so 2^16 elements is ample.
+MAX_UNIT_GROUP = 1 << 16
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; DomainError for n >= MR_LIMIT without a
+    small factor."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to 41 and below 43^2
+        return True
+    if n >= MR_LIMIT:
+        raise DomainError(f"{n} is too large to test for primality (limit {MR_LIMIT})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton steps from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p**k, k >= 1. Raises for non prime powers."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = q
-    for f in range(2, q + 1):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
+    for p in _MR_BASES:
+        if q % p == 0:
+            k = valuation(q, p)
+            if p**k == q:
+                return p, k
+            raise ValueError(f"{q} is not a prime power")
+    # every prime factor exceeds 41 > 2^5, so q = p^k has k <= bits / 5; the
+    # largest exponent first, so a huge prime power is found by its root
+    for k in range(q.bit_length() // 5, 0, -1):
+        p = _iroot(q, k)
+        if p**k == q and is_prime(p):
+            return p, k
+    raise ValueError(f"{q} is not a prime power")
 
 
 def valuation(n: int, p: int) -> int:
@@ -105,7 +145,14 @@ def unit_group_closure(q: int, generators) -> tuple[int, ...]:
         if gcd(g, q) != 1:
             raise ValueError(f"{g} is not a unit modulo {q}")
         gens.append(g)
-    return tuple(sorted(closure(1, lambda a: [a * g % q for g in gens])))
+    elements = []
+    for x in closure(1, lambda a: [a * g % q for g in gens]):
+        if len(elements) == MAX_UNIT_GROUP:
+            raise DomainError(
+                f"the units generate more than {MAX_UNIT_GROUP} elements modulo {q}"
+            )
+        elements.append(x)
+    return tuple(sorted(elements))
 
 
 def multiplicative_order(g: int, q: int) -> int:

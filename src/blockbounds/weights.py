@@ -9,7 +9,7 @@ problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactmat import (
@@ -297,13 +297,7 @@ def weight_candidates(
         for wm in list(out):
             if not all(commutes_with(wm.matrix, g) for g in action.generators):
                 averaged = symmetrize(wm, action, max_dim=max_dim)
-                out.append(
-                    WeightMatrix(
-                        matrix=averaged.matrix,
-                        certificate=averaged.certificate,
-                        provenance=f"symmetrized-{wm.provenance}",
-                    )
-                )
+                out.append(replace(averaged, provenance=f"symmetrized-{wm.provenance}"))
     scored = [(wm, trace_pairing(wm.matrix, cm)) for wm in out]
     scored.sort(key=lambda t: (t[1], t[0].provenance))
     return scored

@@ -99,6 +99,40 @@ def test_k0_subcommand(capsys):
     assert json.loads(capsys.readouterr().out)["k0"] == 8
 
 
+def run_bounded(argv):
+    """run(argv) in a child process held to 60 s and 1 GiB of address space;
+    returns (exit status, seconds spent inside run, stderr)."""
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    script = (
+        "import sys, time; from blockbounds.cli import run; "
+        "t = time.perf_counter(); rc = run(sys.argv[1:]); "
+        "print(time.perf_counter() - t); sys.exit(rc)"
+    )
+    src = str(Path(blockbounds.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        timeout=60, env={"PYTHONPATH": src}, preexec_fn=cap,
+    )
+    return proc.returncode, float(proc.stdout.split()[-1]), proc.stderr
+
+
+def test_k0_work_is_bounded_on_huge_p_and_q():
+    # a 61-bit Mersenne prime is decided by Miller-Rabin, not trial division
+    p = str(2**61 - 1)
+    rc, seconds, _ = run_bounded(["k0", "--p", p, "--q", p])
+    assert rc == 0 and seconds < 1
+    # 2 generates all 2 * 3^29 units modulo 3^30: refused, not listed
+    rc, seconds, err = run_bounded(["k0", "--p", "3", "--q", str(3**30), "--n-gen", "2"])
+    assert rc == 2 and seconds < 1
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_lattice_min_subcommand(tmp_path, capsys):
     gram = tmp_path / "id3.json"
     gram.write_text(
@@ -499,6 +533,25 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
+    assert offenders == []
+
+
+def test_library_has_no_unused_imports():
+    # every name a module takes with ``from ... import`` is referenced in it;
+    # the package __init__ imports only to re-export
+    offenders = []
+    for path in sorted(Path(blockbounds.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders.extend(
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name != "annotations" and (alias.asname or alias.name) not in used
+        )
     assert offenders == []
 
 

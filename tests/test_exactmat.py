@@ -357,18 +357,58 @@ def test_elementary_divisors_larger_entries():
 
 
 def test_leading_minors_match_cofactor_oracle():
-    from blockbounds.exactmat import leading_principal_pivots
+    # _ldl_rows on cleared rows s*A: minors D_k = s^k det(A_k) up to and
+    # including the first one <= 0, and on positive definite input the
+    # L D L^t rebuilt from (minors, a) is s*A again
+    from blockbounds.exactmat import _cleared_int_rows, _ldl_rows
 
     rng = random.Random(18)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        a = RationalMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        sym = a @ a.transpose() + RationalMatrix.identity(n)
-        pivots = leading_principal_pivots(sym)
-        assert len(pivots) == n
-        for k, piv in enumerate(pivots, start=1):
-            sub = RationalMatrix([[sym[i, j] for j in range(k)] for i in range(k)])
-            assert piv == cofactor_determinant(sub)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+
+    pd = indefinite = 0
+    for trial in range(160):
+        n = rng.randint(1, 5)
+        if trial % 2:  # symmetric, mostly not positive definite
+            upper = [[entry() for _ in range(n)] for _ in range(n)]
+            sym = RationalMatrix(
+                [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            )
+        else:
+            a = RationalMatrix([[entry() for _ in range(n)] for _ in range(n)])
+            sym = a @ a.transpose() + RationalMatrix.identity(n)
+        ints, s = _cleared_int_rows(sym)
+        minors, a = _ldl_rows([list(row) for row in ints])
+        oracle = [
+            cofactor_determinant(
+                RationalMatrix([[sym[i, j] for j in range(k)] for i in range(k)])
+            )
+            for k in range(1, n + 1)
+        ]
+        stop = next((k for k, d in enumerate(oracle, start=1) if d <= 0), n)
+        assert len(minors) == stop + 1
+        assert minors[0] == 1
+        for k in range(1, stop + 1):
+            assert minors[k] == s**k * oracle[k - 1]
+        if minors[-1] <= 0:
+            indefinite += 1
+            assert not is_positive_definite(sym)
+            continue
+        pd += 1
+        assert is_positive_definite(sym)
+        d = [Fraction(minors[i + 1], minors[i]) for i in range(n)]
+        lo = [
+            [Fraction(a[j][i], minors[i + 1]) if j > i else Fraction(int(i == j))
+             for i in range(n)]
+            for j in range(n)
+        ]
+        rebuilt = [
+            [sum(lo[i][k] * d[k] * lo[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert rebuilt == ints
+    assert pd >= 80 and indefinite >= 40
 
 
 def test_transpose_and_conjugation_by_unimodular():

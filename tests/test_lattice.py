@@ -288,6 +288,29 @@ def test_certify_rejects_indefinite_with_vector_witness():
         assert k == next(t for t, d in enumerate(minors, start=1) if d <= 0)
 
 
+def test_certify_decides_positive_definiteness_once(monkeypatch):
+    # a repeated certification is served by the form-minimum cache, so the
+    # one elimination left is GramForm's positive-definiteness check
+    from blockbounds import exactmat, lattice
+
+    w = RationalMatrix([[3, 1, 0], [1, 4, 1], [0, 1, 5]])
+    first = certify_integral_positive_definite(w)
+    calls = []
+    original = exactmat._ldl_rows
+
+    def counted(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(exactmat, "_ldl_rows", counted)
+    monkeypatch.setattr(lattice, "_ldl_rows", counted)
+    hits = lattice._form_minimum_cached.cache_info().hits
+    second = certify_integral_positive_definite(w)
+    assert lattice._form_minimum_cached.cache_info().hits == hits + 1
+    assert calls == [3]
+    assert first == second and second.ok
+
+
 def test_certify_symmetrizes_and_reports():
     cert = certify_integral_positive_definite(RationalMatrix([[2, 1], [0, 2]]))
     assert cert.ok
