@@ -12,6 +12,7 @@ content, because these tools exist to locate inconsistent inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .bounds import PreconditionError, SubsectionSpec
@@ -23,15 +24,20 @@ from .exactmat import (
     _bareiss,
     _inverse_rows,
 )
-from .ntheory import euler_phi_prime_power, prime_power_decomposition, units_mod
+from .ntheory import prime_power_decomposition, units_mod
 
 
+@lru_cache(maxsize=64)
 def _conductor_parts(q: int) -> tuple[int, int]:
-    """(p, phi(q)) for prime power q; q = 1 uses the phi(1) = 1 convention."""
+    """(p, phi(q)) for prime power q; q = 1 uses the phi(1) = 1 convention.
+
+    Cached: every element of one conductor asks for the same pair."""
     if q == 1:
         return 0, 1
     try:
         p, _ = prime_power_decomposition(q)
+    except DomainError:
+        raise  # too large to decide, which is not the same as composite
     except ValueError as exc:
         raise DomainError(f"conductor {q} is not a prime power") from exc
     return p, q - q // p
@@ -60,6 +66,14 @@ class CyclotomicInteger:
         self.coeffs = coeffs
 
     @classmethod
+    def _trusted(cls, q: int, p: int, coeffs: tuple) -> "CyclotomicInteger":
+        """An element from phi(q) ints that this module computed itself,
+        without validating them again."""
+        x = object.__new__(cls)
+        x.q, x.p, x.coeffs = q, p, coeffs
+        return x
+
+    @classmethod
     def zero(cls, q: int) -> "CyclotomicInteger":
         return cls(q, [0] * _conductor_parts(q)[1])
 
@@ -77,22 +91,24 @@ class CyclotomicInteger:
 
     def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         self._check_same(other)
-        return CyclotomicInteger(
-            self.q, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return CyclotomicInteger._trusted(
+            self.q, self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         self._check_same(other)
-        return CyclotomicInteger(
-            self.q, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return CyclotomicInteger._trusted(
+            self.q, self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.q, [-a for a in self.coeffs])
+        return CyclotomicInteger._trusted(self.q, self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other) -> "CyclotomicInteger":
         if isinstance(other, int):
-            return CyclotomicInteger(self.q, [other * a for a in self.coeffs])
+            return CyclotomicInteger._trusted(
+                self.q, self.p, tuple(other * a for a in self.coeffs)
+            )
         self._check_same(other)
         q = self.q
         if q == 1:
@@ -153,38 +169,46 @@ class CyclotomicInteger:
 def cyc_reduce(raw, q: int) -> CyclotomicInteger:
     """Reduce coefficients on zeta^0..zeta^{q-1} to the canonical basis.
 
-    Uses the prime-power relation 1 + zeta^{q/p} + ... + zeta^{(p-1)q/p} = 0:
-    exponents above phi(q) fold down, then zeta^0 is rewritten as
-    -(zeta^{q/p} + ... + zeta^{(p-1)q/p}).
+    zeta^e is a basis element for 1 <= e <= phi(q).  Any other exponent, with
+    e = q standing for zeta^0, is zeta^(e - phi(q)) zeta^phi(q), and the
+    prime-power relation 1 + zeta^{q/p} + ... + zeta^{(p-1)q/p} = 0 rewrites it
+    as -(zeta^(e - phi) + zeta^(e - phi + q/p) + ... + zeta^(e - q/p)), all
+    basis elements.  Only the nonzero coefficients are visited.
     """
+    p, phi = _conductor_parts(q)
     if q == 1:
         values = raw.values() if isinstance(raw, dict) else raw
-        return CyclotomicInteger(1, [sum(_int_coeffs(values))])
-    p, phi = _conductor_parts(q)
-    arr = [0] * q
+        return CyclotomicInteger._trusted(1, p, (sum(_int_coeffs(values)),))
     if isinstance(raw, dict):
-        for e, c in zip(raw, _int_coeffs(raw.values())):
-            arr[int(e) % q] += c
+        items = zip(raw, _int_coeffs(raw.values()))
     else:
         seq = _int_coeffs(raw)
         if len(seq) > q:
             raise DomainError(f"need at most {q} raw coefficients")
-        for e, c in enumerate(seq):
-            arr[e] += c
+        items = enumerate(seq)
     qp = q // p
-    for e in range(phi + 1, q):
-        c = arr[e]
+    out = [0] * (phi + 1)  # out[0] is never written
+    for e, c in items:
         if c:
-            arr[e] = 0
-            r = e - phi
-            for j in range(p - 1):
-                arr[r + j * qp] -= c
-    c0 = arr[0]
-    if c0:
-        arr[0] = 0
-        for j in range(1, p):
-            arr[j * qp] -= c0
-    return CyclotomicInteger(q, arr[1 : phi + 1])
+            e = int(e) % q or q
+            if e <= phi:
+                out[e] += c
+            else:
+                for j in range(e - phi, e, qp):
+                    out[j] -= c
+    return CyclotomicInteger._trusted(q, p, tuple(out[1:]))
+
+
+def _vanishes(raw, q: int) -> bool:
+    """True iff sum_e raw[e] zeta^e = 0, for a list of q ints.
+
+    The kernel of Z[x]/(x^q - 1) -> Z[zeta_q] is spanned by the x^t Phi_q(x),
+    which are the indicators of the cosets t + (q/p)Z, so raw vanishes iff
+    it is constant on every coset: raw[e] = raw[e + q/p] for all e."""
+    if q == 1:
+        return raw[0] == 0
+    qp = q // _conductor_parts(q)[0]
+    return raw[qp:] == raw[: q - qp]
 
 
 def field_trace(x: CyclotomicInteger) -> int:
@@ -237,13 +261,13 @@ class GenDecData:
     """Coefficient stack A_1..A_phi(q) of a generalized decomposition matrix:
     each A_i is a tuple of k row tuples of ints."""
 
-    __slots__ = ("stack", "spec")
+    __slots__ = ("stack", "spec", "_blocks")
 
     def __init__(self, stack, spec: SubsectionSpec):
         stack = tuple(tuple(map(tuple, m)) for m in stack)
         if any(type(x) is not int for m in stack for row in m for x in row):
             stack = tuple(tuple(map(_int_row, m)) for m in stack)
-        phi = euler_phi_prime_power(spec.q)
+        phi = _conductor_parts(spec.q)[1]
         if len(stack) != phi:
             raise DomainError(f"need {phi} coefficient matrices, got {len(stack)}")
         k = len(stack[0])
@@ -254,6 +278,7 @@ class GenDecData:
             raise DomainError("coefficient matrices must share one shape")
         self.stack = stack
         self.spec = spec
+        self._blocks = None
 
     @property
     def q(self) -> int:
@@ -270,6 +295,15 @@ class GenDecData:
     @property
     def l(self) -> int:
         return len(self.stack[0][0])
+
+    @property
+    def gram_blocks(self) -> dict:
+        """``_gram_blocks`` of this data, built on first use: the stack is
+        immutable, so every verifier reads the same blocks (do not modify
+        them)."""
+        if self._blocks is None:
+            self._blocks = _gram_blocks(self)
+        return self._blocks
 
     def entry(self, r: int, c: int) -> CyclotomicInteger:
         return CyclotomicInteger(self.q, [m[r][c] for m in self.stack])
@@ -350,31 +384,40 @@ def verify_orthogonality(data: GenDecData, c_bar) -> VerificationReport:
     phi(q) products P(gamma, 1) are computed; a failing ratio stands for
     phi(q) failing pairs.  Entry (a, b) of P(gamma, 1) is
     sum_{e,f} (A_e^t A_f)[a][b] zeta^(gamma e - f), accumulated on raw
-    exponents and reduced once."""
+    exponents; the expected integer is subtracted at exponent 0 and the
+    difference tested with ``_vanishes``, without reducing it."""
     spec = data.spec
     q, l = data.q, data.l
     if c_bar.l != l:
         raise DomainError("Cartan size does not match the column count")
     cb = [[q * x.numerator for x in row] for row in c_bar.matrix]  # C of b itself
     perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
-    blocks = _gram_blocks(data).items()
+    # entry (a, b) of P(gamma, 1) is the slice [q (a l + b), q (a l + b + 1))
+    # of one flat raw vector; each block keeps its nonzero entries only
+    terms = [
+        (e, f, [(q * (a * l + b), x) for a, row in enumerate(blk)
+                for b, x in enumerate(row) if x])
+        for (e, f), blk in data.gram_blocks.items()
+    ]
     units = units_mod(q)
 
     def first_mismatch(gamma):
         """First entry of P(gamma, 1) off its expected integer, or None."""
-        raws = [[[0] * q for _ in range(l)] for _ in range(l)]
-        for (e, f), blk in blocks:
+        raw = [0] * (l * l * q)
+        for e, f, entries in terms:
             s = (gamma * e - f) % q
-            for a in range(l):
-                for b in range(l):
-                    raws[a][b][s] += blk[a][b]
+            for o, x in entries:
+                raw[o + s] += x
         perm = perms.get(gamma)
         for a in range(l):
             for b in range(l):
-                got = cyc_reduce(raws[a][b], q)
-                want = CyclotomicInteger.from_int(q, 0 if perm is None else cb[a][perm[b]])
-                if got != want:
-                    return a, b, got, want
+                want = 0 if perm is None else cb[a][perm[b]]
+                o = q * (a * l + b)
+                diff = raw[o : o + q]
+                diff[0] -= want
+                if not _vanishes(diff, q):
+                    return (a, b, cyc_reduce(raw[o : o + q], q),
+                            CyclotomicInteger.from_int(q, want))
         return None
 
     bad = {g: m for g in units if (m := first_mismatch(g)) is not None}
@@ -457,7 +500,7 @@ def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
     if c_bar.l != l:
         raise DomainError("Cartan size does not match the column count")
     cm = [[x.numerator for x in row] for row in c_bar.matrix]
-    blocks = _gram_blocks(data)
+    blocks = data.gram_blocks
     zero = [[0] * l for _ in range(l)]
     if q == 1:
         lhs = blocks.get((1, 1), zero)
@@ -561,11 +604,12 @@ def height_zero_valuation_check(
     since (1 - zeta) generates the unique prime over p for prime-power
     conductor.  That image is a ring map to F_p which conjugation does not
     change, so it is sum_ab C~_ab r_a r_b with r_a the residue of d_a.
-    ``c_tilde`` must be the integral matrix p^d C^{-1}.
+    ``c_tilde`` must be the integral matrix p^d C^{-1}.  An entry of ``row``
+    may be an ``int``, which is its own image.
     """
     if not c_tilde.is_integral():
         raise PreconditionError("p^d C^{-1} must have integer entries")
-    residues = [x.residue_at_one() for x in row]
+    residues = [x if type(x) is int else x.residue_at_one() for x in row]
     l = len(residues)
     if c_tilde.rows != l or c_tilde.cols != l:
         raise DomainError("row length does not match the matrix")
@@ -604,8 +648,10 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
         ct = c_tilde_of(c_bar)
         offenders = []
         for r, h in enumerate(heights):
+            # residues of row r: the column sums of its slices of the stack
             if h == 0 and not height_zero_valuation_check(
-                data.row(r), ct, data.p, data.q
+                [sum(col) for col in zip(*(m[r] for m in data.stack))],
+                ct, data.p, data.q,
             ):
                 offenders.append(r)
         checks.append(

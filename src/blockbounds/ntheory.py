@@ -14,8 +14,8 @@ class DomainError(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3317044064679887385961981
 
-# Largest subgroup of (Z/q)^x that unit_group_closure lists; every catalog
-# uses q <= 81, so 2^16 elements is ample.
+# Largest subgroup of (Z/q)^x that unit_group_closure lists, and the most
+# units unit_of_order searches; every catalog uses q <= 81, so 2^16 is ample.
 MAX_UNIT_GROUP = 1 << 16
 
 
@@ -168,7 +168,10 @@ def multiplicative_order(g: int, q: int) -> int:
 
 
 def unit_of_order(q: int, n: int) -> int:
-    """Some unit of multiplicative order n modulo q (brute-force search)."""
+    """Some unit of multiplicative order n modulo the prime power q (brute-force
+    search); DomainError above MAX_UNIT_GROUP units, before any is listed."""
+    if euler_phi_prime_power(q) > MAX_UNIT_GROUP:
+        raise DomainError(f"more than {MAX_UNIT_GROUP} units modulo {q} to search")
     for g in units_mod(q):
         if multiplicative_order(g, q) == n:
             return g

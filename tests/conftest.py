@@ -5,8 +5,10 @@ check: brute-force box enumeration for lattice minima, cofactor expansion for
 determinants, gcd-of-minors for elementary divisors, explicit permutation
 matrices for permutations that the library keeps as index tuples, a
 textbook Gram-Schmidt for the LLL conditions, the ``Fraction``
-Fincke-Pohst descent that the library's integer search replaced, and the
-``Fraction`` back substitution that the library's integer inverse replaced.
+Fincke-Pohst descent that the library's integer search replaced, the
+``Fraction`` back substitution that the library's integer inverse replaced,
+and the reduce-and-compare ``verify_all`` that the library's coset zero test
+replaced.
 """
 
 from __future__ import annotations
@@ -30,8 +32,13 @@ from blockbounds.exactmat import _bareiss, _cleared_int_rows
 from blockbounds.gendec import (
     CheckResult,
     VerificationReport,
+    _gram_blocks,
+    c_tilde_of,
+    cyc_reduce,
     field_trace,
     neg_residue_index,
+    rank_check,
+    verify_gram_identity,
 )
 from blockbounds.ntheory import units_mod
 
@@ -503,3 +510,82 @@ def reference_fourier_split(entries) -> tuple:
             a.append(tuple(arow))
         stack.append(tuple(a))
     return tuple(stack)
+
+
+def _reference_orthogonality_checks(data, c_bar) -> list:
+    """The orthogonality rows as ``verify_orthogonality`` computed them before
+    the coset zero test: every entry of P(gamma, 1) reduced with ``cyc_reduce``
+    and compared with ``CyclotomicInteger.from_int``."""
+    spec = data.spec
+    q, l = data.q, data.l
+    cb = [[q * x.numerator for x in row] for row in c_bar.matrix]
+    perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
+    blocks = _gram_blocks(data).items()
+    units = units_mod(q)
+
+    def first_mismatch(gamma):
+        raws = [[[0] * q for _ in range(l)] for _ in range(l)]
+        for (e, f), blk in blocks:
+            s = (gamma * e - f) % q
+            for a in range(l):
+                for b in range(l):
+                    raws[a][b][s] += blk[a][b]
+        perm = perms.get(gamma)
+        for a in range(l):
+            for b in range(l):
+                got = cyc_reduce(raws[a][b], q)
+                want = CyclotomicInteger.from_int(q, 0 if perm is None else cb[a][perm[b]])
+                if got != want:
+                    return a, b, got, want
+        return None
+
+    bad = {g: m for g in units if (m := first_mismatch(g)) is not None}
+    one = bad.get(1)
+    checks = [CheckResult(
+        "orthogonality", one is None,
+        "Q^t conj(Q) = q*C holds" if one is None
+        else f"entry {one[0], one[1]}: {one[2]!r} != {one[3]!r}",
+    )]
+    pairs = len(units) ** 2
+    detail = f"all {pairs} Galois pairs match"
+    if bad:
+        delta, ratio = min((pow(r, -1, q) if q > 1 else 1, r) for r in bad)
+        a, b, got, want = bad[ratio]
+        detail = (
+            f"{len(bad) * len(units)} of {pairs} Galois pairs fail; first "
+            f"(gamma=1, delta={delta}) entry {a, b}: {got.galois(delta)!r} != {want!r}"
+        )
+    checks.append(CheckResult("galois-orthogonality", not bad, detail))
+    comm_ok = True
+    comm_detail = "C commutes with every fusion permutation"
+    for unit, perm in perms.items():
+        if any(cb[perm[a]][perm[b]] != cb[a][b] for a in range(l) for b in range(l)):
+            comm_ok = False
+            comm_detail = f"C P_{unit} != P_{unit} C"
+            break
+    checks.append(CheckResult("cartan-permutation-commutation", comm_ok, comm_detail))
+    return checks
+
+
+def reference_verify_all(data, c_bar, heights=None) -> VerificationReport:
+    """``verify_all`` before the coset zero test: the reduce-and-compare
+    orthogonality rows, and the height check on ``data.row(r)`` through the
+    cyclotomic product of ``reference_height_zero``."""
+    checks = _reference_orthogonality_checks(data, c_bar)
+    checks.extend(verify_gram_identity(data, c_bar).checks)
+    checks.extend(rank_check(data).checks)
+    nonzero = sum(1 for r in range(data.k) if any(not x.is_zero() for x in data.row(r)))
+    checks.append(CheckResult(
+        "nonzero-rows", True,
+        f"{nonzero} of {data.k} rows of the coefficient matrix are nonzero",
+    ))
+    if heights is not None:
+        ct = c_tilde_of(c_bar)
+        offenders = [r for r, h in enumerate(heights) if h == 0
+                     and not reference_height_zero(data.row(r), ct, data.p, data.q)]
+        checks.append(CheckResult(
+            "height-zero valuations", not offenders,
+            "every height-zero row has valuation zero" if not offenders
+            else f"rows {offenders} fail the valuation-zero test",
+        ))
+    return VerificationReport(tuple(checks))

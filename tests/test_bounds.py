@@ -299,6 +299,39 @@ def test_dade_cyclic_bound_examples():
         dade_cyclic_bound(18, 3, 1, 1)
 
 
+def test_dade_cyclic_bound_is_bounded_on_a_huge_unit_group():
+    # 2 * 3^29 units modulo 3^30: unit_of_order refuses them before listing
+    # any, so the bound returns without its subsection cross-check.  Run in
+    # a child process held to 60 s and 1 GiB of address space.
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import blockbounds
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    script = (
+        "import time; from blockbounds import DomainError, dade_cyclic_bound; "
+        "from blockbounds.ntheory import unit_of_order; "
+        "t = time.perf_counter(); rep = dade_cyclic_bound(3**30, 3**30, 2, 1)\n"
+        "try:\n    unit_of_order(3**30, 2)\nexcept DomainError as exc:\n    err = str(exc)\n"
+        "print(time.perf_counter() - t, rep.value, rep.notes, err)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(blockbounds.__file__).parent.parent)},
+        preexec_fn=cap,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, value, notes, err = proc.stdout.split(" ", 3)
+    assert float(seconds) < 1
+    assert value == str(2 + (3**30 - 1) // 2) and notes == "()"  # a + (u - 1) / a
+    assert "more than 65536 units" in err
+
+
 def test_subsection_k0_bound_attained_for_dihedral8():
     # u of order 4 in the dihedral group of order 8, inverted by a reflection:
     # the height-zero count is the abelianization order 4, and the bound hits it

@@ -22,14 +22,16 @@ from blockbounds import (
     verify_gram_identity,
     verify_orthogonality,
 )
-from blockbounds.gendec import GenDecData
+from blockbounds.gendec import GenDecData, _vanishes
 from blockbounds.ntheory import euler_phi_prime_power, units_mod
 from conftest import (
+    DECOMPOSITION_D,
     dihedral_cells,
     reference_fourier_split,
     reference_gram_identity,
     reference_height_zero,
     reference_orthogonality,
+    reference_verify_all,
 )
 
 
@@ -93,8 +95,33 @@ def test_reduce_examples():
 def test_reduce_rejects_composite_conductor():
     with pytest.raises(DomainError):
         cyc_reduce({0: 1}, 6)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="not a prime power"):
         CyclotomicInteger(12, [0] * 4)
+
+
+def test_conductor_too_large_to_decide_is_not_called_composite():
+    # the Mersenne prime 2^89 - 1 lies above the Miller-Rabin limit: the
+    # primality test's own refusal comes through, not "not a prime power"
+    with pytest.raises(DomainError, match="too large to test for primality"):
+        CyclotomicInteger(2**89 - 1, [0])
+
+
+def test_vanishing_test_matches_reduction():
+    # coset-constant vectors (the kernel of Z[x]/(x^q - 1) -> Z[zeta_q]),
+    # half of them perturbed in one coordinate
+    rng = random.Random(7211)
+    for q in (1, 2, 3, 4, 8, 9, 25, 27, 32):
+        qp = q // next(f for f in range(2, q + 1) if q % f == 0) if q > 1 else 1
+        seen = set()
+        for _ in range(300):
+            levels = [rng.randint(-3, 3) for _ in range(qp)]
+            raw = [levels[e % qp] for e in range(q)]
+            if rng.random() < 0.5:
+                raw[rng.randrange(q)] += rng.choice((-2, -1, 1, 2))
+            zero = cyc_reduce(raw, q).is_zero()
+            assert _vanishes(raw, q) == zero, (q, raw)
+            seen.add(zero)
+        assert seen == {True, False}, q
 
 
 def test_non_integer_coefficients_are_rejected():
@@ -565,3 +592,85 @@ def test_integer_verifiers_match_pair_loop_reference():
             row = data.row(r)
             assert height_zero_valuation_check(row, ct, data.p, data.q) == \
                 reference_height_zero(row, ct, data.p, data.q), (label, r)
+
+
+# ---------------------------------------------------------------------------
+# verify_all against its reduce-and-compare reference, and the one Gram pass
+
+
+def q1_data(m, d, p):
+    """q = 1 data: the stack (m,) against C = d^t d, valid when m = d."""
+    cbar = [[sum(x[i] * x[j] for x in d) for j in range(len(d[0]))]
+            for i in range(len(d[0]))]
+    return GenDecData([m], SubsectionSpec(p, 1)), CartanData(RationalMatrix(cbar), p)
+
+
+def reference_cases():
+    """(label, data, C_bar, heights): seeded dihedral data for q in
+    {2, 4, 8, 9, 27, 32}, plain and Kronecker-expanded with the decomposition
+    matrix of S3 or A4, and the ordinary decomposition matrices at q = 1;
+    each valid, with one nonzero entry doubled and with one entry replaced.
+    The heights are seeded, so height-zero rows both pass and fail."""
+    rng = random.Random(6113)
+    for p, d in sorted(DECOMPOSITION_D.items()):
+        for label, m in ((f"q=1 p={p}", d),
+                         (f"q=1 p={p} doubled", [[2 * x for x in d[0]]] + d[1:])):
+            data, c_bar = q1_data(m, d, p)
+            yield label, data, c_bar, [rng.randint(0, 1) for _ in m]
+    for q in (2, 4, 8, 9, 27, 32):
+        for expand in (False, True):
+            cells, cbar, _ = dihedral_cells(q, expand)
+            rng.shuffle(cells)
+            spots = [(r, c) for r, row in enumerate(cells) for c, x in enumerate(row)
+                     if not cyc_reduce(x, q).is_zero()]
+            r, c = rng.choice(spots)
+            doubled = [[dict(x) for x in row] for row in cells]
+            doubled[r][c] = {e: 2 * a for e, a in cells[r][c].items()}
+            replaced = [[dict(x) for x in row] for row in cells]
+            replaced[r][c] = {rng.randrange(q): rng.choice((-2, -1, 1, 2)),
+                              rng.randrange(q): rng.choice((-1, 1))}
+            base = f"q={q}" + (" expanded" if expand else "")
+            for label, variant in ((base, cells), (base + " doubled", doubled),
+                                   (base + " replaced", replaced)):
+                heights = [rng.randint(0, 1) for _ in variant]
+                yield label, *data_from_cells(q, variant, cbar), heights
+
+
+def test_verify_all_matches_reduce_and_compare_reference():
+    outcomes = set()
+    for label, data, c_bar, heights in reference_cases():
+        for hs in (heights, None):
+            report = verify_all(data, c_bar, hs)
+            assert report.checks == reference_verify_all(data, c_bar, hs).checks, label
+            outcomes.update((c.name, c.passed) for c in report.checks)
+            if data.q == 1:
+                outcomes.add(("q=1 orthogonality", report.checks[0].passed))
+    # every check the zero test and the residue sums decide went both ways,
+    # at q = 1 as well
+    for name in ("orthogonality", "galois-orthogonality", "height-zero valuations",
+                 "q=1 orthogonality"):
+        assert {(name, True), (name, False)} <= outcomes, name
+
+
+def test_gram_blocks_are_built_once_per_data(monkeypatch):
+    import blockbounds.gendec as gendec
+
+    built = []
+    gram_blocks = gendec._gram_blocks
+    monkeypatch.setattr(
+        gendec, "_gram_blocks", lambda data: built.append(data) or gram_blocks(data)
+    )
+    cells, cbar, heights = dihedral_cells(9, expand=True)
+    doubled = [[dict(x) for x in row] for row in cells]
+    doubled[2][0] = {e: 2 * a for e, a in cells[2][0].items()}
+    for variant in (cells, doubled):
+        built.clear()
+        data, c_bar = data_from_cells(9, variant, cbar)
+        report = verify_all(data, c_bar, heights)
+        assert built == [data]
+        # each verifier on fresh data, called alone, gives the same rows
+        ortho = verify_orthogonality(data_from_cells(9, variant, cbar)[0], c_bar).checks
+        gram = verify_gram_identity(data_from_cells(9, variant, cbar)[0], c_bar).checks
+        assert report.checks[: len(ortho) + len(gram)] == ortho + gram
+        assert len(built) == 3
+    assert not report.ok
