@@ -18,6 +18,7 @@ from .exactmat import (
     InconsistentDataError,
     InternalInvariantError,
     RationalMatrix,
+    _cleared_int_rows,
     _inverse_rows,
     determinant,
     trace_pairing,
@@ -193,11 +194,9 @@ def k0_semidirect(spec: SubsectionSpec) -> int:
     return n * d
 
 
-def _normalized_cartan(
-    c: CartanData, spec: SubsectionSpec, cartan_is_b: bool
-) -> CartanData:
+def _normalized_cartan(c: CartanData, spec: SubsectionSpec) -> CartanData:
     """Return the Cartan matrix of the dominated block (b's divided by q)."""
-    if not cartan_is_b or spec.q == 1:
+    if spec.q == 1:
         return c
     q = spec.q
     scaled = c.matrix.scale(Fraction(1, q))
@@ -232,23 +231,20 @@ def subsection_k_bound(
     c_bar: CartanData,
     spec: SubsectionSpec,
     weight: WeightMatrix,
-    cartan_is_b: bool = False,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> BoundReport:
     """k(B) <= (n + (q-1)/n) tr(W C) <= q tr(W C) for a major subsection.
 
-    ``c_bar`` is the Cartan matrix of the dominated block; pass
-    ``cartan_is_b=True`` to supply b's Cartan matrix instead (it is divided
-    by q, and non-divisibility is rejected rather than silently misused).
+    ``c_bar`` is the Cartan matrix of the dominated block; ``_normalized_cartan``
+    turns b's Cartan matrix into it.
     """
     if spec.n % spec.p == 0:
         raise PreconditionError(
             "the k(B) bound needs the fusion quotient to be a p'-group "
             "(its order divides p - 1)"
         )
-    c = _normalized_cartan(c_bar, spec, cartan_is_b)
-    weight, notes = _aligned_weight(weight, spec, c.l, max_dim)
-    tr = trace_pairing(weight.matrix, c.matrix)
+    weight, notes = _aligned_weight(weight, spec, c_bar.l, max_dim)
+    tr = trace_pairing(weight.matrix, c_bar.matrix)
     n, q = spec.n, spec.q
     value = (Fraction(n) + Fraction(q - 1, n)) * tr
     return BoundReport(
@@ -270,13 +266,12 @@ def subsection_k0_bound(
     c_bar: CartanData,
     spec: SubsectionSpec,
     weight: WeightMatrix,
-    cartan_is_b: bool = False,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> BoundReport:
-    """k0(B) <= k0(<u> x| N) tr(W C) <= q tr(W C), any subsection."""
-    c = _normalized_cartan(c_bar, spec, cartan_is_b)
-    weight, notes = _aligned_weight(weight, spec, c.l, max_dim)
-    tr = trace_pairing(weight.matrix, c.matrix)
+    """k0(B) <= k0(<u> x| N) tr(W C) <= q tr(W C), any subsection; ``c_bar``
+    is the Cartan matrix of the dominated block."""
+    weight, notes = _aligned_weight(weight, spec, c_bar.l, max_dim)
+    tr = trace_pairing(weight.matrix, c_bar.matrix)
     k0 = k0_semidirect(spec)
     return BoundReport(
         name="subsection k0(B) bound",
@@ -521,7 +516,7 @@ def compare_all(
     output, never an assertion.
     """
     q = spec.q
-    c_bar = _normalized_cartan(cartan_b, spec, cartan_is_b=True)
+    c_bar = _normalized_cartan(cartan_b, spec)
     l = cartan_b.l
     if spec.ibr_action is not None and spec.ibr_action.degree != l:
         raise DomainError(
@@ -587,7 +582,7 @@ def compare_all(
         )
 
     if l == 1 and spec.p > 2:
-        top = int(cartan_b.matrix[0, 0])
+        [[top]], _ = _cleared_int_rows(cartan_b.matrix)
         if ntheory.is_power_of(top, spec.p):
             s_exp = ntheory.valuation(spec.n_p, spec.p)
             d = ntheory.valuation(top, spec.p)

@@ -138,11 +138,11 @@ def _load_action(arrays, degree: int, path: str) -> PermutationAction | None:
     return PermutationAction(degree, gens)
 
 
-def _load_cartan(record: dict, p: int, q: int, defect, path: str) -> CartanData:
-    normalization = _require(_object(record, "cartan", path), "normalization", path)
+def _load_cartan(record: dict, matrix, p: int, q: int, defect, path: str) -> CartanData:
+    """b's Cartan data from a ``cartan`` record and its parsed ``matrix``."""
+    normalization = _require(record, "normalization", path)
     if normalization not in ("b", "b_bar"):
         raise InputError(f"{path}: normalization must be 'b' or 'b_bar'")
-    matrix = matrix_from_record(_require(record, "matrix", path))
     if defect is not None:
         defect = _integer(defect, "defect", path)
     if normalization == "b_bar":
@@ -184,9 +184,9 @@ def _load_gendec(record: dict, path: str) -> tuple:
     if spec_rec.get("p", p) != p or spec_rec.get("q", q) != q:
         raise InputError(f"{path}: spec sub-record disagrees on p or q")
     spec = _load_spec({**spec_rec, "p": p, "q": q}, l, path)
-    cartan_b = _load_cartan(
-        _require(spec_rec, "cartan", path), p, q, spec_rec.get("defect"), path
-    )
+    cartan_rec = _object(_require(spec_rec, "cartan", path), "cartan", path)
+    matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
+    cartan_b = _load_cartan(cartan_rec, matrix, p, q, spec_rec.get("defect"), path)
     if cartan_b.l != l:
         raise InputError(f"{path}: cartan size {cartan_b.l} does not match l = {l}")
     qm = _object(_require(record, "q_matrix", path), "q_matrix", path)
@@ -207,7 +207,7 @@ def _load_gendec(record: dict, path: str) -> tuple:
             ], spec)
         else:
             raise InputError(f"{path}: q_matrix needs 'stack' or 'powers'")
-        c_bar = _normalized_cartan(cartan_b, spec, cartan_is_b=True)
+        c_bar = _normalized_cartan(cartan_b, spec)
     except DomainError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if data.k != k or data.l != l:
@@ -229,7 +229,7 @@ def _load_bundle(path: str) -> BlockBundle:
     matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
     l = matrix.rows
     spec = _load_spec(rec, l, path)
-    cartan_b = _load_cartan(cartan_rec, p, q, rec.get("defect"), path)
+    cartan_b = _load_cartan(cartan_rec, matrix, p, q, rec.get("defect"), path)
     ordering = rec.get("ordering")
     if ordering is not None:
         ordering = tuple(x - 1 for x in _integer_list(ordering, "ordering", path))
@@ -450,7 +450,7 @@ def _cmd_bounds_compare(args) -> int:
     notes = list(report.notes)
     status = 0
     if bundle.gendec is not None:
-        c_bar = _normalized_cartan(bundle.cartan_b, bundle.spec, cartan_is_b=True)
+        c_bar = _normalized_cartan(bundle.cartan_b, bundle.spec)
         ver = verify_all(bundle.gendec, c_bar, bundle.heights)
         notes.append(
             "gendec verification passed"

@@ -80,9 +80,6 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._rows[i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self._rows[i][j]
@@ -202,9 +199,12 @@ def direct_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def _cleared_int_rows(a) -> tuple[list[list[int]], int]:
     """Return (s*a as int rows, s) for the common denominator s > 0 of the
-    rows of Fractions ``a``."""
+    rows of Fractions ``a``, on integers only; s = 1 iff ``a`` is integral.
+
+    The one place where matrix entries become ints: no other module reads
+    the numerator or denominator of an entry."""
     s = lcm(*(x.denominator for row in a for x in row))
-    rows = [[int(x * s) for x in row] for row in a]
+    rows = [[x.numerator * (s // x.denominator) for x in row] for row in a]
     return rows, s
 
 
@@ -309,10 +309,10 @@ def elementary_divisors(a: RationalMatrix) -> list[int]:
     """Smith normal form diagonal d1 | d2 | ... | dn of an integer matrix."""
     if not a.is_square():
         raise ShapeError("elementary divisors need a square matrix")
-    if not a.is_integral():
+    m, s = _cleared_int_rows(a)
+    if s != 1:
         raise DomainError("elementary divisors are defined for integer matrices")
     n = a.rows
-    m = [[int(x) for x in row] for row in a]
     divs = []
     for t in range(n):
         while True:

@@ -12,7 +12,6 @@ content, because these tools exist to locate inconsistent inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .bounds import PreconditionError, SubsectionSpec
@@ -20,27 +19,21 @@ from .exactmat import (
     DomainError,
     InternalInvariantError,
     RationalMatrix,
-    _as_fraction,
     _bareiss,
+    _cleared_int_rows,
     _inverse_rows,
 )
-from .ntheory import prime_power_decomposition, units_mod
+from .ntheory import prime_and_phi, units_mod
 
 
-@lru_cache(maxsize=64)
 def _conductor_parts(q: int) -> tuple[int, int]:
-    """(p, phi(q)) for prime power q; q = 1 uses the phi(1) = 1 convention.
-
-    Cached: every element of one conductor asks for the same pair."""
-    if q == 1:
-        return 0, 1
+    """(p, phi(q)) for prime power q; q = 1 uses the phi(1) = 1 convention."""
     try:
-        p, _ = prime_power_decomposition(q)
+        return prime_and_phi(q)
     except DomainError:
         raise  # too large to decide, which is not the same as composite
     except ValueError as exc:
         raise DomainError(f"conductor {q} is not a prime power") from exc
-    return p, q - q // p
 
 
 def _int_coeffs(values) -> tuple[int, ...]:
@@ -265,8 +258,6 @@ class GenDecData:
 
     def __init__(self, stack, spec: SubsectionSpec):
         stack = tuple(tuple(map(tuple, m)) for m in stack)
-        if any(type(x) is not int for m in stack for row in m for x in row):
-            stack = tuple(tuple(map(_int_row, m)) for m in stack)
         phi = _conductor_parts(spec.q)[1]
         if len(stack) != phi:
             raise DomainError(f"need {phi} coefficient matrices, got {len(stack)}")
@@ -276,6 +267,11 @@ class GenDecData:
             raise DomainError("matrix must be at least 1x1")
         if any(len(m) != k or any(len(row) != l for row in m) for m in stack):
             raise DomainError("coefficient matrices must share one shape")
+        if any(type(x) is not int for m in stack for row in m for x in row):
+            ints, s = _cleared_int_rows(RationalMatrix([r for m in stack for r in m]))
+            if s != 1:
+                raise DomainError("coefficient matrices must be integral")
+            stack = tuple(tuple(map(tuple, ints[i:i + k])) for i in range(0, phi * k, k))
         self.stack = stack
         self.spec = spec
         self._blocks = None
@@ -316,14 +312,6 @@ class GenDecData:
 
     def __repr__(self) -> str:
         return f"GenDecData(k={self.k}, l={self.l}, q={self.q})"
-
-
-def _int_row(row) -> tuple:
-    """A stack row as a tuple of ints; non-integral entries are a DomainError."""
-    row = tuple(map(_as_fraction, row))
-    if any(x.denominator != 1 for x in row):
-        raise DomainError("coefficient matrices must be integral")
-    return tuple(x.numerator for x in row)
 
 
 def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
@@ -390,7 +378,7 @@ def verify_orthogonality(data: GenDecData, c_bar) -> VerificationReport:
     q, l = data.q, data.l
     if c_bar.l != l:
         raise DomainError("Cartan size does not match the column count")
-    cb = [[q * x.numerator for x in row] for row in c_bar.matrix]  # C of b itself
+    cb = [[q * x for x in row] for row in _cleared_int_rows(c_bar.matrix)[0]]  # b's C
     perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
     # entry (a, b) of P(gamma, 1) is the slice [q (a l + b), q (a l + b + 1))
     # of one flat raw vector; each block keeps its nonzero entries only
@@ -499,7 +487,7 @@ def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
     q, p, l = data.q, data.p, data.l
     if c_bar.l != l:
         raise DomainError("Cartan size does not match the column count")
-    cm = [[x.numerator for x in row] for row in c_bar.matrix]
+    cm = _cleared_int_rows(c_bar.matrix)[0]
     blocks = data.gram_blocks
     zero = [[0] * l for _ in range(l)]
     if q == 1:
@@ -595,9 +583,7 @@ def rank_check(data: GenDecData) -> VerificationReport:
     )
 
 
-def height_zero_valuation_check(
-    row, c_tilde: RationalMatrix, p: int, q: int
-) -> bool:
+def height_zero_valuation_check(row, c_tilde: RationalMatrix, p: int) -> bool:
     """True iff d C~ conj(d)^t has p-adic valuation zero.
 
     Valuation zero is equivalent to a nonzero image under zeta -> 1 modulo p,
@@ -607,15 +593,16 @@ def height_zero_valuation_check(
     ``c_tilde`` must be the integral matrix p^d C^{-1}.  An entry of ``row``
     may be an ``int``, which is its own image.
     """
-    if not c_tilde.is_integral():
+    ct, s = _cleared_int_rows(c_tilde)
+    if s != 1:
         raise PreconditionError("p^d C^{-1} must have integer entries")
     residues = [x if type(x) is int else x.residue_at_one() for x in row]
     l = len(residues)
     if c_tilde.rows != l or c_tilde.cols != l:
         raise DomainError("row length does not match the matrix")
     total = sum(
-        x.numerator * residues[a] * residues[b]
-        for a, crow in enumerate(c_tilde)
+        x * residues[a] * residues[b]
+        for a, crow in enumerate(ct)
         for b, x in enumerate(crow)
     )
     return total % p != 0
@@ -646,14 +633,13 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
         if len(heights) != data.k:
             raise DomainError("need one height per row")
         ct = c_tilde_of(c_bar)
-        offenders = []
-        for r, h in enumerate(heights):
-            # residues of row r: the column sums of its slices of the stack
-            if h == 0 and not height_zero_valuation_check(
-                [sum(col) for col in zip(*(m[r] for m in data.stack))],
-                ct, data.p, data.q,
-            ):
-                offenders.append(r)
+        # residues of each height-zero row: the column sums of its slices of
+        # the stack; rows with equal residues share one check
+        residues = {r: tuple(sum(col) for col in zip(*(m[r] for m in data.stack)))
+                    for r, h in enumerate(heights) if h == 0}
+        ok = {v: height_zero_valuation_check(v, ct, data.p)
+              for v in set(residues.values())}
+        offenders = [r for r, v in residues.items() if not ok[v]]
         checks.append(
             CheckResult(
                 "height-zero valuations",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 
@@ -95,12 +96,20 @@ def is_power_of(q: int, p: int) -> bool:
     return q >= 1 and q == p ** valuation(q, p)
 
 
+@lru_cache(maxsize=64)
+def prime_and_phi(q: int) -> tuple[int, int]:
+    """(p, phi(q)) for a prime power q = p^k; q = 1 gives (0, 1), the
+    phi(1) = 1 convention.  Cached: every element of one cyclotomic
+    conductor asks for the same pair."""
+    if q == 1:
+        return 0, 1
+    p, _ = prime_power_decomposition(q)
+    return p, q - q // p
+
+
 def euler_phi_prime_power(q: int) -> int:
     """phi(q) for a prime power q, with the convention phi(1) = 1."""
-    if q == 1:
-        return 1
-    p, _ = prime_power_decomposition(q)
-    return q - q // p
+    return prime_and_phi(q)[1]
 
 
 def part_of(n: int, p: int) -> tuple[int, int]:

@@ -92,7 +92,7 @@ def test_criterion_3_s3_subsection_fixture():
     assert rank_check(data).ok
     ct = c_tilde_of(c_bar)
     assert all(
-        height_zero_valuation_check(data.row(r), ct, 3, 3) for r in range(data.k)
+        height_zero_valuation_check(data.row(r), ct, 3) for r in range(data.k)
     )
 
     rep = subsection_k_bound(c_bar, spec, wada_weight(1))

@@ -25,7 +25,7 @@ from blockbounds import (
     wada_weight,
     weight_candidates,
 )
-from blockbounds.bounds import _aligned_weight
+from blockbounds.bounds import _aligned_weight, _normalized_cartan
 from blockbounds.fixtures import agl18_cartan, agl18_form_triples, a4xa4_cartan
 from blockbounds.lattice import DEFAULT_DIM_CAP
 from blockbounds.ntheory import unit_of_order
@@ -144,14 +144,20 @@ def test_subsection_k_bound_rejects_p_dividing_n():
         subsection_k_bound(cbar, spec, wada_weight(1))
 
 
-def test_subsection_k_bound_divides_b_cartan_with_flag():
+def test_normalized_cartan_divides_b_cartan():
     spec = SubsectionSpec(3, 3, (2,))
     c_of_b = CartanData(RationalMatrix([[3]]), 3)
-    rep = subsection_k_bound(c_of_b, spec, wada_weight(1), cartan_is_b=True)
-    assert rep.value == 3
+    c_bar = _normalized_cartan(c_of_b, spec)
+    assert c_bar.matrix == RationalMatrix([[1]])
+    assert subsection_k_bound(c_bar, spec, wada_weight(1)).value == 3
+    rows = {r.name: r for r in compare_all(c_of_b, spec).rows}
+    rep = rows["subsection k(B) bound (wada-path)"]
+    assert rep.value == 3 and dict(rep.inputs)["trace"] == "1"  # tr(C_b / q)
     bad = CartanData(RationalMatrix([[4]]), 3)
-    with pytest.raises(DomainError):
-        subsection_k_bound(bad, spec, wada_weight(1), cartan_is_b=True)
+    with pytest.raises(DomainError, match="divisible by q = 3"):
+        _normalized_cartan(bad, spec)
+    with pytest.raises(DomainError, match="divisible by q = 3"):
+        compare_all(bad, spec)
 
 
 def test_subsection_k0_bound_examples():

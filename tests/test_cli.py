@@ -6,6 +6,7 @@ import pytest
 
 import blockbounds
 from blockbounds.cli import run
+from blockbounds.exactmat import matrix_from_record
 from blockbounds.fixtures import FIXTURES
 from conftest import dihedral_cells, gendec_record
 
@@ -40,6 +41,20 @@ def test_bundle_fixtures_revalidate(tmp_path, capsys):
         out = capsys.readouterr().out
         assert "best k(B) bound" in out
         assert "WARNING" not in out
+
+
+def test_bundle_cartan_record_is_parsed_once(tmp_path, capsys, monkeypatch):
+    import blockbounds.cli as cli
+
+    parsed = []
+
+    def counting(rec):
+        parsed.append(rec)
+        return matrix_from_record(rec)
+
+    monkeypatch.setattr(cli, "matrix_from_record", counting)
+    assert run(["bounds", "compare", "--input", str(emit(tmp_path, "agl18"))]) == 0
+    assert len(parsed) == 1
 
 
 def test_s3_fixture_verifies(tmp_path, capsys):

@@ -356,6 +356,27 @@ def test_elementary_divisors_larger_entries():
             assert divisors == minor_gcd_divisors(m)
 
 
+def test_cleared_int_rows_matches_fraction_oracle():
+    # integer-only clearing against int(x * s), s the lcm of the denominators
+    from blockbounds.exactmat import _cleared_int_rows
+
+    rng = random.Random(203)
+    for trial in range(120):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        dens = [1] if trial % 4 == 0 else range(1, 13)  # every 4th all integral
+        a = RationalMatrix(
+            [[Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(c)]
+             for _ in range(r)]
+        )
+        s = lcm(*(x.denominator for row in a for x in row))
+        ints, got_s = _cleared_int_rows(a)
+        assert got_s == s and (s == 1) == a.is_integral()
+        assert ints == [[int(x * s) for x in row] for row in a]
+        assert all(type(v) is int for row in ints for v in row)
+    ints, s = _cleared_int_rows(RationalMatrix([["-7/12", "-5"], ["1/11", "0"]]))
+    assert s == 132 and ints == [[-77, -660], [12, 0]]
+
+
 def test_leading_minors_match_cofactor_oracle():
     # _ldl_rows on cleared rows s*A: minors D_k = s^k det(A_k) up to and
     # including the first one <= 0, and on positive definite input the

@@ -362,18 +362,18 @@ def test_verify_q2_column():
 def test_height_zero_valuation_examples():
     one = CyclotomicInteger.from_int(3, 1)
     ct = RationalMatrix([[1]])
-    assert height_zero_valuation_check([one], ct, 3, 3)
-    assert not height_zero_valuation_check([CyclotomicInteger.zero(3)], ct, 3, 3)
-    assert height_zero_valuation_check([-1 * one], ct, 3, 3)
+    assert height_zero_valuation_check([one], ct, 3)
+    assert not height_zero_valuation_check([CyclotomicInteger.zero(3)], ct, 3)
+    assert height_zero_valuation_check([-1 * one], ct, 3)
     with pytest.raises(PreconditionError):
-        height_zero_valuation_check([one], RationalMatrix([["1/3"]]), 3, 3)
+        height_zero_valuation_check([one], RationalMatrix([["1/3"]]), 3)
 
 
 def test_valuation_zero_rows_are_nonzero():
     data = s3_data()
     ct = c_tilde_of(cbar1(3))
     for r in range(data.k):
-        if height_zero_valuation_check(data.row(r), ct, 3, 3):
+        if height_zero_valuation_check(data.row(r), ct, 3):
             assert any(not x.is_zero() for x in data.row(r))
 
 
@@ -407,8 +407,8 @@ def test_c9_c3_rank_and_heights():
     assert rank_check(data).ok  # rank 2 = 1*6/3
     ct = c_tilde_of(cbar1(3))
     # positive-height rows vanish, so they fail the valuation-zero test
-    assert not height_zero_valuation_check(data.row(9), ct, 3, 9)
-    assert height_zero_valuation_check(data.row(0), ct, 3, 9)
+    assert not height_zero_valuation_check(data.row(9), ct, 3)
+    assert height_zero_valuation_check(data.row(0), ct, 3)
 
 
 def swap_action_data():
@@ -489,6 +489,14 @@ def test_gendec_data_validation():
         GenDecData((RationalMatrix([[1]]),), spec)  # needs phi(3) = 2 matrices
     with pytest.raises(DomainError):
         GenDecData((RationalMatrix([[1]]), RationalMatrix([[1], [2]])), spec)
+    with pytest.raises(DomainError, match="coefficient matrices must be integral"):
+        GenDecData((RationalMatrix([[1]]), RationalMatrix([["1/2"]])), spec)
+    with pytest.raises(DomainError, match="at least 1x1"):
+        GenDecData(([[]], [[]]), spec)  # 0 wide
+    # Fractions and strings that are integers become the same int stack
+    data = GenDecData((RationalMatrix([["4/2"]]), [["-3"]]), spec)
+    assert data.stack == (((2,),), ((-3,),))
+    assert all(type(x) is int for m in data.stack for row in m for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +598,7 @@ def test_integer_verifiers_match_pair_loop_reference():
         ct = c_tilde_of(c_bar)
         for r in range(data.k):
             row = data.row(r)
-            assert height_zero_valuation_check(row, ct, data.p, data.q) == \
+            assert height_zero_valuation_check(row, ct, data.p) == \
                 reference_height_zero(row, ct, data.p, data.q), (label, r)
 
 

@@ -9,6 +9,7 @@ from blockbounds.ntheory import (
     _iroot,
     euler_phi_prime_power,
     is_prime,
+    prime_and_phi,
     prime_power_decomposition,
     unit_group_closure,
 )
@@ -68,9 +69,15 @@ def test_prime_power_decomposition_finds_huge_prime_powers():
     assert prime_power_decomposition(2**61 - 1) == (2**61 - 1, 1)
     assert prime_power_decomposition((2**61 - 1) ** 2) == (2**61 - 1, 2)
     assert euler_phi_prime_power(2**61 - 1) == 2**61 - 2
+    assert prime_and_phi(3**30) == (3, 2 * 3**29) and prime_and_phi(1) == (0, 1)
     for q in (1, 6, 12, 36, 100, 3**30 * 2, 2**59 - 1):
         with pytest.raises(ValueError):
             prime_power_decomposition(q)
+        if q > 1:
+            with pytest.raises(ValueError):
+                prime_and_phi(q)
+    with pytest.raises(DomainError, match="too large to test"):
+        prime_and_phi(2**89 - 1)
 
 
 def test_unit_group_closure_is_bounded():
