@@ -36,8 +36,7 @@ from .exactmat import (
 from .gendec import (
     GenDecData,
     VerificationReport,
-    cyc_reduce,
-    fourier_split,
+    _split_cells,
     verify_all,
 )
 from .lattice import DEFAULT_DIM_CAP, form_minimum
@@ -90,6 +89,8 @@ def _load_json(path: str) -> dict:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # undecodable text, or more digits than int() converts
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _require(record: dict, field: str, path: str):
@@ -130,7 +131,8 @@ def _load_action(arrays, degree: int, path: str) -> PermutationAction | None:
         return None
     gens = []
     for arr in _list(arrays, "ibr_action", path):
-        if sorted(_integer_list(arr, "ibr_action", path)) != list(range(1, degree + 1)):
+        _integer_list(arr, "ibr_action", path)
+        if len(arr) != degree or sorted(arr) != list(range(1, degree + 1)):
             raise InputError(
                 f"{path}: permutation {arr} is not 1-indexed of degree {degree}"
             )
@@ -164,14 +166,21 @@ def _load_spec(record: dict, l: int, path: str) -> SubsectionSpec:
         raise InputError(f"{path}: bad subsection data: {exc}") from exc
 
 
-def _powers_cell(cell, field: str, path: str) -> dict:
-    """A ``powers`` cell: integer-string exponents mapped to integers."""
+def _powers_cell(cell, field: str, path: str) -> list:
+    """A ``powers`` cell, integer-string exponents mapped to integers, as
+    (exponent, coefficient) int pairs."""
     if not isinstance(cell, dict) or not all(_EXPONENT.fullmatch(e) for e in cell):
         raise InputError(f"{path}: '{field}' must be an object keyed by integer "
                          f"exponents, not {cell!r}")
+    pairs = []
     for e, c in cell.items():
         _integer(c, f"{field}[{e}]", path)
-    return cell
+        try:
+            pairs.append((int(e), c))
+        except ValueError:  # more digits than int() converts
+            raise InputError(f"{path}: '{field}' has an exponent of {len(e)} "
+                             "characters") from None
+    return pairs
 
 
 def _load_gendec(record: dict, path: str) -> tuple:
@@ -200,8 +209,8 @@ def _load_gendec(record: dict, path: str) -> tuple:
                 not isinstance(r, list) or len(r) != l for r in rows
             ):
                 raise InputError(f"{path}: 'powers' must be a {k}x{l} list of lists")
-            data = fourier_split([
-                [cyc_reduce(_powers_cell(cell, f"powers[{r}][{c}]", path), q)
+            data = _split_cells([
+                [_powers_cell(cell, f"powers[{r}][{c}]", path)
                  for c, cell in enumerate(row)]
                 for r, row in enumerate(rows)
             ], spec)

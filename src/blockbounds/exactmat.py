@@ -52,6 +52,10 @@ def _as_fraction(x) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             pass
+        except ValueError:  # more digits than int() converts
+            raise DomainError(
+                f"entry of {len(x)} characters has more digits than an exact entry may have"
+            ) from None
     raise DomainError(f"entry {x!r} is not an exact rational (an integer or a/b)")
 
 
@@ -408,9 +412,12 @@ class CartanData:
             if defect < 0:
                 raise DomainError("defect must be nonnegative")
             top = elementary_divisors(matrix)[-1]
-            if top != p**defect:
+            # p^defect >= 2^(defect (bits(p) - 1)): when that reaches the bit
+            # length of top, the two differ and p^defect is never formed
+            if defect * (p.bit_length() - 1) >= top.bit_length() or top != p**defect:
+                shown = top if top.bit_length() <= 4096 else f"of {top.bit_length()} bits"
                 raise DomainError(
-                    f"largest elementary divisor {top} is not p^defect = {p**defect}"
+                    f"largest elementary divisor {shown} is not p^defect = {p}^{defect}"
                 )
         self.matrix = matrix
         self.p = p

@@ -159,37 +159,46 @@ class CyclotomicInteger:
         return f"Cyc(q={self.q}, {body or '0'})"
 
 
-def cyc_reduce(raw, q: int) -> CyclotomicInteger:
-    """Reduce coefficients on zeta^0..zeta^{q-1} to the canonical basis.
+def _reduced(cells, q: int) -> list[int]:
+    """The canonical coefficients of n elements of Z[zeta_q], element t given
+    by the (exponent, int coefficient) pairs of ``cells[t]``: entry
+    (i - 1) n + t of the flat result is its zeta^i coefficient.
 
     zeta^e is a basis element for 1 <= e <= phi(q).  Any other exponent, with
     e = q standing for zeta^0, is zeta^(e - phi(q)) zeta^phi(q), and the
     prime-power relation 1 + zeta^{q/p} + ... + zeta^{(p-1)q/p} = 0 rewrites it
     as -(zeta^(e - phi) + zeta^(e - phi + q/p) + ... + zeta^(e - q/p)), all
-    basis elements.  Only the nonzero coefficients are visited.
+    basis elements.  Only the nonzero coefficients are visited; their types
+    are the caller's check.
     """
     p, phi = _conductor_parts(q)
-    if q == 1:
-        values = raw.values() if isinstance(raw, dict) else raw
-        return CyclotomicInteger._trusted(1, p, (sum(_int_coeffs(values)),))
+    n = len(cells)
+    qp = q // p if q > 1 else 1
+    out = [0] * (phi * n)
+    for t, pairs in enumerate(cells):
+        for e, c in pairs:
+            if c:
+                e = int(e) % q or q
+                if e <= phi:
+                    out[(e - 1) * n + t] += c
+                else:
+                    for j in range(e - phi - 1, e - 1, qp):
+                        out[j * n + t] -= c
+    return out
+
+
+def cyc_reduce(raw, q: int) -> CyclotomicInteger:
+    """Reduce coefficients on zeta^0..zeta^{q-1} (a list, or a dict keyed by
+    exponents) to the canonical basis; see ``_reduced``."""
+    p, _ = _conductor_parts(q)
     if isinstance(raw, dict):
-        items = zip(raw, _int_coeffs(raw.values()))
+        pairs = zip(raw, _int_coeffs(raw.values()))
     else:
         seq = _int_coeffs(raw)
-        if len(seq) > q:
+        if q > 1 and len(seq) > q:
             raise DomainError(f"need at most {q} raw coefficients")
-        items = enumerate(seq)
-    qp = q // p
-    out = [0] * (phi + 1)  # out[0] is never written
-    for e, c in items:
-        if c:
-            e = int(e) % q or q
-            if e <= phi:
-                out[e] += c
-            else:
-                for j in range(e - phi, e, qp):
-                    out[j] -= c
-    return CyclotomicInteger._trusted(q, p, tuple(out[1:]))
+        pairs = enumerate(seq)
+    return CyclotomicInteger._trusted(q, p, tuple(_reduced([pairs], q)))
 
 
 def _vanishes(raw, q: int) -> bool:
@@ -276,6 +285,14 @@ class GenDecData:
         self.spec = spec
         self._blocks = None
 
+    @classmethod
+    def _trusted(cls, stack: tuple, spec: SubsectionSpec) -> "GenDecData":
+        """Data from a stack of int row tuples that this module built itself
+        in the right shape, without validating it again."""
+        data = object.__new__(cls)
+        data.stack, data.spec, data._blocks = stack, spec, None
+        return data
+
     @property
     def q(self) -> int:
         return self.spec.q
@@ -332,8 +349,27 @@ def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
         spec = SubsectionSpec(first.p if q > 1 else 2, q)
     if spec.q != q:
         raise DomainError(f"spec has q = {spec.q} but entries have conductor {q}")
-    # row r of A_i is the i-th of the transposed coefficient tuples of row r
-    return GenDecData(zip(*(tuple(zip(*(x.coeffs for x in r))) for r in rows)), spec)
+    return _split_cells([[enumerate(x.coeffs, 1) for x in r] for r in rows], spec)
+
+
+def _split_cells(cells, spec: SubsectionSpec) -> GenDecData:
+    """The coefficient stack of the k x l matrix whose entry (r, c) is
+    sum x zeta^e over the (e, x) pairs of ``cells[r][c]``, each pair reduced
+    by ``_reduced`` straight into A_1 .. A_phi(q): no CyclotomicInteger per
+    entry, and no second scan of the stack.  The one producer of a stack
+    from cyclotomic entries; every x must be an int, which is the caller's
+    check."""
+    if not cells or not cells[0]:
+        raise DomainError("matrix must be at least 1x1")
+    l = len(cells[0])
+    if any(len(row) != l for row in cells):
+        raise DomainError("rows must share one length")
+    flat = _reduced([pairs for row in cells for pairs in row], spec.q)
+    k = len(cells)
+    rows = list(zip(*[iter(flat)] * l))  # the k rows of A_1, then of A_2, ...
+    return GenDecData._trusted(
+        tuple(tuple(rows[i:i + k]) for i in range(0, len(rows), k)), spec
+    )
 
 
 def _gram_blocks(data: GenDecData) -> dict:
@@ -360,10 +396,36 @@ def _gram_blocks(data: GenDecData) -> dict:
     return blocks
 
 
-def verify_orthogonality(data: GenDecData, c_bar) -> VerificationReport:
+class _Expected:
+    """What both verifiers read of (spec, C_bar) for data with l columns;
+    ``verify_all`` builds it once and passes it to each.
+
+    - ``perms`` maps each unit of N to its column permutation, and ``units``
+      lists (Z/q)^x;
+    - ``cm`` and ``cb`` are C_bar and b's C = q C_bar as int rows, and
+      ``zero`` is the l x l zero block.
+
+    Nothing in it may be modified."""
+
+    __slots__ = ("q", "l", "perms", "units", "cm", "cb", "zero")
+
+    def __init__(self, spec: SubsectionSpec, c_bar, l: int):
+        if c_bar.l != l:
+            raise DomainError("Cartan size does not match the column count")
+        self.q = q = spec.q
+        self.l = l
+        self.perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
+        self.units = units_mod(q)
+        self.cm = cm = _cleared_int_rows(c_bar.matrix)[0]
+        self.cb = [[q * x for x in row] for row in cm]
+        self.zero = [[0] * l for _ in range(l)]
+
+
+def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> VerificationReport:
     """Check Q^t conj(Q) = q C_bar, the Galois-twisted products against
     C_b P_gamma (0 across distinct cosets), and that C_b commutes with every
-    fusion permutation matrix.
+    fusion permutation matrix.  ``expected`` is the ``_Expected`` of
+    (data, c_bar) when the caller has built it.
 
     Galois automorphisms commute with complex conjugation and fix the
     rational expected matrices, so P(gamma, delta) = (Q^gamma)^t conj(Q^delta)
@@ -374,12 +436,8 @@ def verify_orthogonality(data: GenDecData, c_bar) -> VerificationReport:
     sum_{e,f} (A_e^t A_f)[a][b] zeta^(gamma e - f), accumulated on raw
     exponents; the expected integer is subtracted at exponent 0 and the
     difference tested with ``_vanishes``, without reducing it."""
-    spec = data.spec
-    q, l = data.q, data.l
-    if c_bar.l != l:
-        raise DomainError("Cartan size does not match the column count")
-    cb = [[q * x for x in row] for row in _cleared_int_rows(c_bar.matrix)[0]]  # b's C
-    perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
+    exp = expected or _Expected(data.spec, c_bar, data.l)
+    q, l, cb, perms, units = exp.q, exp.l, exp.cb, exp.perms, exp.units
     # entry (a, b) of P(gamma, 1) is the slice [q (a l + b), q (a l + b + 1))
     # of one flat raw vector; each block keeps its nonzero entries only
     terms = [
@@ -387,7 +445,6 @@ def verify_orthogonality(data: GenDecData, c_bar) -> VerificationReport:
                 for b, x in enumerate(row) if x])
         for (e, f), blk in data.gram_blocks.items()
     ]
-    units = units_mod(q)
 
     def first_mismatch(gamma):
         """First entry of P(gamma, 1) off its expected integer, or None."""
@@ -477,46 +534,41 @@ def _indicator_weights(spec: SubsectionSpec, phi: int) -> dict:
     return weights
 
 
-def verify_gram_identity(data: GenDecData, c_bar) -> VerificationReport:
+def verify_gram_identity(data: GenDecData, c_bar, expected=None) -> VerificationReport:
     """Check every product A_i^t A_j against the fusion indicator formula
-    C_bar sum_delta w(i, j, delta) P_delta, plus the block-vanishing
+    R_ij = C_bar sum_delta w(i, j, delta) P_delta, plus the block-vanishing
     consequences for p | i and for the Sylow part.  One ``gram`` row stands
     for all phi(q)^2 products when they match; otherwise each failing
-    product has its own ``gram(i,j)`` row."""
+    product has its own ``gram(i,j)`` row.  ``expected`` is as in
+    ``verify_orthogonality``."""
     spec = data.spec
-    q, p, l = data.q, data.p, data.l
-    if c_bar.l != l:
-        raise DomainError("Cartan size does not match the column count")
-    cm = _cleared_int_rows(c_bar.matrix)[0]
+    q, p = data.q, data.p
+    exp = expected or _Expected(spec, c_bar, data.l)
+    l, cm, perms, zero = exp.l, exp.cm, exp.perms, exp.zero
     blocks = data.gram_blocks
-    zero = [[0] * l for _ in range(l)]
     if q == 1:
         lhs = blocks.get((1, 1), zero)
         ok = lhs == cm
         detail = "A_1^t A_1 = C" if ok else f"A_1^t A_1 = {RationalMatrix(lhs)!r} != C"
         return VerificationReport((CheckResult("gram(1,1)", ok, detail),))
 
-    checks = []
     phi = len(data.stack)
-    perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
-    weights = _indicator_weights(spec, phi)
-    for i, j in sorted(blocks.keys() | weights.keys()):
-        lhs = blocks.get((i, j), zero)
-        rhs = [
-            [
-                sum(w * cm[a][perms[d][b]] for d, w in weights.get((i, j), {}).items())
-                for b in range(l)
-            ]
-            for a in range(l)
-        ]
-        if lhs != rhs:
-            checks.append(
-                CheckResult(
-                    f"gram({i},{j})",
-                    False,
-                    f"{RationalMatrix(lhs)!r} != {RationalMatrix(rhs)!r}",
-                )
-            )
+    want = {}  # the nonzero R_ij
+    for ij, cell in _indicator_weights(spec, phi).items():
+        rhs = [[sum(w * cm[a][perms[d][b]] for d, w in cell.items()) for b in range(l)]
+               for a in range(l)]
+        if rhs != zero:
+            want[ij] = rhs
+    checks = [] if blocks == want else [
+        CheckResult(
+            f"gram({i},{j})",
+            False,
+            f"{RationalMatrix(blocks.get((i, j), zero))!r} != "
+            f"{RationalMatrix(want.get((i, j), zero))!r}",
+        )
+        for i, j in sorted(blocks.keys() | want.keys())
+        if blocks.get((i, j), zero) != want.get((i, j), zero)
+    ]
     if not checks:
         checks.append(
             CheckResult("gram", True, f"all {phi * phi} products A_i^t A_j match")
@@ -600,6 +652,12 @@ def height_zero_valuation_check(row, c_tilde: RationalMatrix, p: int) -> bool:
     l = len(residues)
     if c_tilde.rows != l or c_tilde.cols != l:
         raise DomainError("row length does not match the matrix")
+    return _valuation_zero(residues, ct, p)
+
+
+def _valuation_zero(residues, ct: list, p: int) -> bool:
+    """sum_ab ct[a][b] r_a r_b is nonzero mod p, for int rows ``ct`` and
+    int residues r of matching length."""
     total = sum(
         x * residues[a] * residues[b]
         for a, crow in enumerate(ct)
@@ -616,11 +674,12 @@ def c_tilde_of(c_bar) -> RationalMatrix:
 
 def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
     """Run all verifiers; height-dependent checks only when heights are given."""
-    checks = list(verify_orthogonality(data, c_bar).checks)
-    checks.extend(verify_gram_identity(data, c_bar).checks)
+    exp = _Expected(data.spec, c_bar, data.l)
+    checks = list(verify_orthogonality(data, c_bar, exp).checks)
+    checks.extend(verify_gram_identity(data, c_bar, exp).checks)
     checks.extend(rank_check(data).checks)
 
-    nonzero = sum(1 for r in range(data.k) if any(any(m[r]) for m in data.stack))
+    nonzero = sum(1 for rows in zip(*data.stack) if any(map(any, rows)))
     checks.append(
         CheckResult(
             "nonzero-rows",
@@ -632,13 +691,13 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
         heights = list(heights)
         if len(heights) != data.k:
             raise DomainError("need one height per row")
-        ct = c_tilde_of(c_bar)
+        # p^d C^{-1} is integral: its rows are cleared once for every check
+        ct = _cleared_int_rows(c_tilde_of(c_bar))[0]
         # residues of each height-zero row: the column sums of its slices of
         # the stack; rows with equal residues share one check
-        residues = {r: tuple(sum(col) for col in zip(*(m[r] for m in data.stack)))
-                    for r, h in enumerate(heights) if h == 0}
-        ok = {v: height_zero_valuation_check(v, ct, data.p)
-              for v in set(residues.values())}
+        residues = {r: tuple(map(sum, zip(*rows)))
+                    for r, (rows, h) in enumerate(zip(zip(*data.stack), heights)) if h == 0}
+        ok = {v: _valuation_zero(v, ct, data.p) for v in set(residues.values())}
         offenders = [r for r, v in residues.items() if not ok[v]]
         checks.append(
             CheckResult(

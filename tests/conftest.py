@@ -38,7 +38,6 @@ from blockbounds.gendec import (
     field_trace,
     neg_residue_index,
     rank_check,
-    verify_gram_identity,
 )
 from blockbounds.ntheory import units_mod
 
@@ -436,18 +435,24 @@ def _indicator_weight(i, j, ip, jp, delta, q) -> int:
     )
 
 
+def _transposed_product(a, b) -> list:
+    """a^t b for int row lists of equal height."""
+    return [[sum(x[i] * y[j] for x, y in zip(a, b)) for j in range(len(b[0]))]
+            for i in range(len(a[0]))]
+
+
 def reference_gram_identity(data, c_bar):
     """The Gram checks by brute force: one ``gram(i,j)`` row per pair, each
-    product A_i^t A_j and its right-hand side built as RationalMatrix values
-    (q > 1 only)."""
+    product A_i^t A_j and its right-hand side C_bar sum_delta w P_delta
+    formed in full on int lists, with P_delta from ``perm_matrix`` (q > 1
+    only)."""
     spec = data.spec
     q, p, l = data.q, data.p, data.l
-    cm = c_bar.matrix
+    cm = [[int(x) for x in row] for row in c_bar.matrix]
     phi = len(data.stack)
-    zero = RationalMatrix.zeros(l, l)
+    zero = [[0] * l for _ in range(l)]
     products = {
-        (i, j): RationalMatrix(data.stack[i - 1]).transpose()
-        @ RationalMatrix(data.stack[j - 1])
+        (i, j): _transposed_product(data.stack[i - 1], data.stack[j - 1])
         for i in range(1, phi + 1)
         for j in range(1, phi + 1)
     }
@@ -458,10 +463,13 @@ def reference_gram_identity(data, c_bar):
         for delta in spec.elements:
             w = _indicator_weight(i, j, ip, jp, delta, q)
             if w:
-                acc = acc + perm_matrix(spec.perm_of(delta, l)).scale(w)
-        rhs = cm @ acc
+                pm = perm_matrix(spec.perm_of(delta, l))
+                acc = [[x + w * int(y) for x, y in zip(ra, rp)] for ra, rp in zip(acc, pm)]
+        rhs = [[sum(cm[a][c] * acc[c][b] for c in range(l)) for b in range(l)]
+               for a in range(l)]
         checks.append(CheckResult(
-            f"gram({i},{j})", lhs == rhs, "" if lhs == rhs else f"{lhs!r} != {rhs!r}"
+            f"gram({i},{j})", lhs == rhs,
+            "" if lhs == rhs else f"{RationalMatrix(lhs)!r} != {RationalMatrix(rhs)!r}"
         ))
     for name, divisor, holds, applies in (
         ("p-index block vanishing", p,
@@ -567,12 +575,31 @@ def _reference_orthogonality_checks(data, c_bar) -> list:
     return checks
 
 
+def _reference_gram_checks(data, c_bar) -> list:
+    """The Gram rows in the layout of ``verify_gram_identity`` (a ``gram``
+    row when every product matches, else one row per failing product, and
+    ``gram(1,1)`` alone at q = 1) from the brute-force products of
+    ``reference_gram_identity``."""
+    if data.q == 1:
+        lhs = RationalMatrix(_transposed_product(data.stack[0], data.stack[0]))
+        ok = lhs == c_bar.matrix
+        return [CheckResult("gram(1,1)", ok,
+                            "A_1^t A_1 = C" if ok else f"A_1^t A_1 = {lhs!r} != C")]
+    rows = reference_gram_identity(data, c_bar).checks
+    products = [c for c in rows if c.name.startswith("gram(")]
+    failing = [c for c in products if not c.passed]
+    head = failing or [CheckResult("gram", True,
+                                   f"all {len(products)} products A_i^t A_j match")]
+    return head + [c for c in rows if not c.name.startswith("gram(")]
+
+
 def reference_verify_all(data, c_bar, heights=None) -> VerificationReport:
-    """``verify_all`` before the coset zero test: the reduce-and-compare
-    orthogonality rows, and the height check on ``data.row(r)`` through the
-    cyclotomic product of ``reference_height_zero``."""
+    """``verify_all`` with no shared state: the reduce-and-compare
+    orthogonality rows, the brute-force Gram rows, and the height check on
+    ``data.row(r)`` through the cyclotomic product of
+    ``reference_height_zero``."""
     checks = _reference_orthogonality_checks(data, c_bar)
-    checks.extend(verify_gram_identity(data, c_bar).checks)
+    checks.extend(_reference_gram_checks(data, c_bar))
     checks.extend(rank_check(data).checks)
     nonzero = sum(1 for r in range(data.k) if any(not x.is_zero() for x in data.row(r)))
     checks.append(CheckResult(

@@ -7,7 +7,7 @@ import pytest
 import blockbounds
 from blockbounds.cli import run
 from blockbounds.exactmat import matrix_from_record
-from blockbounds.fixtures import FIXTURES
+from blockbounds.fixtures import FIXTURES, agl18_bundle, s3_subsection
 from conftest import dihedral_cells, gendec_record
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,6 +146,49 @@ def test_k0_work_is_bounded_on_huge_p_and_q():
     rc, seconds, err = run_bounded(["k0", "--p", "3", "--q", str(3**30), "--n-gen", "2"])
     assert rc == 2 and seconds < 1
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("defect", [20000, 2**89 - 1])
+def test_huge_defect_exits_2_promptly(tmp_path, defect):
+    # p^defect is neither formed nor printed: 2^20000 has more digits than
+    # int() converts to text, and 2^(2^89 - 1) would not fit in memory
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({**agl18_bundle(), "defect": defect}))
+    rc, seconds, err = run_bounded(["bounds", "compare", "--input", str(path)])
+    assert rc == 2 and seconds < 1
+    assert err.startswith("input error: ") and "is not p^defect = 2^" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("l", [10**30, 10**9])
+def test_huge_declared_l_exits_2_promptly(tmp_path, l):
+    # the permutation's length is checked before range(1, l + 1) is built
+    path = tmp_path / "gendec.json"
+    path.write_text(json.dumps({**s3_subsection(), "l": l}))
+    rc, seconds, err = run_bounded(["gendec", "verify", "--input", str(path)])
+    assert rc == 2 and seconds < 1
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # int() converts at most sys.get_int_max_str_digits() digits: a longer
+    # entry string, JSON number or powers exponent is an input error
+    digits = "7" * 5000
+    gram = tmp_path / "g.json"
+    for entry in (digits, f"1/{digits}"):
+        gram.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+        assert run(["lattice", "min", "--input", str(gram)]) == 2
+        assert "more digits than an exact entry may have" in capsys.readouterr().err
+    gram.write_text('{"rows": 1, "cols": 1, "entries": [[' + digits + ']]}')
+    assert run(["lattice", "min", "--input", str(gram)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    rec = s3_subsection()
+    rec["q_matrix"]["powers"][0][0] = {digits: 1}
+    path = tmp_path / "gendec.json"
+    path.write_text(json.dumps(rec))
+    assert run(["gendec", "verify", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'powers[0][0]' has an exponent of 5000 characters" in err
 
 
 def test_lattice_min_subcommand(tmp_path, capsys):

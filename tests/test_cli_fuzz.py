@@ -4,7 +4,9 @@ never in a traceback.
 Inputs are valid records with a few fields replaced or deleted, freshly
 drawn matrices of size at most 6x6, form files with indices up to 40, and
 argument lists drawn from the real vocabulary, including unwritable
-``--output`` paths.  Runs are derandomized, so the suite is deterministic.
+``--output`` paths.  Drawn values include huge integers (as a defect, a
+declared size or anything else) and digit strings longer than int()
+converts.  Runs are derandomized, so the suite is deterministic.
 """
 
 import contextlib
@@ -26,12 +28,21 @@ def fuzz(cases):
     return settings(max_examples=cases, derandomize=True, database=None, deadline=None)
 
 
+# Numbers past what the program may build or print: a defect d with p^d of
+# more digits than int() converts to text (or more than memory holds), a
+# declared l beyond any list, and digit strings longer than int() converts.
+huge_ints = st.one_of(st.sampled_from([20000, 10**9, 10**30, 2**89 - 1]),
+                      st.integers(10**4, 10**40))
+long_digits = st.integers(4301, 6000).map(lambda n: "7" * n)
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 40),
     st.floats(-4, 4, allow_nan=False, width=16),
     st.sampled_from(["", "0", "1", "-2", "3", "1/2", "-1/3", "0/0", "2/0", "x", " 1"]),
+    huge_ints,
+    long_digits,
+    long_digits.map("1/{}".format),
 )
 json_values = st.recursive(
     scalars,
@@ -152,6 +163,27 @@ def test_fuzz_gram_files(workdir, record):
 @fuzz(200)
 @given(record=mutated(s3_subsection()))
 def test_fuzz_gendec_files(workdir, record):
+    run_on(workdir, "gendec.json", record, ["gendec", "verify"])
+
+
+@st.composite
+def huge_gendec_files(draw):
+    """The S3 fixture with a huge declared l, a huge defect or an exponent
+    of many digits, then mutated or not."""
+    record = s3_subsection()
+    change = draw(st.integers(0, 2))
+    if change == 0:
+        record["l"] = draw(huge_ints)
+    elif change == 1:
+        record["spec"]["defect"] = draw(huge_ints)
+    else:
+        record["q_matrix"]["powers"][0][0] = {draw(long_digits): 1}
+    return draw(mutated(record)) if draw(st.booleans()) else record
+
+
+@fuzz(100)
+@given(record=huge_gendec_files())
+def test_fuzz_gendec_files_with_huge_values(workdir, record):
     run_on(workdir, "gendec.json", record, ["gendec", "verify"])
 
 

@@ -682,3 +682,79 @@ def test_gram_blocks_are_built_once_per_data(monkeypatch):
         assert report.checks[: len(ortho) + len(gram)] == ortho + gram
         assert len(built) == 3
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# the one stack producer, and the expected data shared by the verifiers
+
+
+def test_split_cells_reduces_every_cell_into_the_stack():
+    import blockbounds.gendec as gendec
+
+    rng = random.Random(2207)
+    for q in (2, 4, 8, 9, 25, 27, 32):
+        for expand in (False, True) if q in (4, 8, 9, 27) else (False,):
+            cells, cbar, _ = dihedral_cells(q, expand)
+            # exponents shifted by multiples of q reduce alike
+            shifted = [[{e + q * rng.randint(-2, 2): c for e, c in cell.items()}
+                        for cell in row] for row in cells]
+            spec = data_from_cells(q, cells, cbar)[0].spec
+            data = gendec._split_cells([[list(c.items()) for c in row] for row in shifted],
+                                       spec)
+            assert data.stack == data_from_cells(q, cells, cbar)[0].stack
+            entries = [[cyc_reduce(cell, q) for cell in row] for row in cells]
+            assert fourier_split(entries, spec).stack == data.stack
+            assert data.stack == reference_fourier_split(entries)
+            # the independent oracle: polynomial division, cell by cell
+            for r, row in enumerate(cells):
+                for c, cell in enumerate(row):
+                    got = CyclotomicInteger(q, [m[r][c] for m in data.stack])
+                    want = [0] * len(data.stack)
+                    for e, x in cell.items():
+                        want = [a + x * b for a, b in zip(want, poly_remainder(e % q, q))]
+                    assert to_power_basis(got) == want, (q, r, c)
+    with pytest.raises(DomainError, match="one length"):
+        gendec._split_cells([[[(0, 1)]], []], SubsectionSpec(3, 3))
+    with pytest.raises(DomainError, match="at least 1x1"):
+        gendec._split_cells([], SubsectionSpec(3, 3))
+
+
+def non_commuting_cases():
+    """(label, data, C_bar, heights): Kronecker-expanded dihedral data, N = <-1>
+    acting by a column swap, with a C_bar that the swap does not fix (so R
+    itself fails the commutation row) and with the data's own C_bar."""
+    for q, cbar in ((9, [[3, 1], [1, 2]]), (8, [[3, 1, 1], [1, 2, 1], [1, 1, 2]])):
+        cells, own, heights = dihedral_cells(q, expand=True)
+        swap = (1, 0) + tuple(range(2, len(own)))
+        for label, c in (("foreign", cbar), ("own", own)):
+            yield (f"q={q} swap {label}",
+                   *data_from_cells(q, cells, c, perm=swap), heights)
+
+
+def test_verify_all_with_one_expected_matches_the_reference(monkeypatch):
+    import blockbounds.gendec as gendec
+
+    built = []
+    expected = gendec._Expected
+
+    def counted(*args):
+        built.append(args)
+        return expected(*args)
+
+    monkeypatch.setattr(gendec, "_Expected", counted)
+    cases = list(reference_cases()) + list(non_commuting_cases())
+    for label, data, c_bar, hs in cases:
+        ref = reference_verify_all(data, c_bar, hs).checks
+        built.clear()
+        # the two verifiers share one _Expected, and nothing outlives the call
+        for _ in range(2):
+            assert verify_all(data, c_bar, hs).checks == ref, label
+            assert verify_all(data, c_bar, None).checks == ref[:-1], label
+        assert len(built) == 4, label
+        # each verifier called alone builds its own and gives the same rows
+        ortho = verify_orthogonality(data, c_bar).checks
+        gram = verify_gram_identity(data, c_bar).checks
+        assert ref[: len(ortho) + len(gram)] == ortho + gram, label
+        if " swap " in label:
+            # the commutation row follows C_bar, not the data
+            assert ortho[2].passed == label.endswith("own"), label
