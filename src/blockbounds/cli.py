@@ -75,8 +75,18 @@ class BlockBundle:
     heights: list | None = None
 
 
-def _approx(x: Fraction) -> float:
-    return float(x)
+def _approx(x: Fraction) -> float | None:
+    """The nearest float, or None (``null`` in records) beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def _approx_text(x: Fraction) -> str:
+    """``~`` and the approximation, as tables show it."""
+    f = _approx(x)
+    return "beyond float range" if f is None else f"~{f:g}"
 
 
 def _load_json(path: str) -> dict:
@@ -311,7 +321,7 @@ def _print_comparison_table(label: str, report: ComparisonReport):
         extra = f"  [{flags}]" if flags else ""
         print(
             f"  {r.name:<{width}}  {r.target:<6} "
-            f"{str(r.value):>10}  (~{_approx(r.value):g}, floor {r.integer_bound})"
+            f"{str(r.value):>10}  ({_approx_text(r.value)}, floor {r.integer_bound})"
             f"{star}{extra}"
         )
     for note in report.notes:
@@ -492,7 +502,7 @@ def _cmd_lattice_min(args) -> int:
     if args.format == "records":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"minimum {result.value} (~{_approx(result.value):g}) "
+        print(f"minimum {result.value} ({_approx_text(result.value)}) "
               f"at {list(result.witness)} ({result.num_minimizers} minimizers up to sign)")
     return 0
 

@@ -432,10 +432,12 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
     is the image of P(gamma/delta, 1) under zeta -> zeta^delta: it fails
     exactly when P(gamma/delta, 1) does, at the same entries.  Only the
     phi(q) products P(gamma, 1) are computed; a failing ratio stands for
-    phi(q) failing pairs.  Entry (a, b) of P(gamma, 1) is
-    sum_{e,f} (A_e^t A_f)[a][b] zeta^(gamma e - f), accumulated on raw
-    exponents; the expected integer is subtracted at exponent 0 and the
-    difference tested with ``_vanishes``, without reducing it."""
+    phi(q) failing pairs, and only its first failing (a, b) is kept.
+    Entry (a, b) of P(gamma, 1) is sum_{e,f} (A_e^t A_f)[a][b]
+    zeta^(gamma e - f), accumulated on raw exponents; the expected integer
+    is subtracted at exponent 0 and the difference tested with
+    ``_vanishes``, without reducing it.  Only the two reported entries, for
+    gamma = 1 and the least delta, are reduced."""
     exp = expected or _Expected(data.spec, c_bar, data.l)
     q, l, cb, perms, units = exp.q, exp.l, exp.cb, exp.perms, exp.units
     # entry (a, b) of P(gamma, 1) is the slice [q (a l + b), q (a l + b + 1))
@@ -446,35 +448,48 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
         for (e, f), blk in data.gram_blocks.items()
     ]
 
-    def first_mismatch(gamma):
-        """First entry of P(gamma, 1) off its expected integer, or None."""
+    def raw_entries(gamma, delta):
+        """P(gamma, delta) as one flat raw vector."""
         raw = [0] * (l * l * q)
         for e, f, entries in terms:
-            s = (gamma * e - f) % q
+            s = (gamma * e - delta * f) % q
             for o, x in entries:
                 raw[o + s] += x
+        return raw
+
+    def want(gamma, a, b):
         perm = perms.get(gamma)
+        return 0 if perm is None else cb[a][perm[b]]
+
+    def first_mismatch(gamma):
+        """(a, b) of the first entry of P(gamma, 1) off its expected integer,
+        or None."""
+        raw = raw_entries(gamma, 1)
         for a in range(l):
             for b in range(l):
-                want = 0 if perm is None else cb[a][perm[b]]
                 o = q * (a * l + b)
                 diff = raw[o : o + q]
-                diff[0] -= want
+                diff[0] -= want(gamma, a, b)
                 if not _vanishes(diff, q):
-                    return (a, b, cyc_reduce(raw[o : o + q], q),
-                            CyclotomicInteger.from_int(q, want))
+                    return a, b
         return None
+
+    def shown(delta, a, b):
+        """'entry (a, b): got != want' for P(1, delta), the image of
+        P(1/delta, 1) under zeta -> zeta^delta; the only entries reduced."""
+        o = q * (a * l + b)
+        got = cyc_reduce(raw_entries(1, delta)[o : o + q], q)
+        ratio = pow(delta, -1, q) if q > 1 else 1
+        expected = CyclotomicInteger.from_int(q, want(ratio, a, b))
+        return f"entry {a, b}: {got!r} != {expected!r}"
 
     bad = {g: m for g in units if (m := first_mismatch(g)) is not None}
     checks = []
-    one = bad.get(1)
     checks.append(
         CheckResult(
             "orthogonality",
-            one is None,
-            "Q^t conj(Q) = q*C holds"
-            if one is None
-            else f"entry {one[0], one[1]}: {one[2]!r} != {one[3]!r}",
+            1 not in bad,
+            shown(1, *bad[1]) if 1 in bad else "Q^t conj(Q) = q*C holds",
         )
     )
 
@@ -483,10 +498,9 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
     if bad:
         # in (gamma, delta) order gamma = 1 meets every ratio 1/delta first
         delta, ratio = min((pow(r, -1, q) if q > 1 else 1, r) for r in bad)
-        a, b, got, want = bad[ratio]
         detail = (
             f"{len(bad) * len(units)} of {pairs} Galois pairs fail; first "
-            f"(gamma=1, delta={delta}) entry {a, b}: {got.galois(delta)!r} != {want!r}"
+            f"(gamma=1, delta={delta}) {shown(delta, *bad[ratio])}"
         )
     checks.append(CheckResult("galois-orthogonality", not bad, detail))
 

@@ -9,6 +9,10 @@ scaling every partial sum by one common multiple of the denominators so
 that each coordinate range is one integer square root.  Certification
 decides positive definiteness once, in ``GramForm``; only a refused form is
 eliminated again, for its integer witness.  No step uses floating point.
+
+Searches are cached on the primitive integer form (the cleared rows over
+their gcd): c G has minimum c min(G) with the same minimizers, so all
+positive multiples of one form share one search.
 """
 
 from __future__ import annotations
@@ -162,14 +166,28 @@ def _normalize_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
 def form_minimum(
     gram: GramForm | RationalMatrix, max_dim: int = DEFAULT_DIM_CAP
 ) -> LatticeMinimum:
-    """Exact global minimum of x G x^t over Z^dim \\ {0}, with witness."""
+    """Exact global minimum of x G x^t over Z^dim \\ {0}, with witness.
+
+    The search runs on the primitive integer form of G (its denominator-
+    cleared rows over their gcd), so all positive multiples of one form
+    share a single cached search; the value is scaled back exactly.
+    """
     matrix = gram.matrix if isinstance(gram, GramForm) else GramForm(gram).matrix
     if matrix.rows > max_dim:
         raise DomainError(
             f"dimension {matrix.rows} exceeds the enumeration cap {max_dim}; "
             "raise it with --max-dim (max_dim= in Python)"
         )
-    return _form_minimum_cached(matrix)
+    ints, s = _cleared_int_rows(matrix)
+    g = gcd(*(x for row in ints for x in row))
+    if s == g == 1:
+        return _form_minimum_cached(matrix)
+    found = _form_minimum_cached(RationalMatrix([[x // g for x in row] for row in ints]))
+    return LatticeMinimum(
+        value=found.value * g / s,
+        witness=found.witness,
+        num_minimizers=found.num_minimizers,
+    )
 
 
 @lru_cache(maxsize=128)

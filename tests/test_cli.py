@@ -204,6 +204,22 @@ def test_lattice_min_subcommand(tmp_path, capsys):
     assert payload["witness"] == [1, 0, 0]
 
 
+def test_approximation_beyond_the_float_range(tmp_path, capsys):
+    # the exact value is printed in full; its decimal approximation is null
+    # in records and a marker in tables instead of an OverflowError
+    big = "1" + "0" * 400
+    gram = tmp_path / "big.json"
+    for entry, approx in ((big, None), (f"1/{big}", 0.0)):
+        gram.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[entry]]}))
+        assert run(["lattice", "min", "--input", str(gram), "--format", "records"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["minimum"] == entry and payload["approx"] == approx
+        assert run(["lattice", "min", "--input", str(gram)]) == 0
+        out = capsys.readouterr().out
+        marker = "(beyond float range)" if approx is None else "(~0)"
+        assert out == f"minimum {entry} {marker} at [1] (1 minimizers up to sign)\n"
+
+
 def test_weights_build_un(capsys):
     assert run(["weights", "build", "--kind", "un", "--n", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

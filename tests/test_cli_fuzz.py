@@ -5,8 +5,9 @@ Inputs are valid records with a few fields replaced or deleted, freshly
 drawn matrices of size at most 6x6, form files with indices up to 40, and
 argument lists drawn from the real vocabulary, including unwritable
 ``--output`` paths.  Drawn values include huge integers (as a defect, a
-declared size or anything else) and digit strings longer than int()
-converts.  Runs are derandomized, so the suite is deterministic.
+declared size or anything else), digit strings longer than int()
+converts, and valid matrix entries beyond the float range.  Runs are
+derandomized, so the suite is deterministic.
 """
 
 import contextlib
@@ -34,6 +35,12 @@ def fuzz(cases):
 huge_ints = st.one_of(st.sampled_from([20000, 10**9, 10**30, 2**89 - 1]),
                       st.integers(10**4, 10**40))
 long_digits = st.integers(4301, 6000).map(lambda n: "7" * n)
+# Valid entries whose values lie beyond the float range (about 1.8e308), or
+# so close to 0 that they round to it: the exact value prints, the decimal
+# approximation cannot.
+past_float = st.integers(310, 400).map(lambda n: "9" * n)
+huge_valid = st.one_of(past_float, past_float.map("-{}".format),
+                       past_float.map("1/{}".format), past_float.map("{}/7".format))
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -51,7 +58,7 @@ json_values = st.recursive(
                       inner, max_size=3),
     max_leaves=10,
 )
-entries = st.one_of(st.integers(0, 6).map(str), st.integers(-3, 9), scalars)
+entries = st.one_of(st.integers(0, 6).map(str), st.integers(-3, 9), scalars, huge_valid)
 
 
 @st.composite
@@ -153,11 +160,24 @@ def test_fuzz_bundles(workdir, record, records):
     run_on(workdir, "bundle.json", record, ["bounds", "compare"] + fmt)
 
 
+@st.composite
+def huge_diagonal_records(draw):
+    """A positive definite diagonal record of size at most 3x3 whose entries
+    may lie beyond the float range, so its minimum may too."""
+    n = draw(st.integers(1, 3))
+    diag = [draw(st.one_of(st.integers(1, 9).map(str), past_float,
+                           past_float.map("1/{}".format))) for _ in range(n)]
+    return {"rows": n, "cols": n,
+            "entries": [[diag[i] if i == j else "0" for j in range(n)] for i in range(n)]}
+
+
 @fuzz(200)
 @given(record=st.one_of(matrix_records(), matrix_records(symmetric_nonnegative=True),
-                        st.builds(dict), json_values))
-def test_fuzz_gram_files(workdir, record):
-    run_on(workdir, "gram.json", record, ["lattice", "min"])
+                        huge_diagonal_records(), st.builds(dict), json_values),
+       records=st.booleans())
+def test_fuzz_gram_files(workdir, record, records):
+    fmt = ["--format", "records"] if records else []
+    run_on(workdir, "gram.json", record, ["lattice", "min"] + fmt)
 
 
 @fuzz(200)

@@ -660,6 +660,34 @@ def test_verify_all_matches_reduce_and_compare_reference():
         assert {(name, True), (name, False)} <= outcomes, name
 
 
+def test_orthogonality_reduces_only_the_reported_entries(monkeypatch):
+    # a failing gamma keeps only the position of its first failing entry;
+    # the two entries the details show (gamma = 1 and the least delta) are
+    # the only raw vectors reduced ({0: n} dicts are the expected integers)
+    import blockbounds.gendec as gendec
+
+    reduced = []
+    cyc_reduce = gendec.cyc_reduce
+
+    def counted(raw, q):
+        if not isinstance(raw, dict):
+            reduced.append(q)
+        return cyc_reduce(raw, q)
+
+    monkeypatch.setattr(gendec, "cyc_reduce", counted)
+    most_failing = 0
+    for label, data, c_bar, _ in reference_cases():
+        reduced.clear()
+        checks = verify_orthogonality(data, c_bar).checks
+        assert len(reduced) <= (0 if checks[1].passed else 2), label
+        assert checks == reference_verify_all(data, c_bar).checks[:3], label
+        galois = checks[1]
+        if not galois.passed:
+            failing = int(galois.detail.split()[0]) // len(units_mod(data.q))
+            most_failing = max(most_failing, failing)
+    assert most_failing > 2  # so one reduction per failing gamma would show
+
+
 def test_gram_blocks_are_built_once_per_data(monkeypatch):
     import blockbounds.gendec as gendec
 

@@ -8,6 +8,7 @@ from blockbounds import (
     CartanData,
     DomainError,
     GramForm,
+    LatticeMinimum,
     RationalMatrix,
     certify_integral_positive_definite,
     determinant,
@@ -145,7 +146,41 @@ def test_minimum_search_keeps_the_benchmark_hooks():
     s = random_unimodular(random.Random(109), n, ops=3 * n)
     g = s.transpose() @ ij @ s
     _, reduced = lll_reduce(g)
+    # the search itself still takes a matrix that is not a primitive integer form
+    assert not reduced.is_integral()
     assert _form_minimum_cached.__wrapped__(reduced).value == form_minimum(g).value
+
+
+def scaling_cases():
+    """Seeded positive definite forms, integral and not, of dimension 1..6."""
+    rng = random.Random(115)
+    for dim in range(1, 7):
+        g = random_pd_int_matrix(rng, dim)
+        yield g
+        yield inverse(g)
+
+
+def test_multiples_of_a_form_share_its_minimum():
+    # min(c G) = c min(G), attained by the same vectors
+    for g in scaling_cases():
+        m = reference_form_minimum(g)
+        for c in (2, Fraction(3, 2), Fraction(1, 7), 10**6):
+            assert form_minimum(g.scale(c)) == LatticeMinimum(
+                value=c * m.value, witness=m.witness, num_minimizers=m.num_minimizers
+            ), (g, c)
+
+
+def test_a_multiple_after_its_form_is_a_cache_hit():
+    from blockbounds.lattice import _form_minimum_cached
+
+    _form_minimum_cached.cache_clear()
+    for g in scaling_cases():
+        form_minimum(g)
+        for c in (2, Fraction(3, 2), Fraction(1, 7), 10**6):
+            before = _form_minimum_cached.cache_info()
+            form_minimum(g.scale(c))
+            after = _form_minimum_cached.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses), (g, c)
 
 
 def test_minimum_of_identity():
