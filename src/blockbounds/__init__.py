@@ -58,7 +58,6 @@ from .gendec import (
     VerificationReport,
     c_tilde_of,
     cyc_reduce,
-    field_trace,
     fourier_split,
     height_zero_valuation_check,
     neg_residue_index,

@@ -74,10 +74,6 @@ class CyclotomicInteger:
     def from_int(cls, q: int, n: int) -> "CyclotomicInteger":
         return cyc_reduce({0: n}, q)
 
-    @classmethod
-    def zeta_power(cls, q: int, e: int, coeff: int = 1) -> "CyclotomicInteger":
-        return cyc_reduce({e % q: coeff}, q)
-
     def _check_same(self, other: "CyclotomicInteger"):
         if self.q != other.q:
             raise DomainError("conductors differ")
@@ -129,9 +125,6 @@ class CyclotomicInteger:
             if a:
                 raw[i * gamma % q] += a
         return cyc_reduce(raw, q)
-
-    def conjugate(self) -> "CyclotomicInteger":
-        return self.galois(self.q - 1) if self.q > 1 else self
 
     def residue_at_one(self) -> int:
         """Image under zeta -> 1 (reduction modulo the prime above p)."""
@@ -201,29 +194,23 @@ def cyc_reduce(raw, q: int) -> CyclotomicInteger:
     return CyclotomicInteger._trusted(q, p, tuple(_reduced([pairs], q)))
 
 
-def _vanishes(raw, q: int) -> bool:
-    """True iff sum_e raw[e] zeta^e = 0, for a list of q ints.
+def _vanishes(terms: dict, q: int, p: int) -> bool:
+    """True iff sum_e terms[e] zeta^e = 0, for a dict of exponents 0..q-1
+    to ints (an absent exponent has coefficient 0).
 
     The kernel of Z[x]/(x^q - 1) -> Z[zeta_q] is spanned by the x^t Phi_q(x),
-    which are the indicators of the cosets t + (q/p)Z, so raw vanishes iff
-    it is constant on every coset: raw[e] = raw[e + q/p] for all e."""
+    which are the indicators of the cosets t + (q/p)Z, so the sum vanishes
+    iff it is constant on every coset.  Only a coset that holds a nonzero
+    term can fail, and it is constant iff each nonzero term equals the term
+    q/p further on, cyclically: a coset that is not constant changes value
+    somewhere on its cycle, and some change starts at a nonzero term."""
     if q == 1:
-        return raw[0] == 0
-    qp = q // _conductor_parts(q)[0]
-    return raw[qp:] == raw[: q - qp]
-
-
-def field_trace(x: CyclotomicInteger) -> int:
-    """Absolute trace of Q(zeta_q)/Q, by the standard case formula:
-    phi(q) on exponent 0, -q/p on nonzero multiples of q/p, else 0."""
-    if x.q == 1:
-        return x.coeffs[0]
-    qp = x.q // x.p
-    total = 0
-    for i, c in enumerate(x.coeffs, start=1):
-        if c and i % qp == 0:
-            total -= c * qp
-    return total
+        return not any(terms.values())
+    qp = q // p
+    for e, x in terms.items():
+        if x and terms.get((e + qp) % q, 0) != x:
+            return False
+    return True
 
 
 def neg_residue_index(i: int, q: int, p: int) -> int:
@@ -318,15 +305,6 @@ class GenDecData:
             self._blocks = _gram_blocks(self)
         return self._blocks
 
-    def entry(self, r: int, c: int) -> CyclotomicInteger:
-        return CyclotomicInteger(self.q, [m[r][c] for m in self.stack])
-
-    def row(self, r: int) -> tuple[CyclotomicInteger, ...]:
-        return tuple(self.entry(r, c) for c in range(self.l))
-
-    def q_matrix(self) -> list[list[CyclotomicInteger]]:
-        return [list(self.row(r)) for r in range(self.k)]
-
     def __repr__(self) -> str:
         return f"GenDecData(k={self.k}, l={self.l}, q={self.q})"
 
@@ -400,25 +378,41 @@ class _Expected:
     """What both verifiers read of (spec, C_bar) for data with l columns;
     ``verify_all`` builds it once and passes it to each.
 
-    - ``perms`` maps each unit of N to its column permutation, and ``units``
-      lists (Z/q)^x;
+    - ``perms`` maps each unit of N to its column permutation;
     - ``cm`` and ``cb`` are C_bar and b's C = q C_bar as int rows, and
-      ``zero`` is the l x l zero block.
+      ``zero`` is the l x l zero block;
+    - ``involutive`` says that every fusion permutation is its own inverse.
 
     Nothing in it may be modified."""
 
-    __slots__ = ("q", "l", "perms", "units", "cm", "cb", "zero")
+    __slots__ = ("q", "l", "perms", "cm", "cb", "zero", "involutive")
 
     def __init__(self, spec: SubsectionSpec, c_bar, l: int):
         if c_bar.l != l:
             raise DomainError("Cartan size does not match the column count")
         self.q = q = spec.q
         self.l = l
-        self.perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
-        self.units = units_mod(q)
+        self.perms = perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
         self.cm = cm = _cleared_int_rows(c_bar.matrix)[0]
         self.cb = [[q * x for x in row] for row in cm]
         self.zero = [[0] * l for _ in range(l)]
+        self.involutive = all(perm[perm[b]] == b for perm in perms.values() for b in range(l))
+
+
+def _orthogonality_rows(pairs: int, bad_entry=None, bad_pairs=None, comm=None) -> list:
+    """The orthogonality, galois-orthogonality and cartan-permutation-
+    commutation rows for phi(q)^2 = ``pairs`` Galois pairs: ``bad_entry``
+    and ``bad_pairs`` are the details of a failing check (None when it
+    holds), ``comm`` a unit whose permutation C does not commute with."""
+    return [
+        CheckResult("orthogonality", bad_entry is None,
+                    bad_entry or "Q^t conj(Q) = q*C holds"),
+        CheckResult("galois-orthogonality", bad_pairs is None,
+                    bad_pairs or f"all {pairs} Galois pairs match"),
+        CheckResult("cartan-permutation-commutation", comm is None,
+                    "C commutes with every fusion permutation" if comm is None
+                    else f"C P_{comm} != P_{comm} C"),
+    ]
 
 
 def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> VerificationReport:
@@ -434,28 +428,26 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
     phi(q) products P(gamma, 1) are computed; a failing ratio stands for
     phi(q) failing pairs, and only its first failing (a, b) is kept.
     Entry (a, b) of P(gamma, 1) is sum_{e,f} (A_e^t A_f)[a][b]
-    zeta^(gamma e - f), accumulated on raw exponents; the expected integer
-    is subtracted at exponent 0 and the difference tested with
-    ``_vanishes``, without reducing it.  Only the two reported entries, for
-    gamma = 1 and the least delta, are reduced."""
+    zeta^(gamma e - f): one term per nonzero Gram block, collected by
+    exponent with the expected integer subtracted at exponent 0 and tested
+    with ``_vanishes``, so a gamma costs the nonzero terms, not l^2 q.  Only
+    the two reported entries, for gamma = 1 and the least delta, are
+    reduced."""
     exp = expected or _Expected(data.spec, c_bar, data.l)
-    q, l, cb, perms, units = exp.q, exp.l, exp.cb, exp.perms, exp.units
-    # entry (a, b) of P(gamma, 1) is the slice [q (a l + b), q (a l + b + 1))
-    # of one flat raw vector; each block keeps its nonzero entries only
-    terms = [
-        (e, f, [(q * (a * l + b), x) for a, row in enumerate(blk)
-                for b, x in enumerate(row) if x])
-        for (e, f), blk in data.gram_blocks.items()
-    ]
+    q, l, cb, perms = exp.q, exp.l, exp.cb, exp.perms
+    p, units = data.p, units_mod(q)
+    blocks = data.gram_blocks.items()
+    # entry a l + b: its (e, f, x) terms, one per nonzero block entry
+    terms = [[(e, f, x) for (e, f), blk in blocks if (x := blk[a][b])]
+             for a in range(l) for b in range(l)]
 
-    def raw_entries(gamma, delta):
-        """P(gamma, delta) as one flat raw vector."""
-        raw = [0] * (l * l * q)
-        for e, f, entries in terms:
+    def entry(gamma, delta, a, b):
+        """Entry (a, b) of P(gamma, delta) as {exponent: coefficient}."""
+        acc = {}
+        for e, f, x in terms[a * l + b]:
             s = (gamma * e - delta * f) % q
-            for o, x in entries:
-                raw[o + s] += x
-        return raw
+            acc[s] = acc.get(s, 0) + x
+        return acc
 
     def want(gamma, a, b):
         perm = perms.get(gamma)
@@ -464,56 +456,38 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
     def first_mismatch(gamma):
         """(a, b) of the first entry of P(gamma, 1) off its expected integer,
         or None."""
-        raw = raw_entries(gamma, 1)
         for a in range(l):
             for b in range(l):
-                o = q * (a * l + b)
-                diff = raw[o : o + q]
-                diff[0] -= want(gamma, a, b)
-                if not _vanishes(diff, q):
+                acc = entry(gamma, 1, a, b)
+                acc[0] = acc.get(0, 0) - want(gamma, a, b)
+                if not _vanishes(acc, q, p):
                     return a, b
         return None
 
     def shown(delta, a, b):
         """'entry (a, b): got != want' for P(1, delta), the image of
         P(1/delta, 1) under zeta -> zeta^delta; the only entries reduced."""
-        o = q * (a * l + b)
-        got = cyc_reduce(raw_entries(1, delta)[o : o + q], q)
+        got = cyc_reduce(entry(1, delta, a, b), q)
         ratio = pow(delta, -1, q) if q > 1 else 1
         expected = CyclotomicInteger.from_int(q, want(ratio, a, b))
         return f"entry {a, b}: {got!r} != {expected!r}"
 
     bad = {g: m for g in units if (m := first_mismatch(g)) is not None}
-    checks = []
-    checks.append(
-        CheckResult(
-            "orthogonality",
-            1 not in bad,
-            shown(1, *bad[1]) if 1 in bad else "Q^t conj(Q) = q*C holds",
-        )
-    )
-
     pairs = len(units) ** 2
-    detail = f"all {pairs} Galois pairs match"
+    bad_pairs = None
     if bad:
         # in (gamma, delta) order gamma = 1 meets every ratio 1/delta first
         delta, ratio = min((pow(r, -1, q) if q > 1 else 1, r) for r in bad)
-        detail = (
+        bad_pairs = (
             f"{len(bad) * len(units)} of {pairs} Galois pairs fail; first "
             f"(gamma=1, delta={delta}) {shown(delta, *bad[ratio])}"
         )
-    checks.append(CheckResult("galois-orthogonality", not bad, detail))
-
     # C P = P C  iff  C[perm[a]][perm[b]] = C[a][b] for all a, b
-    comm_ok = True
-    comm_detail = "C commutes with every fusion permutation"
-    for unit, perm in perms.items():
-        if any(cb[perm[a]][perm[b]] != cb[a][b] for a in range(l) for b in range(l)):
-            comm_ok = False
-            comm_detail = f"C P_{unit} != P_{unit} C"
-            break
-    checks.append(CheckResult("cartan-permutation-commutation", comm_ok, comm_detail))
-    return VerificationReport(tuple(checks))
+    comm = next((unit for unit, perm in perms.items()
+                 if any(cb[perm[a]][perm[b]] != cb[a][b]
+                        for a in range(l) for b in range(l))), None)
+    return VerificationReport(tuple(_orthogonality_rows(
+        pairs, shown(1, *bad[1]) if 1 in bad else None, bad_pairs, comm)))
 
 
 def _indicator_weights(spec: SubsectionSpec, phi: int) -> dict:
@@ -622,31 +596,19 @@ def rank_check(data: GenDecData) -> VerificationReport:
     """The assembled coefficient matrix (A_1 .. A_phi side by side) must have
     rank l*phi(q)/n."""
     spec = data.spec
-    phi = len(data.stack)
-    num = data.l * phi
+    num = data.l * len(data.stack)
     if num % spec.n:
-        return VerificationReport(
-            (
-                CheckResult(
-                    "rank",
-                    False,
-                    f"n = {spec.n} does not divide l*phi(q) = {num}; "
-                    "the subsection data is inconsistent",
-                ),
-            )
-        )
-    expected = num // spec.n
+        return VerificationReport((CheckResult(
+            "rank", False, f"n = {spec.n} does not divide l*phi(q) = {num}; "
+            "the subsection data is inconsistent"),))
     rows = [[x for m in data.stack for x in m[r]] for r in range(data.k)]
     got = len(_bareiss(rows, num, pivoting=True)[0])
-    return VerificationReport(
-        (
-            CheckResult(
-                "rank",
-                got == expected,
-                f"rank {got}, expected l*phi(q)/n = {expected}",
-            ),
-        )
-    )
+    return VerificationReport((_rank_row(got, num // spec.n),))
+
+
+def _rank_row(got: int, expected: int) -> CheckResult:
+    """The ``rank`` row for a computed rank ``got``."""
+    return CheckResult("rank", got == expected, f"rank {got}, expected l*phi(q)/n = {expected}")
 
 
 def height_zero_valuation_check(row, c_tilde: RationalMatrix, p: int) -> bool:
@@ -687,11 +649,48 @@ def c_tilde_of(c_bar) -> RationalMatrix:
 
 
 def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
-    """Run all verifiers; height-dependent checks only when heights are given."""
+    """Run all verifiers; height-dependent checks only when heights are given.
+
+    The Gram comparison runs first.  When its ``gram`` row passes
+    (``gram(1,1)`` at q = 1) and every fusion permutation P_x is an
+    involution, the orthogonality, Galois, commutation and rank rows are the
+    passing rows that ``verify_orthogonality`` and ``rank_check`` compute,
+    built without running either; otherwise both run.  Write s_g for
+    zeta -> zeta^g and G_ef = A_e^t A_f.
+
+    - *The Gram identity decides every Galois pair.*  P(g, d) =
+      sum_{e,f} G_ef s_g(zeta^e) conj(s_d(zeta^f)) is the image of the
+      blocks G under V (x) conj(V), V = (s_g(zeta^e))_{g,e}, which is
+      invertible since zeta^1..zeta^phi is a basis of Q(zeta_q): the image
+      is injective.  The image of R is q C_bar P_{d/g}: with the trace-dual
+      basis t_i = zeta^-i - zeta^i' (Tr(zeta^e t_i) = q [e = i]), inverting
+      gives R_ij = C_bar sum_{d in N} Tr(t_i s_-d(t_j))/q P_d, and of the
+      traces of the four powers of zeta in t_i s_-d(t_j) the -1/p parts
+      cancel (the four exponents agree modulo q/p), leaving w(i, j, d).  So
+      the ``gram`` row passes iff P(g, d) = q C_bar P_{d/g} for every pair.
+      Then P(1, 1) = q C_bar; the Galois check, which expects q C_bar
+      P_{g/d}, passes iff P_x = P_{x^-1} on N (C_bar is nonsingular), which
+      is the involution condition; and since P(d, g) is the conjugate
+      transpose of P(g, d), C_bar P_x = P_x C_bar for every x: no input
+      passes the ``gram`` row and fails commutation, so the shortcut does
+      not test commutation.
+    - *Rank.*  X = [Q^s_g]_g = [A_1 .. A_phi] (V^t (x) I_l) has the rank of
+      the coefficient matrix, which is that of its Hermitian Gram
+      (P(g, d))_{g,d}.  That vanishes across distinct cosets of N, and on a
+      coset gN its blocks q C_bar P_x^-1 P_y (x, y in N) factor as a
+      column of the l x l blocks q C_bar P_x^-1 times the row of the P_y,
+      of rank l since C_bar is positive definite.  So the rank is
+      l phi(q)/n over the phi(q)/n cosets, and n = |N| divides phi(q).
+    """
     exp = _Expected(data.spec, c_bar, data.l)
-    checks = list(verify_orthogonality(data, c_bar, exp).checks)
-    checks.extend(verify_gram_identity(data, c_bar, exp).checks)
-    checks.extend(rank_check(data).checks)
+    gram = verify_gram_identity(data, c_bar, exp).checks
+    if gram[0].passed and exp.involutive:
+        phi = len(data.stack)
+        rank = data.l * phi // data.spec.n
+        checks = [*_orthogonality_rows(phi * phi), *gram, _rank_row(rank, rank)]
+    else:
+        checks = [*verify_orthogonality(data, c_bar, exp).checks, *gram,
+                  *rank_check(data).checks]
 
     nonzero = sum(1 for rows in zip(*data.stack) if any(map(any, rows)))
     checks.append(

@@ -7,8 +7,9 @@ matrices for permutations that the library keeps as index tuples, a
 textbook Gram-Schmidt for the LLL conditions, the ``Fraction``
 Fincke-Pohst descent that the library's integer search replaced, the
 ``Fraction`` back substitution that the library's integer inverse replaced,
-and the reduce-and-compare ``verify_all`` that the library's coset zero test
-replaced.
+the reduce-and-compare ``verify_all`` that the library's coset zero test
+replaced, and the cyclotomic helpers that no library path needs (field
+trace, conjugation, powers of zeta, the entries of a coefficient stack).
 """
 
 from __future__ import annotations
@@ -22,24 +23,27 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from blockbounds import (
+    CartanData,
     CyclotomicInteger,
     LatticeMinimum,
+    PermutationAction,
     RationalMatrix,
     SingularMatrixError,
+    SubsectionSpec,
     lll_reduce,
 )
 from blockbounds.exactmat import _bareiss, _cleared_int_rows
 from blockbounds.gendec import (
     CheckResult,
+    GenDecData,
     VerificationReport,
     _gram_blocks,
     c_tilde_of,
     cyc_reduce,
-    field_trace,
     neg_residue_index,
     rank_check,
 )
-from blockbounds.ntheory import units_mod
+from blockbounds.ntheory import euler_phi_prime_power, units_mod
 
 
 @lru_cache(maxsize=16)
@@ -286,6 +290,42 @@ def minor_gcd_divisors(matrix: RationalMatrix) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# gendec: cyclotomic oracles that the library does not need
+
+
+def zeta_power(q: int, e: int, coeff: int = 1) -> CyclotomicInteger:
+    """coeff * zeta_q^e."""
+    return cyc_reduce({e % q: coeff}, q)
+
+
+def conjugate(x: CyclotomicInteger) -> CyclotomicInteger:
+    """Complex conjugation, the Galois automorphism zeta -> zeta^-1."""
+    return x.galois(x.q - 1) if x.q > 1 else x
+
+
+def field_trace(x: CyclotomicInteger) -> int:
+    """Absolute trace of Q(zeta_q)/Q, by the standard case formula:
+    phi(q) on exponent 0, -q/p on nonzero multiples of q/p, else 0."""
+    if x.q == 1:
+        return x.coeffs[0]
+    qp = x.q // x.p
+    return -qp * sum(c for i, c in enumerate(x.coeffs, start=1) if i % qp == 0)
+
+
+def entry_of(data, r: int, c: int) -> CyclotomicInteger:
+    """Entry (r, c) of the matrix whose coefficient stack is ``data.stack``."""
+    return CyclotomicInteger(data.q, [m[r][c] for m in data.stack])
+
+
+def row_of(data, r: int) -> tuple:
+    return tuple(entry_of(data, r, c) for c in range(data.l))
+
+
+def q_matrix_of(data) -> list:
+    return [list(row_of(data, r)) for r in range(data.k)]
+
+
+# ---------------------------------------------------------------------------
 # gendec: dihedral test data and the phi(q)^2-pair reference verifiers
 
 # Ordinary decomposition matrices D of S3 (p = 3) and A4 (p = 2); C = D^t D.
@@ -329,6 +369,22 @@ def dihedral_cells(q: int, expand: bool = False) -> tuple[list, list, list]:
     return cells, cbar, [h for h in heights for _ in d]
 
 
+def data_from_cells(q, cells, cbar, gens=None, perm=None):
+    """GenDecData and C_bar from exponent-map cells; N = <gens> (default
+    <-1>), each generator acting on the columns by ``perm``."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    l = len(cbar)
+    gens = (q - 1,) if gens is None else gens
+    action = PermutationAction(l, [perm or tuple(range(l))] * len(gens))
+    entries = [[cyc_reduce(cell, q) for cell in row] for row in cells]
+    stack = [
+        RationalMatrix([[x.coeffs[i] for x in row] for row in entries])
+        for i in range(euler_phi_prime_power(q))
+    ]
+    spec = SubsectionSpec(p, q, gens, action)
+    return GenDecData(stack, spec), CartanData(RationalMatrix(cbar), p)
+
+
 def gendec_record(q: int, cells, cbar, heights, perm=None) -> dict:
     """A ``gendec verify`` input: N generated by -1, acting on the columns
     by ``perm`` (1-indexed images, the identity by default)."""
@@ -364,7 +420,7 @@ def _cyc_product_t_conj(a, b, q: int):
         for j in range(len(b[0])):
             acc = CyclotomicInteger.zero(q)
             for r in range(len(a)):
-                acc = acc + a[r][i] * b[r][j].conjugate()
+                acc = acc + a[r][i] * conjugate(b[r][j])
             row.append(acc)
         out.append(row)
     return out
@@ -387,7 +443,7 @@ def reference_orthogonality(data, c_bar):
     spec = data.spec
     q, l = data.q, data.l
     cb = c_bar.matrix.scale(q)
-    qmat = data.q_matrix()
+    qmat = q_matrix_of(data)
     checks = []
     bad = _first_mismatch(_cyc_product_t_conj(qmat, qmat, q), cb, q)
     checks.append(CheckResult(
@@ -492,7 +548,7 @@ def reference_height_zero(row, c_tilde: RationalMatrix, p: int, q: int) -> bool:
     acc = CyclotomicInteger.zero(q)
     for a, x in enumerate(row):
         for b, y in enumerate(row):
-            acc = acc + x * y.conjugate() * int(c_tilde[a, b])
+            acc = acc + x * conjugate(y) * int(c_tilde[a, b])
     return acc.residue_at_one() % p != 0
 
 
@@ -506,8 +562,8 @@ def reference_fourier_split(entries) -> tuple:
         return (tuple(tuple(x.coeffs[0] for x in row) for row in entries),)
     stack = []
     for i in range(1, q - q // p + 1):
-        factor = (CyclotomicInteger.zeta_power(q, q - i)
-                  - CyclotomicInteger.zeta_power(q, neg_residue_index(i, q, p)))
+        factor = (zeta_power(q, q - i)
+                  - zeta_power(q, neg_residue_index(i, q, p)))
         a = []
         for row in entries:
             arow = []
@@ -596,12 +652,12 @@ def _reference_gram_checks(data, c_bar) -> list:
 def reference_verify_all(data, c_bar, heights=None) -> VerificationReport:
     """``verify_all`` with no shared state: the reduce-and-compare
     orthogonality rows, the brute-force Gram rows, and the height check on
-    ``data.row(r)`` through the cyclotomic product of
+    ``row_of(data, r)`` through the cyclotomic product of
     ``reference_height_zero``."""
     checks = _reference_orthogonality_checks(data, c_bar)
     checks.extend(_reference_gram_checks(data, c_bar))
     checks.extend(rank_check(data).checks)
-    nonzero = sum(1 for r in range(data.k) if any(not x.is_zero() for x in data.row(r)))
+    nonzero = sum(1 for r in range(data.k) if any(not x.is_zero() for x in row_of(data, r)))
     checks.append(CheckResult(
         "nonzero-rows", True,
         f"{nonzero} of {data.k} rows of the coefficient matrix are nonzero",
@@ -609,7 +665,7 @@ def reference_verify_all(data, c_bar, heights=None) -> VerificationReport:
     if heights is not None:
         ct = c_tilde_of(c_bar)
         offenders = [r for r, h in enumerate(heights) if h == 0
-                     and not reference_height_zero(data.row(r), ct, data.p, data.q)]
+                     and not reference_height_zero(row_of(data, r), ct, data.p, data.q)]
         checks.append(CheckResult(
             "height-zero valuations", not offenders,
             "every height-zero row has valuation zero" if not offenders

@@ -43,10 +43,12 @@ from conftest import (
     box_minimum,
     commutator_subgroup_order,
     conjugacy_class_count,
+    entry_of,
     perm_matrix,
     random_pd_int_matrix,
     random_unimodular,
     reference_fourier_split,
+    row_of,
     semidirect_c9_by_inversion,
 )
 
@@ -92,7 +94,7 @@ def test_criterion_3_s3_subsection_fixture():
     assert rank_check(data).ok
     ct = c_tilde_of(c_bar)
     assert all(
-        height_zero_valuation_check(data.row(r), ct, 3) for r in range(data.k)
+        height_zero_valuation_check(row_of(data, r), ct, 3) for r in range(data.k)
     )
 
     rep = subsection_k_bound(c_bar, spec, wada_weight(1))
@@ -211,7 +213,7 @@ def test_criterion_5e_fourier_reassembly():
         assert data.stack == reference_fourier_split(entries)
         for r in range(k):
             for c in range(l):
-                assert data.entry(r, c) == entries[r][c]
+                assert entry_of(data, r, c) == entries[r][c]
     print(f"ACCEPTANCE 5e (fourier reassembly, {N_CASES} cases): PASS")
 
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ import blockbounds
 from blockbounds.cli import run
 from blockbounds.exactmat import matrix_from_record
 from blockbounds.fixtures import FIXTURES, agl18_bundle, s3_subsection
-from conftest import dihedral_cells, gendec_record
+from blockbounds.gendec import cyc_reduce
+from conftest import data_from_cells, dihedral_cells, gendec_record, reference_verify_all
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -645,3 +647,26 @@ def test_library_is_float_free():
             if literal or name in ("float", "isfinite"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("q", [9, 27, 32, 81])
+def test_gendec_verify_records_match_the_reference_details(tmp_path, capsys, q):
+    # every row of the records output, detail string included, against the
+    # reference verifier: valid dihedral data and a copy with one nonzero
+    # entry doubled, plain and Kronecker-expanded
+    rng = random.Random(q)
+    for expand in (False, True):
+        cells, cbar, heights = dihedral_cells(q, expand)
+        r, c = rng.choice([(r, c) for r, row in enumerate(cells) for c, x in enumerate(row)
+                           if not cyc_reduce(x, q).is_zero()])
+        doubled = [[dict(x) for x in row] for row in cells]
+        doubled[r][c] = {e: 2 * a for e, a in cells[r][c].items()}
+        for label, variant in (("valid", cells), ("doubled", doubled)):
+            path = tmp_path / f"q{q}-{expand}-{label}.json"
+            path.write_text(json.dumps(gendec_record(q, variant, cbar, heights)))
+            rc = run(["gendec", "verify", "--input", str(path), "--format", "records"])
+            rows = json.loads(capsys.readouterr().out)["checks"]
+            ref = reference_verify_all(*data_from_cells(q, variant, cbar), heights).checks
+            assert [(x["name"], x["passed"], x["detail"]) for x in rows] == \
+                [(x.name, x.passed, x.detail) for x in ref], (expand, label)
+            assert rc == (1 if label == "doubled" else 0), (expand, label)

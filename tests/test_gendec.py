@@ -12,7 +12,6 @@ from blockbounds import (
     SubsectionSpec,
     c_tilde_of,
     cyc_reduce,
-    field_trace,
     fourier_split,
     height_zero_valuation_check,
     neg_residue_index,
@@ -26,12 +25,18 @@ from blockbounds.gendec import GenDecData, _vanishes
 from blockbounds.ntheory import euler_phi_prime_power, units_mod
 from conftest import (
     DECOMPOSITION_D,
+    data_from_cells,
     dihedral_cells,
+    entry_of,
+    field_trace,
+    q_matrix_of,
     reference_fourier_split,
     reference_gram_identity,
     reference_height_zero,
     reference_orthogonality,
     reference_verify_all,
+    row_of,
+    zeta_power,
 )
 
 
@@ -111,7 +116,8 @@ def test_vanishing_test_matches_reduction():
     # half of them perturbed in one coordinate
     rng = random.Random(7211)
     for q in (1, 2, 3, 4, 8, 9, 25, 27, 32):
-        qp = q // next(f for f in range(2, q + 1) if q % f == 0) if q > 1 else 1
+        p = next((f for f in range(2, q + 1) if q % f == 0), 2)
+        qp = q // p if q > 1 else 1
         seen = set()
         for _ in range(300):
             levels = [rng.randint(-3, 3) for _ in range(qp)]
@@ -119,7 +125,10 @@ def test_vanishing_test_matches_reduction():
             if rng.random() < 0.5:
                 raw[rng.randrange(q)] += rng.choice((-2, -1, 1, 2))
             zero = cyc_reduce(raw, q).is_zero()
-            assert _vanishes(raw, q) == zero, (q, raw)
+            # the test reads only the terms, so a dict without the zero
+            # coefficients decides the same
+            assert _vanishes(dict(enumerate(raw)), q, p) == zero, (q, raw)
+            assert _vanishes({e: x for e, x in enumerate(raw) if x}, q, p) == zero, (q, raw)
             seen.add(zero)
         assert seen == {True, False}, q
 
@@ -135,7 +144,7 @@ def test_non_integer_coefficients_are_rejected():
     ):
         with pytest.raises(DomainError, match="must be integers"):
             make()
-    assert cyc_reduce({"4": 1}, 3) == CyclotomicInteger.zeta_power(3, 1)
+    assert cyc_reduce({"4": 1}, 3) == zeta_power(3, 1)
 
 
 def test_integer_embedding():
@@ -150,12 +159,12 @@ def test_integer_embedding():
 
 
 def test_galois_examples():
-    x = CyclotomicInteger.zeta_power(3, 1)
+    x = zeta_power(3, 1)
     assert x.galois(1) == x
-    assert x.galois(2) == CyclotomicInteger.zeta_power(3, 2)
-    y = CyclotomicInteger.zeta_power(9, 1) + CyclotomicInteger.zeta_power(9, 3)
+    assert x.galois(2) == zeta_power(3, 2)
+    y = zeta_power(9, 1) + zeta_power(9, 3)
     image = y.galois(2)
-    expected = CyclotomicInteger.zeta_power(9, 2) + cyc_reduce({6: 1}, 9)
+    expected = zeta_power(9, 2) + cyc_reduce({6: 1}, 9)
     assert image == expected
     with pytest.raises(DomainError):
         x.galois(3)
@@ -178,8 +187,8 @@ def test_galois_is_a_ring_homomorphism():
 
 def test_field_trace_values():
     assert field_trace(CyclotomicInteger.from_int(9, 1)) == 6
-    assert field_trace(CyclotomicInteger.zeta_power(9, 3)) == -3
-    assert field_trace(CyclotomicInteger.zeta_power(9, 1)) == 0
+    assert field_trace(zeta_power(9, 3)) == -3
+    assert field_trace(zeta_power(9, 1)) == 0
 
 
 def test_field_trace_agrees_with_galois_sum():
@@ -242,11 +251,11 @@ def test_fourier_split_integer_matrix_reassembles():
         assert data.stack == reference_fourier_split(entries)
         for r in range(3):
             for c in range(2):
-                assert data.entry(r, c) == entries[r][c]
+                assert entry_of(data, r, c) == entries[r][c]
 
 
 def test_fourier_split_q4_column():
-    i = CyclotomicInteger.zeta_power(4, 1)
+    i = zeta_power(4, 1)
     one = CyclotomicInteger.from_int(4, 1)
     data = fourier_split([[one], [i], [-1 * one]], SubsectionSpec(2, 4))
     assert RationalMatrix(data.stack[0]) == RationalMatrix([[0], [1], [0]])
@@ -315,9 +324,9 @@ def c4_data():
     spec = SubsectionSpec(2, 4)
     entries = [
         [CyclotomicInteger.from_int(4, 1)],
-        [CyclotomicInteger.zeta_power(4, 1)],
+        [zeta_power(4, 1)],
         [CyclotomicInteger.from_int(4, -1)],
-        [CyclotomicInteger.zeta_power(4, 3)],
+        [zeta_power(4, 3)],
     ]
     return fourier_split(entries, spec)
 
@@ -373,8 +382,8 @@ def test_valuation_zero_rows_are_nonzero():
     data = s3_data()
     ct = c_tilde_of(cbar1(3))
     for r in range(data.k):
-        if height_zero_valuation_check(data.row(r), ct, 3):
-            assert any(not x.is_zero() for x in data.row(r))
+        if height_zero_valuation_check(row_of(data, r), ct, 3):
+            assert any(not x.is_zero() for x in row_of(data, r))
 
 
 def c9_c3_data():
@@ -385,7 +394,7 @@ def c9_c3_data():
     rows = []
     for e in (0, 3, 6):
         for _ in range(3):
-            rows.append([CyclotomicInteger.zeta_power(9, e)])
+            rows.append([zeta_power(9, e)])
     rows.append([CyclotomicInteger.zero(9)])
     rows.append([CyclotomicInteger.zero(9)])
     return fourier_split(rows, spec)
@@ -407,16 +416,16 @@ def test_c9_c3_rank_and_heights():
     assert rank_check(data).ok  # rank 2 = 1*6/3
     ct = c_tilde_of(cbar1(3))
     # positive-height rows vanish, so they fail the valuation-zero test
-    assert not height_zero_valuation_check(data.row(9), ct, 3)
-    assert height_zero_valuation_check(data.row(0), ct, 3)
+    assert not height_zero_valuation_check(row_of(data, 9), ct, 3)
+    assert height_zero_valuation_check(row_of(data, 0), ct, 3)
 
 
 def swap_action_data():
     """Synthetic q = 3 data with l = 2 whose conjugation action swaps the two
     columns: Q = [[z, z^2], [z^2, z], [1, 1]].  Conjugating maps each entry to
     its swap-partner, so P_2 is the transposition, and Q^t conj(Q) = 3 I."""
-    z = CyclotomicInteger.zeta_power(3, 1)
-    z2 = CyclotomicInteger.zeta_power(3, 2)
+    z = zeta_power(3, 1)
+    z2 = zeta_power(3, 2)
     one = CyclotomicInteger.from_int(3, 1)
     spec = SubsectionSpec(3, 3, (2,), PermutationAction(2, [(1, 0)]))
     return fourier_split([[z, z2], [z2, z], [one, one]], spec)
@@ -429,7 +438,7 @@ def test_swap_action_verifies_with_nontrivial_permutation():
     report = verify_all(data, c_bar, heights=[0, 0, 0])
     assert report.ok
     # the Galois-twisted product at (1, 2) really is 3 * swap, not diagonal
-    q = data.q_matrix()
+    q = q_matrix_of(data)
     prod_01 = sum(
         (q[r][0] * q[r][1] for r in range(3)), CyclotomicInteger.zero(3)
     )
@@ -438,8 +447,8 @@ def test_swap_action_verifies_with_nontrivial_permutation():
 
 def test_swap_action_fails_with_wrong_permutation():
     # declaring the action trivial breaks the Galois orthogonality check
-    z = CyclotomicInteger.zeta_power(3, 1)
-    z2 = CyclotomicInteger.zeta_power(3, 2)
+    z = zeta_power(3, 1)
+    z2 = zeta_power(3, 2)
     one = CyclotomicInteger.from_int(3, 1)
     spec = SubsectionSpec(3, 3, (2,), PermutationAction(2, [(0, 1)]))
     data = fourier_split([[z, z2], [z2, z], [one, one]], spec)
@@ -501,22 +510,6 @@ def test_gendec_data_validation():
 
 # ---------------------------------------------------------------------------
 # the integer verifiers against the phi(q)^2-pair reference loops
-
-
-def data_from_cells(q, cells, cbar, gens=None, perm=None):
-    """GenDecData and C_bar from exponent-map cells; N = <gens> (default
-    <-1>), each generator acting on the columns by ``perm``."""
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    l = len(cbar)
-    gens = (q - 1,) if gens is None else gens
-    action = PermutationAction(l, [perm or tuple(range(l))] * len(gens))
-    entries = [[cyc_reduce(cell, q) for cell in row] for row in cells]
-    stack = [
-        RationalMatrix([[x.coeffs[i] for x in row] for row in entries])
-        for i in range(euler_phi_prime_power(q))
-    ]
-    spec = SubsectionSpec(p, q, gens, action)
-    return GenDecData(stack, spec), CartanData(RationalMatrix(cbar), p)
 
 
 def oracle_cases():
@@ -597,7 +590,7 @@ def test_integer_verifiers_match_pair_loop_reference():
             assert ok == (not corrupt), label
         ct = c_tilde_of(c_bar)
         for r in range(data.k):
-            row = data.row(r)
+            row = row_of(data, r)
             assert height_zero_valuation_check(row, ct, data.p) == \
                 reference_height_zero(row, ct, data.p, data.q), (label, r)
 
@@ -663,15 +656,14 @@ def test_verify_all_matches_reduce_and_compare_reference():
 def test_orthogonality_reduces_only_the_reported_entries(monkeypatch):
     # a failing gamma keeps only the position of its first failing entry;
     # the two entries the details show (gamma = 1 and the least delta) are
-    # the only raw vectors reduced ({0: n} dicts are the expected integers)
+    # the only ones reduced, each with its expected integer (from_int)
     import blockbounds.gendec as gendec
 
     reduced = []
     cyc_reduce = gendec.cyc_reduce
 
     def counted(raw, q):
-        if not isinstance(raw, dict):
-            reduced.append(q)
+        reduced.append(q)
         return cyc_reduce(raw, q)
 
     monkeypatch.setattr(gendec, "cyc_reduce", counted)
@@ -679,7 +671,7 @@ def test_orthogonality_reduces_only_the_reported_entries(monkeypatch):
     for label, data, c_bar, _ in reference_cases():
         reduced.clear()
         checks = verify_orthogonality(data, c_bar).checks
-        assert len(reduced) <= (0 if checks[1].passed else 2), label
+        assert len(reduced) <= (0 if checks[1].passed else 4), label
         assert checks == reference_verify_all(data, c_bar).checks[:3], label
         galois = checks[1]
         if not galois.passed:
@@ -759,6 +751,35 @@ def non_commuting_cases():
                    *data_from_cells(q, cells, c, perm=swap), heights)
 
 
+def non_involutive_cases():
+    """(label, data, C_bar, heights): the seven linear characters of C_7 at
+    the three conjugates zeta, zeta^2, zeta^4 (l = 3, C_bar = I), with
+    N = <2> of order 3 acting on the columns by a 3-cycle.  The Gram
+    identity expects P(gamma, delta) = q C_bar P_{delta/gamma} and the
+    Galois check q C_bar P_{gamma/delta}, so with (1, 2, 0) the Gram rows
+    pass while the Galois check fails, and with its inverse the reverse."""
+    q = 7
+    cells = [[{j * d % q: 1} for d in (1, 2, 4)] for j in range(q)]
+    identity = [[int(a == b) for b in range(3)] for a in range(3)]
+    for label, perm in (("Gram", (1, 2, 0)), ("Galois", (2, 0, 1))):
+        yield (f"q=7 N=<2> 3-cycle, {label} convention",
+               *data_from_cells(q, cells, identity, gens=(2,), perm=perm), [0] * q)
+
+
+def unit_multiple_cases():
+    """(label, data, C_bar, heights): dihedral data with one row multiplied
+    by zeta or -zeta^2.  Q^t conj(Q) does not change, so plain
+    orthogonality still holds while the Gram and Galois checks fail."""
+    for q in (8, 9, 27):
+        for expand in (False, True) if q < 27 else (False,):
+            cells, cbar, heights = dihedral_cells(q, expand)
+            for label, e0, c0 in (("zeta", 1, 1), ("-zeta^2", 2, -1)):
+                moved = [[dict(x) for x in row] for row in cells]
+                moved[0] = [{(e + e0) % q: c0 * c for e, c in x.items()} for x in cells[0]]
+                yield (f"q={q}" + (" expanded" if expand else "") + f", row 0 times {label}",
+                       *data_from_cells(q, moved, cbar), heights)
+
+
 def test_verify_all_with_one_expected_matches_the_reference(monkeypatch):
     import blockbounds.gendec as gendec
 
@@ -770,7 +791,8 @@ def test_verify_all_with_one_expected_matches_the_reference(monkeypatch):
         return expected(*args)
 
     monkeypatch.setattr(gendec, "_Expected", counted)
-    cases = list(reference_cases()) + list(non_commuting_cases())
+    cases = [*reference_cases(), *non_commuting_cases(), *non_involutive_cases(),
+             *unit_multiple_cases()]
     for label, data, c_bar, hs in cases:
         ref = reference_verify_all(data, c_bar, hs).checks
         built.clear()
@@ -786,3 +808,98 @@ def test_verify_all_with_one_expected_matches_the_reference(monkeypatch):
         if " swap " in label:
             # the commutation row follows C_bar, not the data
             assert ortho[2].passed == label.endswith("own"), label
+
+
+# ---------------------------------------------------------------------------
+# verify_all's shortcut: the rows that the Gram comparison decides
+
+
+def shortcut_cases():
+    """Every (label, data, C_bar, heights) case of this file, and valid
+    dihedral data at q = 81 and 243, plain and Kronecker-expanded."""
+    yield from reference_cases()
+    for label, data, c_bar, _ in oracle_cases():
+        yield label, data, c_bar, None
+    yield from non_commuting_cases()
+    yield from non_involutive_cases()
+    yield from unit_multiple_cases()
+    for q in (81, 243):
+        for expand in (False, True):
+            cells, cbar, heights = dihedral_cells(q, expand)
+            yield (f"q={q}" + (" expanded" if expand else ""),
+                   *data_from_cells(q, cells, cbar), heights)
+
+
+def test_derived_rows_equal_the_computed_rows():
+    seen = set()
+    for label, data, c_bar, heights in shortcut_cases():
+        report = {c.name: c for c in verify_all(data, c_bar, heights).checks}
+        computed = verify_orthogonality(data, c_bar).checks + rank_check(data).checks
+        assert [report[c.name] for c in computed] == list(computed), label
+        gram = next(c for c in report.values() if c.name.startswith("gram"))
+        seen.add((gram.passed, *(c.passed for c in computed)))
+    # the Gram rows pass with the Galois check failing (a 3-cycle action),
+    # and plain orthogonality passes with both failing (a unit multiple)
+    assert (True, True, False, True, True) in seen
+    assert (False, True, False, True, True) in seen
+    assert (True, True, True, True, True) in seen
+
+
+def test_valid_data_skips_the_coset_test_and_the_elimination(monkeypatch):
+    # counted at the names verify_orthogonality and rank_check call
+    import blockbounds.gendec as gendec
+
+    calls = {"_vanishes": 0, "_bareiss": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(gendec, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gendec, name, counted)
+    derived = computed = 0
+    for label, data, c_bar, heights in shortcut_cases():
+        gram_holds = verify_gram_identity(data, c_bar).checks[0].passed
+        involutive = all(
+            data.spec.perm_of(unit, data.l) == data.spec.perm_of(pow(unit, -1, data.q), data.l)
+            for unit in data.spec.elements
+        )
+        calls.update(dict.fromkeys(calls, 0))
+        verify_all(data, c_bar, heights)
+        if gram_holds and involutive:
+            assert calls == {"_vanishes": 0, "_bareiss": 0}, label
+            derived += 1
+        else:
+            assert calls["_vanishes"] and calls["_bareiss"], label
+            computed += 1
+    assert derived > 10 and computed > 10
+
+
+def test_gram_formula_is_the_preimage_of_the_galois_pairs():
+    # the lemma behind the shortcut, for C_bar that need not be symmetric nor
+    # commute with the action: the image sum_{e,f} R_ef zeta^(g e - d f) of
+    # the expected blocks R_ef = C_bar sum_x w(e, f, x) P_x is q C_bar P_{d/g}
+    import blockbounds.gendec as gendec
+
+    rng = random.Random(3307)
+    for q, gen, perm in ((4, 3, (1, 0, 2)), (7, 2, (1, 2, 0)), (8, 3, (0, 2, 1)),
+                         (9, 4, (2, 0, 1)), (9, 8, (1, 0, 2)), (25, 7, (1, 0, 2))):
+        p = next(f for f in range(2, q + 1) if q % f == 0)
+        spec = SubsectionSpec(p, q, (gen,), PermutationAction(3, [perm]))
+        cm = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        perms = {x: spec.perm_of(x, 3) for x in spec.elements}
+        phi = euler_phi_prime_power(q)
+        want = {
+            ef: [[sum(w * cm[a][perms[x][b]] for x, w in cell.items()) for b in range(3)]
+                 for a in range(3)]
+            for ef, cell in gendec._indicator_weights(spec, phi).items()
+        }
+        for g in units_mod(q):
+            for d in units_mod(q):
+                ratio = d * pow(g, -1, q) % q
+                for a in range(3):
+                    for b in range(3):
+                        raw = [0] * q
+                        for (e, f), blk in want.items():
+                            raw[(g * e - d * f) % q] += blk[a][b]
+                        image = q * cm[a][perms[ratio][b]] if ratio in perms else 0
+                        assert cyc_reduce(raw, q) == CyclotomicInteger.from_int(q, image)
+
