@@ -176,19 +176,21 @@ def _load_spec(record: dict, l: int, path: str) -> SubsectionSpec:
         raise InputError(f"{path}: bad subsection data: {exc}") from exc
 
 
-def _powers_cell(cell, field: str, path: str) -> list:
-    """A ``powers`` cell, integer-string exponents mapped to integers, as
-    (exponent, coefficient) int pairs."""
-    if not isinstance(cell, dict) or not all(_EXPONENT.fullmatch(e) for e in cell):
-        raise InputError(f"{path}: '{field}' must be an object keyed by integer "
+def _powers_cell(cell, r: int, c: int, path: str) -> list:
+    """The ``powers`` cell (r, c), integer-string exponents mapped to
+    integers, as (exponent, coefficient) int pairs; its field name is
+    formatted only for an error."""
+    if not isinstance(cell, dict) or not all(map(_EXPONENT.fullmatch, cell)):
+        raise InputError(f"{path}: 'powers[{r}][{c}]' must be an object keyed by integer "
                          f"exponents, not {cell!r}")
     pairs = []
-    for e, c in cell.items():
-        _integer(c, f"{field}[{e}]", path)
+    for e, x in cell.items():
+        if type(x) is not int:
+            _integer(x, f"powers[{r}][{c}][{e}]", path)
         try:
-            pairs.append((int(e), c))
+            pairs.append((int(e), x))
         except ValueError:  # more digits than int() converts
-            raise InputError(f"{path}: '{field}' has an exponent of {len(e)} "
+            raise InputError(f"{path}: 'powers[{r}][{c}]' has an exponent of {len(e)} "
                              "characters") from None
     return pairs
 
@@ -219,11 +221,8 @@ def _load_gendec(record: dict, path: str) -> tuple:
                 not isinstance(r, list) or len(r) != l for r in rows
             ):
                 raise InputError(f"{path}: 'powers' must be a {k}x{l} list of lists")
-            data = _split_cells([
-                [_powers_cell(cell, f"powers[{r}][{c}]", path)
-                 for c, cell in enumerate(row)]
-                for r, row in enumerate(rows)
-            ], spec)
+            data = _split_cells([[_powers_cell(cell, r, c, path) for c, cell in enumerate(row)]
+                                 for r, row in enumerate(rows)], spec)
         else:
             raise InputError(f"{path}: q_matrix needs 'stack' or 'powers'")
         c_bar = _normalized_cartan(cartan_b, spec)

@@ -98,8 +98,7 @@ class RationalMatrix:
         return hash(self._rows)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
+        return _rows_repr(self._rows)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -199,6 +198,13 @@ def direct_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     for k in range(b.rows):
         out.append([Fraction(0)] * a.cols + list(b.row(k)))
     return RationalMatrix(out)
+
+
+def _rows_repr(rows) -> str:
+    """The repr of ``RationalMatrix(rows)`` for nonempty rows of ints or
+    Fractions, without building the matrix."""
+    body = "; ".join(" ".join(map(str, row)) for row in rows)
+    return f"RationalMatrix({len(rows)}x{len(rows[0])}: {body})"
 
 
 def _cleared_int_rows(a) -> tuple[list[list[int]], int]:

@@ -3,7 +3,8 @@ of the structural identities of generalized decomposition matrices.
 
 Elements of Z[zeta_q] are stored on the basis zeta^1 .. zeta^phi(q) (a unit
 multiple of the power basis), which makes the coefficient matrices A_i of a
-decomposition matrix Q = sum A_i zeta^i literal slices of the data.
+decomposition matrix Q = sum A_i zeta^i literal coefficients of its entries:
+``GenDecData`` keeps each row's nonzero ones.
 
 Verifiers never raise on a mathematical failure: a failed identity is report
 content, because these tools exist to locate inconsistent inputs.
@@ -22,6 +23,7 @@ from .exactmat import (
     _bareiss,
     _cleared_int_rows,
     _inverse_rows,
+    _rows_repr,
 )
 from .ntheory import prime_and_phi, units_mod
 
@@ -152,10 +154,11 @@ class CyclotomicInteger:
         return f"Cyc(q={self.q}, {body or '0'})"
 
 
-def _reduced(cells, q: int) -> list[int]:
-    """The canonical coefficients of n elements of Z[zeta_q], element t given
-    by the (exponent, int coefficient) pairs of ``cells[t]``: entry
-    (i - 1) n + t of the flat result is its zeta^i coefficient.
+def _sparse_rows(cells, q: int) -> list[tuple]:
+    """The canonical coefficients of a matrix over Z[zeta_q] whose entry
+    (r, a) is given by the (exponent, int coefficient) pairs of
+    ``cells[r][a]``: row r as its nonzero terms (i, a, x), sorted, with x the
+    zeta^i coefficient of entry (r, a).
 
     zeta^e is a basis element for 1 <= e <= phi(q).  Any other exponent, with
     e = q standing for zeta^0, is zeta^(e - phi(q)) zeta^phi(q), and the
@@ -165,25 +168,27 @@ def _reduced(cells, q: int) -> list[int]:
     are the caller's check.
     """
     p, phi = _conductor_parts(q)
-    n = len(cells)
     qp = q // p if q > 1 else 1
-    out = [0] * (phi * n)
-    for t, pairs in enumerate(cells):
-        for e, c in pairs:
-            if c:
-                e = int(e) % q or q
-                if e <= phi:
-                    out[(e - 1) * n + t] += c
-                else:
-                    for j in range(e - phi - 1, e - 1, qp):
-                        out[j * n + t] -= c
-    return out
+    rows = []
+    for row in cells:
+        acc = {}
+        for a, pairs in enumerate(row):
+            for e, c in pairs:
+                if c:
+                    e = int(e) % q or q
+                    if e <= phi:
+                        acc[e, a] = acc.get((e, a), 0) + c
+                    else:
+                        for j in range(e - phi, e, qp):
+                            acc[j, a] = acc.get((j, a), 0) - c
+        rows.append(tuple((i, a, x) for (i, a), x in sorted(acc.items()) if x))
+    return rows
 
 
 def cyc_reduce(raw, q: int) -> CyclotomicInteger:
     """Reduce coefficients on zeta^0..zeta^{q-1} (a list, or a dict keyed by
-    exponents) to the canonical basis; see ``_reduced``."""
-    p, _ = _conductor_parts(q)
+    exponents) to the canonical basis; see ``_sparse_rows``."""
+    p, phi = _conductor_parts(q)
     if isinstance(raw, dict):
         pairs = zip(raw, _int_coeffs(raw.values()))
     else:
@@ -191,7 +196,10 @@ def cyc_reduce(raw, q: int) -> CyclotomicInteger:
         if q > 1 and len(seq) > q:
             raise DomainError(f"need at most {q} raw coefficients")
         pairs = enumerate(seq)
-    return CyclotomicInteger._trusted(q, p, tuple(_reduced([pairs], q)))
+    coeffs = [0] * phi
+    for i, _, x in _sparse_rows([[pairs]], q)[0]:
+        coeffs[i - 1] = x
+    return CyclotomicInteger._trusted(q, p, tuple(coeffs))
 
 
 def _vanishes(terms: dict, q: int, p: int) -> bool:
@@ -247,10 +255,11 @@ class VerificationReport:
 
 
 class GenDecData:
-    """Coefficient stack A_1..A_phi(q) of a generalized decomposition matrix:
-    each A_i is a tuple of k row tuples of ints."""
+    """Coefficient matrices A_1..A_phi(q) of a k x l generalized
+    decomposition matrix, stored by row: ``rows[r]`` holds the nonzero
+    entries A_i[r][a] of row r as (i, a, x) terms, sorted by (i, a)."""
 
-    __slots__ = ("stack", "spec", "_blocks")
+    __slots__ = ("rows", "spec", "k", "l", "_stack", "_blocks")
 
     def __init__(self, stack, spec: SubsectionSpec):
         stack = tuple(tuple(map(tuple, m)) for m in stack)
@@ -267,17 +276,21 @@ class GenDecData:
             ints, s = _cleared_int_rows(RationalMatrix([r for m in stack for r in m]))
             if s != 1:
                 raise DomainError("coefficient matrices must be integral")
-            stack = tuple(tuple(map(tuple, ints[i:i + k])) for i in range(0, phi * k, k))
-        self.stack = stack
-        self.spec = spec
-        self._blocks = None
+            stack = [ints[i:i + k] for i in range(0, phi * k, k)]
+        rows = [tuple((i, a, x) for i, m in enumerate(stack, start=1)
+                      for a, x in enumerate(m[r]) if x) for r in range(k)]
+        self._set(rows, spec, k, l)
+
+    def _set(self, rows, spec: SubsectionSpec, k: int, l: int):
+        self.rows, self.spec, self.k, self.l = tuple(rows), spec, k, l
+        self._stack = self._blocks = None
 
     @classmethod
-    def _trusted(cls, stack: tuple, spec: SubsectionSpec) -> "GenDecData":
-        """Data from a stack of int row tuples that this module built itself
-        in the right shape, without validating it again."""
+    def _trusted(cls, rows, spec: SubsectionSpec, k: int, l: int) -> "GenDecData":
+        """Data from k sorted rows of nonzero int terms that this module
+        built itself, without validating them again."""
         data = object.__new__(cls)
-        data.stack, data.spec, data._blocks = stack, spec, None
+        data._set(rows, spec, k, l)
         return data
 
     @property
@@ -289,16 +302,19 @@ class GenDecData:
         return self.spec.p
 
     @property
-    def k(self) -> int:
-        return len(self.stack[0])
-
-    @property
-    def l(self) -> int:
-        return len(self.stack[0][0])
+    def stack(self) -> tuple:
+        """A_1 .. A_phi(q), each a tuple of k row tuples of ints, built from
+        ``rows`` on first use (no verifier reads it)."""
+        if self._stack is None:
+            at = {(i, r, a): x for r, terms in enumerate(self.rows) for i, a, x in terms}
+            self._stack = tuple(
+                tuple(tuple(at.get((i, r, a), 0) for a in range(self.l)) for r in range(self.k))
+                for i in range(1, _conductor_parts(self.q)[1] + 1))
+        return self._stack
 
     @property
     def gram_blocks(self) -> dict:
-        """``_gram_blocks`` of this data, built on first use: the stack is
+        """``_gram_blocks`` of this data, built on first use: the rows are
         immutable, so every verifier reads the same blocks (do not modify
         them)."""
         if self._blocks is None:
@@ -310,7 +326,7 @@ class GenDecData:
 
 
 def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
-    """Split a matrix over Z[zeta_q] into its integer coefficient stack.
+    """Split a matrix over Z[zeta_q] into its integer coefficient matrices.
 
     On the basis zeta^1 .. zeta^phi(q), A_i holds the zeta^i coefficients of
     the entries, as the trace identity A_i = T(Q (zeta^{-i} - zeta^{i'})) / q
@@ -331,40 +347,29 @@ def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
 
 
 def _split_cells(cells, spec: SubsectionSpec) -> GenDecData:
-    """The coefficient stack of the k x l matrix whose entry (r, c) is
-    sum x zeta^e over the (e, x) pairs of ``cells[r][c]``, each pair reduced
-    by ``_reduced`` straight into A_1 .. A_phi(q): no CyclotomicInteger per
-    entry, and no second scan of the stack.  The one producer of a stack
-    from cyclotomic entries; every x must be an int, which is the caller's
-    check."""
+    """The data of the k x l matrix whose entry (r, c) is sum x zeta^e over
+    the (e, x) pairs of ``cells[r][c]``, each pair reduced by
+    ``_sparse_rows`` straight into the rows' nonzero terms: no
+    CyclotomicInteger per entry, and no phi(q) k l scan.  The one producer
+    of data from cyclotomic entries; every x must be an int, which is the
+    caller's check."""
     if not cells or not cells[0]:
         raise DomainError("matrix must be at least 1x1")
     l = len(cells[0])
     if any(len(row) != l for row in cells):
         raise DomainError("rows must share one length")
-    flat = _reduced([pairs for row in cells for pairs in row], spec.q)
-    k = len(cells)
-    rows = list(zip(*[iter(flat)] * l))  # the k rows of A_1, then of A_2, ...
-    return GenDecData._trusted(
-        tuple(tuple(rows[i:i + k]) for i in range(0, len(rows), k)), spec
-    )
+    return GenDecData._trusted(_sparse_rows(cells, spec.q), spec, len(cells), l)
 
 
 def _gram_blocks(data: GenDecData) -> dict:
     """The products A_i^t A_j (1-based i, j) that are not identically zero by
-    support, as l x l lists of ints, from one sparse pass over the k rows.
+    support, as l x l lists of ints, from the nonzero terms of each row.
 
     These are the blocks of the Gram matrix of the assembled coefficient
     matrix; a block may still sum to zero."""
     l = data.l
-    rows = [[] for _ in range(data.k)]  # row r: its nonzero entries (i, a, value)
-    for i, m in enumerate(data.stack, start=1):
-        for r, row in enumerate(m):
-            for a, x in enumerate(row):
-                if x:
-                    rows[r].append((i, a, x))
     blocks = {}
-    for terms in rows:
+    for terms in data.rows:
         for i, a, x in terms:
             for j, b, y in terms:
                 blk = blocks.get((i, j))
@@ -381,11 +386,12 @@ class _Expected:
     - ``perms`` maps each unit of N to its column permutation;
     - ``cm`` and ``cb`` are C_bar and b's C = q C_bar as int rows, and
       ``zero`` is the l x l zero block;
+    - ``cp`` maps each delta in N to C_bar P_delta as int rows;
     - ``involutive`` says that every fusion permutation is its own inverse.
 
     Nothing in it may be modified."""
 
-    __slots__ = ("q", "l", "perms", "cm", "cb", "zero", "involutive")
+    __slots__ = ("q", "l", "perms", "cm", "cb", "zero", "cp", "involutive")
 
     def __init__(self, spec: SubsectionSpec, c_bar, l: int):
         if c_bar.l != l:
@@ -396,6 +402,8 @@ class _Expected:
         self.cm = cm = _cleared_int_rows(c_bar.matrix)[0]
         self.cb = [[q * x for x in row] for row in cm]
         self.zero = [[0] * l for _ in range(l)]
+        self.cp = {d: [[row[perm[b]] for b in range(l)] for row in cm]
+                   for d, perm in perms.items()}
         self.involutive = all(perm[perm[b]] == b for perm in perms.values() for b in range(l))
 
 
@@ -532,30 +540,32 @@ def verify_gram_identity(data: GenDecData, c_bar, expected=None) -> Verification
     spec = data.spec
     q, p = data.q, data.p
     exp = expected or _Expected(spec, c_bar, data.l)
-    l, cm, perms, zero = exp.l, exp.cm, exp.perms, exp.zero
+    l, cp, zero = exp.l, exp.cp, exp.zero
     blocks = data.gram_blocks
     if q == 1:
         lhs = blocks.get((1, 1), zero)
-        ok = lhs == cm
-        detail = "A_1^t A_1 = C" if ok else f"A_1^t A_1 = {RationalMatrix(lhs)!r} != C"
+        ok = lhs == exp.cm
+        detail = "A_1^t A_1 = C" if ok else f"A_1^t A_1 = {_rows_repr(lhs)} != C"
         return VerificationReport((CheckResult("gram(1,1)", ok, detail),))
 
-    phi = len(data.stack)
-    want = {}  # the nonzero R_ij
+    phi = _conductor_parts(q)[1]
+    want, made = {}, {}  # the nonzero R_ij, one matrix per distinct weight cell
     for ij, cell in _indicator_weights(spec, phi).items():
-        rhs = [[sum(w * cm[a][perms[d][b]] for d, w in cell.items()) for b in range(l)]
-               for a in range(l)]
-        if rhs != zero:
-            want[ij] = rhs
+        key = frozenset(cell.items())
+        if key not in made:
+            made[key] = [[sum(w * cp[d][a][b] for d, w in key) for b in range(l)]
+                         for a in range(l)]
+        if made[key] != zero:
+            want[ij] = made[key]
+    shown = {}  # one repr per block object: ``zero`` and each R recur
+
+    def text(m):
+        return shown.get(id(m)) or shown.setdefault(id(m), _rows_repr(m))
+
     checks = [] if blocks == want else [
-        CheckResult(
-            f"gram({i},{j})",
-            False,
-            f"{RationalMatrix(blocks.get((i, j), zero))!r} != "
-            f"{RationalMatrix(want.get((i, j), zero))!r}",
-        )
+        CheckResult(f"gram({i},{j})", False, f"{text(lhs)} != {text(rhs)}")
         for i, j in sorted(blocks.keys() | want.keys())
-        if blocks.get((i, j), zero) != want.get((i, j), zero)
+        if (lhs := blocks.get((i, j), zero)) != (rhs := want.get((i, j), zero))
     ]
     if not checks:
         checks.append(
@@ -594,16 +604,15 @@ def verify_gram_identity(data: GenDecData, c_bar, expected=None) -> Verification
 
 def rank_check(data: GenDecData) -> VerificationReport:
     """The assembled coefficient matrix (A_1 .. A_phi side by side) must have
-    rank l*phi(q)/n."""
-    spec = data.spec
-    num = data.l * len(data.stack)
-    if num % spec.n:
-        return VerificationReport((CheckResult(
-            "rank", False, f"n = {spec.n} does not divide l*phi(q) = {num}; "
-            "the subsection data is inconsistent"),))
-    rows = [[x for m in data.stack for x in m[r]] for r in range(data.k)]
+    rank l*phi(q)/n; n = |N| divides phi(q), the order of (Z/q)^x."""
+    l = data.l
+    num = l * _conductor_parts(data.q)[1]
+    rows = [[0] * num for _ in data.rows]
+    for row, terms in zip(rows, data.rows):
+        for i, a, x in terms:
+            row[(i - 1) * l + a] = x
     got = len(_bareiss(rows, num, pivoting=True)[0])
-    return VerificationReport((_rank_row(got, num // spec.n),))
+    return VerificationReport((_rank_row(got, num // data.spec.n),))
 
 
 def _rank_row(got: int, expected: int) -> CheckResult:
@@ -685,14 +694,14 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
     exp = _Expected(data.spec, c_bar, data.l)
     gram = verify_gram_identity(data, c_bar, exp).checks
     if gram[0].passed and exp.involutive:
-        phi = len(data.stack)
+        phi = _conductor_parts(data.q)[1]
         rank = data.l * phi // data.spec.n
         checks = [*_orthogonality_rows(phi * phi), *gram, _rank_row(rank, rank)]
     else:
         checks = [*verify_orthogonality(data, c_bar, exp).checks, *gram,
                   *rank_check(data).checks]
 
-    nonzero = sum(1 for rows in zip(*data.stack) if any(map(any, rows)))
+    nonzero = sum(1 for terms in data.rows if terms)
     checks.append(
         CheckResult(
             "nonzero-rows",
@@ -704,12 +713,11 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
         heights = list(heights)
         if len(heights) != data.k:
             raise DomainError("need one height per row")
-        # p^d C^{-1} is integral: its rows are cleared once for every check
-        ct = _cleared_int_rows(c_tilde_of(c_bar))[0]
-        # residues of each height-zero row: the column sums of its slices of
-        # the stack; rows with equal residues share one check
-        residues = {r: tuple(map(sum, zip(*rows)))
-                    for r, (rows, h) in enumerate(zip(zip(*data.stack), heights)) if h == 0}
+        ct = _inverse_rows(c_bar.matrix)[0]  # p^d C^{-1}, shared by every check
+        # residues of each height-zero row: its coefficients summed per
+        # column; rows with equal residues share one check
+        residues = {r: tuple(sum(x for _, b, x in terms if b == a) for a in range(data.l))
+                    for r, (terms, h) in enumerate(zip(data.rows, heights)) if h == 0}
         ok = {v: _valuation_zero(v, ct, data.p) for v in set(residues.values())}
         offenders = [r for r, v in residues.items() if not ok[v]]
         checks.append(

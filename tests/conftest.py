@@ -8,8 +8,9 @@ textbook Gram-Schmidt for the LLL conditions, the ``Fraction``
 Fincke-Pohst descent that the library's integer search replaced, the
 ``Fraction`` back substitution that the library's integer inverse replaced,
 the reduce-and-compare ``verify_all`` that the library's coset zero test
-replaced, and the cyclotomic helpers that no library path needs (field
-trace, conjugation, powers of zeta, the entries of a coefficient stack).
+replaced, the dense Gram-block scan that its sparse rows replaced, and the
+cyclotomic helpers that no library path needs (field trace, conjugation,
+powers of zeta, the entries of a coefficient stack).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from blockbounds.gendec import (
     CheckResult,
     GenDecData,
     VerificationReport,
-    _gram_blocks,
     c_tilde_of,
     cyc_reduce,
     neg_residue_index,
@@ -412,6 +412,29 @@ def gendec_record(q: int, cells, cbar, heights, perm=None) -> dict:
     }
 
 
+def dense_gram_blocks(data) -> dict:
+    """The products A_i^t A_j (1-based i, j) that are not identically zero by
+    support, as l x l lists of ints, from a scan of the dense ``data.stack``:
+    the pass that ``gendec._gram_blocks`` ran before the data kept each
+    row's nonzero terms."""
+    l = data.l
+    rows = [[] for _ in range(data.k)]  # row r: its nonzero entries (i, a, value)
+    for i, m in enumerate(data.stack, start=1):
+        for r, row in enumerate(m):
+            for a, x in enumerate(row):
+                if x:
+                    rows[r].append((i, a, x))
+    blocks = {}
+    for terms in rows:
+        for i, a, x in terms:
+            for j, b, y in terms:
+                blk = blocks.get((i, j))
+                if blk is None:
+                    blk = blocks[i, j] = [[0] * l for _ in range(l)]
+                blk[a][b] += x * y
+    return blocks
+
+
 def _cyc_product_t_conj(a, b, q: int):
     """(A^t . conj(B)) for equal-height cyclotomic matrices A, B."""
     out = []
@@ -584,7 +607,7 @@ def _reference_orthogonality_checks(data, c_bar) -> list:
     q, l = data.q, data.l
     cb = [[q * x.numerator for x in row] for row in c_bar.matrix]
     perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
-    blocks = _gram_blocks(data).items()
+    blocks = dense_gram_blocks(data).items()
     units = units_mod(q)
 
     def first_mismatch(gamma):

@@ -193,6 +193,25 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys):
     assert "'powers[0][0]' has an exponent of 5000 characters" in err
 
 
+def test_bad_powers_cells_are_named_in_full(tmp_path, capsys):
+    # each message names the cell (and the key) at the text it has always had
+    digits = "7" * 5000
+    path = tmp_path / "gendec.json"
+    for r, cell, message in (
+        (0, [1], "'powers[0][0]' must be an object keyed by integer exponents, not [1]"),
+        (1, {"x": 1}, "'powers[1][0]' must be an object keyed by integer exponents, "
+                      "not {'x': 1}"),
+        (2, {"0": 1, "1": 1.5}, "'powers[2][0][1]' must be an integer, not 1.5"),
+        (0, {"2": True}, "'powers[0][0][2]' must be an integer, not True"),
+        (1, {"0": 1, digits: 1}, "'powers[1][0]' has an exponent of 5000 characters"),
+    ):
+        rec = s3_subsection()
+        rec["q_matrix"]["powers"][r][0] = cell
+        path.write_text(json.dumps(rec))
+        assert run(["gendec", "verify", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+
+
 def test_lattice_min_subcommand(tmp_path, capsys):
     gram = tmp_path / "id3.json"
     gram.write_text(

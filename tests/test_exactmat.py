@@ -20,7 +20,7 @@ from blockbounds import (
     matrix_to_record,
     rank,
 )
-from blockbounds.exactmat import _inverse_rows, trace_pairing
+from blockbounds.exactmat import _inverse_rows, _rows_repr, trace_pairing
 from blockbounds.fixtures import a4xa4_cartan, agl18_cartan
 
 from conftest import (
@@ -34,6 +34,19 @@ from conftest import (
 
 def ones_plus_identity(n):
     return RationalMatrix([[2 if i == j else 1 for j in range(n)] for i in range(n)])
+
+
+def test_rows_repr_is_the_matrix_repr():
+    # the one format of a matrix in report text, for int and Fraction rows
+    rng = random.Random(41)
+    for _ in range(20):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        ints = [[rng.randint(-30, 30) for _ in range(c)] for _ in range(r)]
+        fracs = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in ints]
+        for rows in (ints, fracs):
+            assert _rows_repr(rows) == repr(RationalMatrix(rows))
+    assert _rows_repr([[1, 0], [-2, 3]]) == "RationalMatrix(2x2: 1 0; -2 3)"
+    assert repr(RationalMatrix([[Fraction(-1, 2), 4]])) == "RationalMatrix(1x2: -1/2 4)"
 
 
 def test_trace_of_kron_is_product():

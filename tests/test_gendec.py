@@ -26,9 +26,11 @@ from blockbounds.ntheory import euler_phi_prime_power, units_mod
 from conftest import (
     DECOMPOSITION_D,
     data_from_cells,
+    dense_gram_blocks,
     dihedral_cells,
     entry_of,
     field_trace,
+    gendec_record,
     q_matrix_of,
     reference_fourier_split,
     reference_gram_identity,
@@ -737,6 +739,97 @@ def test_split_cells_reduces_every_cell_into_the_stack():
         gendec._split_cells([[[(0, 1)]], []], SubsectionSpec(3, 3))
     with pytest.raises(DomainError, match="at least 1x1"):
         gendec._split_cells([], SubsectionSpec(3, 3))
+
+
+def random_powers(rng: random.Random, q: int, k: int, l: int) -> list:
+    """k x l cells of (exponent, coefficient) pairs with exponents from -2q
+    to 3q, most of them at or past phi(q), and terms that cancel: by a shift
+    of q, or over a whole coset e + (q/p)Z.  About one row in four is such
+    a cancellation alone, a zero row with nonzero input."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    cells = []
+    for _ in range(k):
+        zero_row = rng.random() < 0.25
+        row = []
+        for _ in range(l):
+            e, c = rng.randint(-2 * q, 3 * q), rng.randint(1, 3)
+            pairs = [] if zero_row else [(rng.randint(-2 * q, 3 * q), rng.randint(-3, 3))
+                                         for _ in range(rng.randint(0, 4))]
+            pairs += rng.choice(([], [(e, c), (e + q, -c)],
+                                 [(e + j * q // p, c) for j in range(p)]))
+            rng.shuffle(pairs)
+            row.append(pairs)
+        cells.append(row)
+    return cells
+
+
+def test_rows_round_trip_and_match_the_dense_oracles():
+    import blockbounds.gendec as gendec
+
+    rng = random.Random(4409)
+    cancelled = 0
+    for q in (2, 4, 8, 3, 9, 27, 5, 25):
+        p = next(f for f in range(2, q + 1) if q % f == 0)
+        phi = euler_phi_prime_power(q)
+        for _ in range(8):
+            k, l = rng.randint(1, 6), rng.randint(1, 3)
+            spec = SubsectionSpec(p, q, (q - 1,), PermutationAction(l, [tuple(range(l))]))
+            cells = random_powers(rng, q, k, l)
+            data = gendec._split_cells(cells, spec)
+            # the dense stack entry by entry, each checked by polynomial division
+            entries = []
+            for row in cells:
+                entries.append([])
+                for pairs in row:
+                    raw, want = [0] * q, [0] * phi
+                    for e, x in pairs:
+                        raw[e % q] += x
+                        want = [a + x * b for a, b in zip(want, poly_remainder(e % q, q))]
+                    entries[-1].append(cyc_reduce(raw, q))
+                    assert to_power_basis(entries[-1][-1]) == want
+            stack = tuple(tuple(tuple(x.coeffs[i] for x in row) for row in entries)
+                          for i in range(phi))
+            # powers and stack input give equal data; stack -> rows -> stack
+            from_stack = GenDecData(stack, spec)
+            assert (from_stack.rows, from_stack.k, from_stack.l) == (data.rows, k, l)
+            assert data.stack == from_stack.stack == stack
+            assert GenDecData(data.stack, spec).rows == data.rows
+            assert all(x for terms in data.rows for _, _, x in terms)
+            assert data.gram_blocks == dense_gram_blocks(data)
+            c_bar = CartanData(RationalMatrix([[int(a == b) for b in range(l)]
+                                               for a in range(l)]), p)
+            heights = [rng.randint(0, 1) for _ in range(k)]
+            assert (verify_all(data, c_bar, heights).checks
+                    == reference_verify_all(data, c_bar, heights).checks), (q, cells)
+            cancelled += sum(1 for row, terms in zip(cells, data.rows)
+                             if any(row) and not terms)
+    assert cancelled > 5
+    # rows zeta + zeta^2 and zeta - zeta^2: A_1^t A_2 sums to zero and keeps its key
+    data = gendec._split_cells([[[(1, 1), (2, 1)]], [[(1, 1), (2, -1)]]], SubsectionSpec(5, 5))
+    assert data.gram_blocks == dense_gram_blocks(data)
+    assert data.gram_blocks[1, 2] == [[0]]
+
+
+def test_verify_all_never_builds_the_dense_stack(monkeypatch):
+    from blockbounds.cli import _load_gendec
+    from blockbounds.fixtures import s3_subsection
+
+    built = []
+    dense = GenDecData.stack
+    monkeypatch.setattr(GenDecData, "stack",
+                        property(lambda data: built.append(data) or dense.fget(data)))
+    cells, cbar, heights = dihedral_cells(2187)
+    data, c_bar, hs = _load_gendec(gendec_record(2187, cells, cbar, heights), "d2187.json")
+    assert verify_all(data, c_bar, hs).ok
+    assert built == []
+    # the S3 column at q = 3^9: almost every product A_i^t A_j fails
+    rec = s3_subsection()
+    rec["q"] = rec["spec"]["q"] = 3**9
+    rec["spec"]["n_generators"] = [3**9 - 1]
+    data, c_bar, hs = _load_gendec(rec, "s3.json")
+    report = verify_all(data, c_bar, hs)
+    assert not report.ok and len(report.failures()) > 50000
+    assert len(built) <= 1
 
 
 def non_commuting_cases():
