@@ -9,8 +9,6 @@ from .exactmat import (
     ShapeError,
     SingularMatrixError,
     determinant,
-    direct_sum,
-    elementary_divisors,
     inverse,
     is_positive_definite,
     kron,

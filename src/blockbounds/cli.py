@@ -72,6 +72,7 @@ class BlockBundle:
     partition: tuple | None
     known_kb: int | None
     gendec: GenDecData | None = None
+    c_bar: CartanData | None = None
     heights: list | None = None
 
 
@@ -262,14 +263,13 @@ def _load_bundle(path: str) -> BlockBundle:
     known_kb = rec.get("known_kb")
     if known_kb is not None:
         known_kb = _integer(known_kb, "known_kb", path)
-    gendec = None
-    heights = None
+    gendec = c_bar = heights = None
     if rec.get("gendec") is not None:
         gendec_rec = _object(rec["gendec"], "gendec", path)
-        gendec, gd_cbar, heights = _load_gendec(gendec_rec, path)
+        gendec, c_bar, heights = _load_gendec(gendec_rec, path)
         if gendec.q != q or gendec.p != p or gendec.l != l:
             raise InputError(f"{path}: gendec sub-record disagrees with the bundle")
-        if gd_cbar.matrix.scale(q) != cartan_b.matrix:
+        if c_bar.matrix.scale(q) != cartan_b.matrix:
             raise InputError(f"{path}: gendec Cartan disagrees with the bundle")
     return BlockBundle(
         label=rec.get("label", path),
@@ -280,6 +280,7 @@ def _load_bundle(path: str) -> BlockBundle:
         partition=partition,
         known_kb=known_kb,
         gendec=gendec,
+        c_bar=c_bar,
         heights=heights,
     )
 
@@ -340,7 +341,7 @@ def _print_verification(report: VerificationReport, as_records: bool) -> int:
                 for c in report.checks
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(payload, None)
     else:
         for c in report.checks:
             mark = "PASS" if c.passed else "FAIL"
@@ -468,8 +469,7 @@ def _cmd_bounds_compare(args) -> int:
     notes = list(report.notes)
     status = 0
     if bundle.gendec is not None:
-        c_bar = _normalized_cartan(bundle.cartan_b, bundle.spec)
-        ver = verify_all(bundle.gendec, c_bar, bundle.heights)
+        ver = verify_all(bundle.gendec, bundle.c_bar, bundle.heights)
         notes.append(
             "gendec verification passed"
             if ver.ok
@@ -479,8 +479,7 @@ def _cmd_bounds_compare(args) -> int:
             status = 1
     report = replace(report, notes=tuple(notes))
     if args.format == "records":
-        print(json.dumps(_comparison_record(bundle.label, report), indent=2,
-                         sort_keys=True))
+        _emit(_comparison_record(bundle.label, report), None)
     else:
         _print_comparison_table(bundle.label, report)
     return status
@@ -499,7 +498,7 @@ def _cmd_lattice_min(args) -> int:
         "num_minimizers": result.num_minimizers,
     }
     if args.format == "records":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(payload, None)
     else:
         print(f"minimum {result.value} ({_approx_text(result.value)}) "
               f"at {list(result.witness)} ({result.num_minimizers} minimizers up to sign)")
@@ -579,8 +578,7 @@ def _cmd_k0(args) -> int:
         raise InputError(str(exc)) from exc
     value = k0_semidirect(spec)
     if args.format == "records":
-        print(json.dumps({"k0": value, "n": spec.n, "p": args.p, "q": args.q},
-                         indent=2, sort_keys=True))
+        _emit({"k0": value, "n": spec.n, "p": args.p, "q": args.q}, None)
     else:
         print(value)
     return 0

@@ -8,8 +8,7 @@ and leading principal minors share one fraction-free elimination kernel
 intermediate coefficient growth polynomial; an inverse back-substitutes on
 integers too and comes out as numerators over one common denominator.
 Positive definiteness here and every LDL in ``lattice`` are read from the
-swap-free run by one reader, ``_ldl_rows``.  Smith normal forms use their
-own integer row and column reduction.
+swap-free run by one reader, ``_ldl_rows``.
 
 Floating point never enters any result.
 """
@@ -191,15 +190,6 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(out)
 
 
-def direct_sum(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    out = []
-    for i in range(a.rows):
-        out.append(list(a.row(i)) + [Fraction(0)] * b.cols)
-    for k in range(b.rows):
-        out.append([Fraction(0)] * a.cols + list(b.row(k)))
-    return RationalMatrix(out)
-
-
 def _rows_repr(rows) -> str:
     """The repr of ``RationalMatrix(rows)`` for nonempty rows of ints or
     Fractions, without building the matrix."""
@@ -315,65 +305,6 @@ def rank(a: RationalMatrix) -> int:
     return len(_bareiss(ints, a.cols, pivoting=True)[0])
 
 
-def elementary_divisors(a: RationalMatrix) -> list[int]:
-    """Smith normal form diagonal d1 | d2 | ... | dn of an integer matrix."""
-    if not a.is_square():
-        raise ShapeError("elementary divisors need a square matrix")
-    m, s = _cleared_int_rows(a)
-    if s != 1:
-        raise DomainError("elementary divisors are defined for integer matrices")
-    n = a.rows
-    divs = []
-    for t in range(n):
-        while True:
-            # smallest nonzero entry of the trailing block becomes the pivot
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    v = m[i][j]
-                    if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise SingularMatrixError("matrix is singular")
-            bi, bj = best
-            m[t], m[bi] = m[bi], m[t]
-            for row in m:
-                row[t], row[bj] = row[bj], row[t]
-            if m[t][t] < 0:
-                m[t] = [-x for x in m[t]]
-            p = m[t][t]
-            clean = True
-            for i in range(t + 1, n):
-                q = m[i][t] // p
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                if m[i][t]:
-                    clean = False
-            for j in range(t + 1, n):
-                q = m[t][j] // p
-                if q:
-                    for row in m:
-                        row[j] -= q * row[t]
-                if m[t][j]:
-                    clean = False
-            if not clean:
-                continue
-            viol = next(
-                (
-                    i
-                    for i in range(t + 1, n)
-                    if any(m[i][j] % p for j in range(t + 1, n))
-                ),
-                None,
-            )
-            if viol is not None:
-                m[t] = [x + y for x, y in zip(m[t], m[viol])]
-                continue
-            break
-        divs.append(m[t][t])
-    return divs
-
-
 def _ldl_rows(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """(minors, m) after the swap-free kernel ran on square integer ``m`` in place.
 
@@ -417,7 +348,9 @@ class CartanData:
         if defect is not None:
             if defect < 0:
                 raise DomainError("defect must be nonnegative")
-            top = elementary_divisors(matrix)[-1]
+            # the largest elementary divisor of a nonsingular integer matrix
+            # is the least common denominator of its inverse
+            top = _inverse_rows(matrix)[1]
             # p^defect >= 2^(defect (bits(p) - 1)): when that reaches the bit
             # length of top, the two differ and p^defect is never formed
             if defect * (p.bit_length() - 1) >= top.bit_length() or top != p**defect:

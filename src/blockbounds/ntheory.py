@@ -107,11 +107,6 @@ def prime_and_phi(q: int) -> tuple[int, int]:
     return p, q - q // p
 
 
-def euler_phi_prime_power(q: int) -> int:
-    """phi(q) for a prime power q, with the convention phi(1) = 1."""
-    return prime_and_phi(q)[1]
-
-
 def part_of(n: int, p: int) -> tuple[int, int]:
     """Split n = n_p * n_p' into its p-part and p'-part."""
     np_ = p ** valuation(n, p)
@@ -179,7 +174,7 @@ def multiplicative_order(g: int, q: int) -> int:
 def unit_of_order(q: int, n: int) -> int:
     """Some unit of multiplicative order n modulo the prime power q (brute-force
     search); DomainError above MAX_UNIT_GROUP units, before any is listed."""
-    if euler_phi_prime_power(q) > MAX_UNIT_GROUP:
+    if prime_and_phi(q)[1] > MAX_UNIT_GROUP:
         raise DomainError(f"more than {MAX_UNIT_GROUP} units modulo {q} to search")
     for g in units_mod(q):
         if multiplicative_order(g, q) == n:

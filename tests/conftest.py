@@ -2,14 +2,14 @@
 
 The oracles here are deliberately independent of the library code paths they
 check: brute-force box enumeration for lattice minima, cofactor expansion for
-determinants, gcd-of-minors for elementary divisors, explicit permutation
-matrices for permutations that the library keeps as index tuples, a
-textbook Gram-Schmidt for the LLL conditions, the ``Fraction``
-Fincke-Pohst descent that the library's integer search replaced, the
-``Fraction`` back substitution that the library's integer inverse replaced,
-the reduce-and-compare ``verify_all`` that the library's coset zero test
-replaced, the dense Gram-block scan that its sparse rows replaced, and the
-cyclotomic helpers that no library path needs (field trace, conjugation,
+determinants, gcd-of-minors (or sympy's Smith normal form) for elementary
+divisors, explicit permutation matrices for permutations that the library
+keeps as index tuples, a textbook Gram-Schmidt for the LLL conditions, the
+``Fraction`` Fincke-Pohst descent that the library's integer search replaced,
+the ``Fraction`` back substitution that the library's integer inverse
+replaced, the reduce-and-compare ``verify_all`` that the library's coset zero
+test replaced, the dense Gram-block scan that its sparse rows replaced, and
+the cyclotomic helpers that no library path needs (field trace, conjugation,
 powers of zeta, the entries of a coefficient stack).
 """
 
@@ -22,6 +22,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 import numpy as np
+import pytest
 
 from blockbounds import (
     CartanData,
@@ -43,7 +44,7 @@ from blockbounds.gendec import (
     neg_residue_index,
     rank_check,
 )
-from blockbounds.ntheory import euler_phi_prime_power, units_mod
+from blockbounds.ntheory import prime_and_phi, units_mod
 
 
 @lru_cache(maxsize=16)
@@ -93,13 +94,16 @@ def perm_matrix(perm) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
-def random_unimodular(rng: random.Random, dim: int, ops: int = 6) -> RationalMatrix:
+def random_unimodular(rng: random.Random, dim: int, ops: int = 6,
+                      coeffs=(-2, -1, 1, 2)) -> RationalMatrix:
+    """Identity after ``ops`` random row additions c * row j to row i, c in
+    ``coeffs``; positive ``coeffs`` keep every entry nonnegative."""
     rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     for _ in range(ops):
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j:
             continue
-        c = rng.choice((-2, -1, 1, 2))
+        c = rng.choice(coeffs)
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     return RationalMatrix(rows)
 
@@ -289,6 +293,21 @@ def minor_gcd_divisors(matrix: RationalMatrix) -> list[int]:
     return divisors
 
 
+def largest_elementary_divisor(matrix: RationalMatrix) -> int:
+    """d_n of a nonsingular integer matrix: ``minor_gcd_divisors`` up to
+    4 x 4, above that the lcm of the diagonal of sympy's Smith normal form
+    (the calling test is skipped if sympy cannot be imported)."""
+    n = matrix.rows
+    if n <= 4:
+        return minor_gcd_divisors(matrix)[-1]
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(sympy.Matrix([[int(x) for x in row] for row in matrix]),
+                            domain=sympy.ZZ)
+    return lcm(*(abs(int(snf[i, i])) for i in range(n)))
+
+
 # ---------------------------------------------------------------------------
 # gendec: cyclotomic oracles that the library does not need
 
@@ -379,7 +398,7 @@ def data_from_cells(q, cells, cbar, gens=None, perm=None):
     entries = [[cyc_reduce(cell, q) for cell in row] for row in cells]
     stack = [
         RationalMatrix([[x.coeffs[i] for x in row] for row in entries])
-        for i in range(euler_phi_prime_power(q))
+        for i in range(prime_and_phi(q)[1])
     ]
     spec = SubsectionSpec(p, q, gens, action)
     return GenDecData(stack, spec), CartanData(RationalMatrix(cbar), p)

@@ -286,7 +286,8 @@ def test_weights_build_candidates(tmp_path, capsys):
     assert payload["candidates"][0]["trace"] == "3"
 
 
-def test_bundle_with_gendec_subrecord(tmp_path, capsys):
+def s3_block_bundle(tmp_path):
+    """A bounds bundle whose ``gendec`` sub-record is the S3 fixture."""
     s3 = json.loads(emit(tmp_path, "s3-subsection").read_text())
     bundle = {
         "label": "s3-block",
@@ -303,10 +304,41 @@ def test_bundle_with_gendec_subrecord(tmp_path, capsys):
     }
     path = tmp_path / "s3-block.json"
     path.write_text(json.dumps(bundle))
-    assert run(["bounds", "compare", "--input", str(path)]) == 0
+    return path
+
+
+def test_bundle_with_gendec_subrecord(tmp_path, capsys):
+    assert run(["bounds", "compare", "--input", str(s3_block_bundle(tmp_path))]) == 0
     out = capsys.readouterr().out
     assert "gendec verification passed" in out
     assert "best k(B) bound:  3" in out
+
+
+def test_bundle_gendec_c_bar_is_built_by_the_loader_only(tmp_path, capsys, monkeypatch):
+    # CartanData: the bundle's C and the gendec record's C, the loader's C_bar
+    # (kept for verify_all) and compare_all's C_bar; two normalizations
+    import blockbounds.bounds as bounds
+    import blockbounds.cli as cli
+    from blockbounds.exactmat import CartanData
+
+    path = s3_block_bundle(tmp_path)
+    built, normalized = [], []
+    init, normalize = CartanData.__init__, bounds._normalized_cartan
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_normalize(c, spec):
+        normalized.append(c)
+        return normalize(c, spec)
+
+    monkeypatch.setattr(CartanData, "__init__", counting_init)
+    monkeypatch.setattr(bounds, "_normalized_cartan", counting_normalize)
+    monkeypatch.setattr(cli, "_normalized_cartan", counting_normalize)
+    assert run(["bounds", "compare", "--input", str(path)]) == 0
+    assert "gendec verification passed" in capsys.readouterr().out
+    assert (len(built), len(normalized)) == (4, 2)
 
 
 def test_gendec_accepts_stack_format(tmp_path, capsys):

@@ -11,8 +11,6 @@ from blockbounds import (
     ShapeError,
     SingularMatrixError,
     determinant,
-    direct_sum,
-    elementary_divisors,
     inverse,
     is_positive_definite,
     kron,
@@ -22,9 +20,11 @@ from blockbounds import (
 )
 from blockbounds.exactmat import _inverse_rows, _rows_repr, trace_pairing
 from blockbounds.fixtures import a4xa4_cartan, agl18_cartan
+from blockbounds.ntheory import valuation
 
 from conftest import (
     cofactor_determinant,
+    largest_elementary_divisor,
     minor_gcd_divisors,
     perm_matrix,
     random_unimodular,
@@ -53,12 +53,6 @@ def test_trace_of_kron_is_product():
     a = RationalMatrix([[2, 1], [1, 2]])
     b = RationalMatrix([[3]])
     assert kron(a, b).trace() == a.trace() * b.trace() == 12
-
-
-def test_direct_sum_definition():
-    d = direct_sum(RationalMatrix([[1]]), RationalMatrix([[2]]))
-    assert d == RationalMatrix([[1, 0], [0, 2]])
-    assert d.trace() == 3
 
 
 def test_kron_gives_the_nine_by_nine_cartan():
@@ -120,20 +114,6 @@ def test_determinant_examples():
     assert determinant(c) == cofactor_determinant(c) == 4
 
 
-def test_elementary_divisors_examples():
-    assert elementary_divisors(RationalMatrix.identity(4)) == [1, 1, 1, 1]
-    assert elementary_divisors(RationalMatrix([[3]])) == [3]
-    c = ones_plus_identity(3)
-    assert elementary_divisors(c) == minor_gcd_divisors(c) == [1, 1, 4]
-
-
-def test_elementary_divisors_rejects_non_integer():
-    with pytest.raises(DomainError):
-        elementary_divisors(RationalMatrix([["1/2"]]))
-    with pytest.raises(SingularMatrixError):
-        elementary_divisors(RationalMatrix([[1, 1], [1, 1]]))
-
-
 def test_positive_definite_examples():
     assert is_positive_definite(RationalMatrix.identity(2))
     assert not is_positive_definite(RationalMatrix([[1, 2], [2, 1]]))
@@ -166,6 +146,42 @@ def test_cartan_data_validation():
         CartanData(RationalMatrix([[1, 1], [0, 1]]), 2)  # asymmetric
     with pytest.raises(DomainError):
         CartanData(RationalMatrix([[1]]), 4)  # p not prime
+
+
+def test_cartan_defect_is_the_oracle_largest_elementary_divisor():
+    # CartanData(m, p, defect) accepts exactly when the oracle's d_n is
+    # p^defect.  m = S^t diag(p^e_i) S with S nonnegative unimodular has
+    # d_n = p^max(e_i); A^t A + I with A >= 0 mostly has no p-power d_n
+    rng = random.Random(43)
+    accepted = refused = 0
+    for trial in range(64):
+        n, p = 1 + trial % 8, rng.choice((2, 3, 5))
+        if trial % 4:
+            s = random_unimodular(rng, n, ops=n + 2, coeffs=(1, 2))
+            d = RationalMatrix([[p ** rng.randint(0, 2) if r == c else 0 for c in range(n)]
+                                for r in range(n)])
+            m = s.transpose() @ d @ s
+        else:
+            a = RationalMatrix([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+            m = a.transpose() @ a + RationalMatrix.identity(n)
+        m = m.scale(p ** rng.randint(0, 2))
+        top = largest_elementary_divisor(m)
+        v = valuation(top, p)
+        for defect in {max(v - 1, 0), v, v + 1}:
+            if top == p**defect:
+                assert CartanData(m, p, defect).defect == defect
+                accepted += 1
+            else:
+                with pytest.raises(DomainError, match=r"is not p\^defect"):
+                    CartanData(m, p, defect)
+                refused += 1
+        # decided from bit lengths: p^(2^89 - 1) is never formed
+        with pytest.raises(DomainError, match=rf"is not p\^defect = {p}\^{2**89 - 1}$"):
+            CartanData(m, p, 2**89 - 1)
+    assert accepted >= 40 and refused >= 100, (accepted, refused)
+    with pytest.raises(DomainError) as exc:
+        CartanData(ones_plus_identity(3), 2, 1)
+    assert str(exc.value) == "largest elementary divisor 4 is not p^defect = 2^1"
 
 
 def test_record_round_trip_is_bit_exact():
@@ -255,10 +271,10 @@ def test_inverse_denominator_is_the_largest_elementary_divisor():
             continue
         rows, den = _inverse_rows(a)
         assert den == lcm(*(x.denominator for row in inverse(a) for x in row))
-        assert den == elementary_divisors(a)[-1]
+        assert den == largest_elementary_divisor(a)
         assert all(isinstance(v, int) for row in rows for v in row)
     c = agl18_cartan()
-    assert _inverse_rows(c)[1] == elementary_divisors(c)[-1] == 8
+    assert _inverse_rows(c)[1] == largest_elementary_divisor(c) == 8
 
 
 def test_determinant_is_multiplicative():
@@ -270,40 +286,6 @@ def test_determinant_is_multiplicative():
         assert determinant(a @ b) == determinant(a) * determinant(b)
 
 
-def test_elementary_divisor_product_is_abs_det():
-    rng = random.Random(13)
-    count = 0
-    while count < 80:
-        n = rng.randint(1, 4)
-        m = RationalMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        d = determinant(m)
-        if d == 0:
-            continue
-        count += 1
-        divisors = elementary_divisors(m)
-        prod = 1
-        for x in divisors:
-            prod *= x
-        assert prod == abs(d)
-        for a, b in zip(divisors, divisors[1:]):
-            assert b % a == 0
-
-
-def test_elementary_divisors_match_minor_gcds():
-    rng = random.Random(14)
-    count = 0
-    while count < 40:
-        n = rng.randint(1, 3)
-        m = RationalMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        if determinant(m) == 0:
-            continue
-        count += 1
-        assert elementary_divisors(m) == minor_gcd_divisors(m)
-        # the largest one is the common denominator of the inverse
-        denominators = (x.denominator for row in inverse(m) for x in row)
-        assert elementary_divisors(m)[-1] == lcm(*denominators)
-
-
 def test_trace_identities_on_random_matrices():
     rng = random.Random(15)
     for _ in range(60):
@@ -311,7 +293,6 @@ def test_trace_identities_on_random_matrices():
         a = RationalMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         b = RationalMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
         assert kron(a, b).trace() == a.trace() * b.trace()
-        assert direct_sum(a, b).trace() == a.trace() + b.trace()
 
 
 def test_permuted_and_trace_pairing_match_matrix_products():
@@ -344,29 +325,6 @@ def test_permuted_and_trace_pairing_match_matrix_products():
     for bad in [(0, 0), (1, 2), (0,), (0, 1, 2)]:
         with pytest.raises(DomainError):
             rational(2, 2).permuted(bad)
-
-
-def test_elementary_divisors_larger_entries():
-    rng = random.Random(17)
-    count = 0
-    while count < 200:
-        n = rng.randint(1, 4)
-        m = RationalMatrix(
-            [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
-        )
-        d = determinant(m)
-        if d == 0:
-            continue
-        count += 1
-        divisors = elementary_divisors(m)
-        prod = 1
-        for x in divisors:
-            prod *= x
-        assert prod == abs(d)
-        for a, b in zip(divisors, divisors[1:]):
-            assert b % a == 0
-        if n <= 3:
-            assert divisors == minor_gcd_divisors(m)
 
 
 def test_cleared_int_rows_matches_fraction_oracle():
@@ -453,7 +411,7 @@ def test_transpose_and_conjugation_by_unimodular():
         assert abs(determinant(s)) == 1
         conj = s.transpose() @ c @ s
         assert determinant(conj) == determinant(c)
-        assert sorted(elementary_divisors(conj)) == [1, 1, 4]
+        assert minor_gcd_divisors(conj) == [1, 1, 4]
 
 
 def test_elimination_kernel_matches_sympy():

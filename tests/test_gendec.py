@@ -22,7 +22,7 @@ from blockbounds import (
     verify_orthogonality,
 )
 from blockbounds.gendec import GenDecData, _vanishes
-from blockbounds.ntheory import euler_phi_prime_power, units_mod
+from blockbounds.ntheory import prime_and_phi, units_mod
 from conftest import (
     DECOMPOSITION_D,
     data_from_cells,
@@ -176,7 +176,7 @@ def test_galois_is_a_ring_homomorphism():
     rng = random.Random(41)
     for q in (3, 4, 8, 9):
         units = units_mod(q)
-        phi = euler_phi_prime_power(q)
+        phi = prime_and_phi(q)[1]
         for _ in range(40):
             a = CyclotomicInteger(q, [rng.randint(-3, 3) for _ in range(phi)])
             b = CyclotomicInteger(q, [rng.randint(-3, 3) for _ in range(phi)])
@@ -196,7 +196,7 @@ def test_field_trace_values():
 def test_field_trace_agrees_with_galois_sum():
     rng = random.Random(42)
     for q in (2, 3, 4, 8, 9, 27):
-        phi = euler_phi_prime_power(q)
+        phi = prime_and_phi(q)[1]
         for _ in range(25):
             x = CyclotomicInteger(q, [rng.randint(-4, 4) for _ in range(phi)])
             total = CyclotomicInteger.zero(q)
@@ -345,7 +345,7 @@ def test_rank_check_matches_rational_rank():
     for _ in range(60):
         q = rng.choice((1, 3, 4, 5, 9))
         spec = SubsectionSpec(2 if q in (1, 4) else 5 if q == 5 else 3, q)
-        phi, k, l = euler_phi_prime_power(q), rng.randint(1, 6), rng.randint(1, 3)
+        phi, k, l = prime_and_phi(q)[1], rng.randint(1, 6), rng.randint(1, 3)
         basis = [[rng.randint(-2, 2) for _ in range(l * phi)]
                  for _ in range(rng.randint(1, 3))]
         rows = [[sum(rng.randint(-1, 1) * v[c] for v in basis) for c in range(l * phi)]
@@ -770,7 +770,7 @@ def test_rows_round_trip_and_match_the_dense_oracles():
     cancelled = 0
     for q in (2, 4, 8, 3, 9, 27, 5, 25):
         p = next(f for f in range(2, q + 1) if q % f == 0)
-        phi = euler_phi_prime_power(q)
+        phi = prime_and_phi(q)[1]
         for _ in range(8):
             k, l = rng.randint(1, 6), rng.randint(1, 3)
             spec = SubsectionSpec(p, q, (q - 1,), PermutationAction(l, [tuple(range(l))]))
@@ -979,7 +979,7 @@ def test_gram_formula_is_the_preimage_of_the_galois_pairs():
         spec = SubsectionSpec(p, q, (gen,), PermutationAction(3, [perm]))
         cm = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         perms = {x: spec.perm_of(x, 3) for x in spec.elements}
-        phi = euler_phi_prime_power(q)
+        phi = prime_and_phi(q)[1]
         want = {
             ef: [[sum(w * cm[a][perms[x][b]] for x, w in cell.items()) for b in range(3)]
                  for a in range(3)]

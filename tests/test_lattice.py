@@ -12,7 +12,6 @@ from blockbounds import (
     RationalMatrix,
     certify_integral_positive_definite,
     determinant,
-    elementary_divisors,
     form_minimum,
     is_positive_definite,
     inverse,
@@ -26,6 +25,7 @@ from conftest import (
     box_minimum,
     cofactor_determinant,
     gram_schmidt,
+    largest_elementary_divisor,
     random_pd_int_matrix,
     random_unimodular,
     reference_form_minimum,
@@ -246,7 +246,7 @@ def test_inverse_cartan_minimum_at_least_inverse_defect_power():
     c = CartanData(agl18_cartan(), 2, 3)
     m = form_minimum(inverse(c.matrix)).value
     assert m >= Fraction(1, 2**3)
-    top = elementary_divisors(c.matrix)[-1]
+    top = largest_elementary_divisor(c.matrix)
     assert (inverse(c.matrix).scale(top)).is_integral()
 
 

@@ -7,7 +7,6 @@ from blockbounds.ntheory import (
     MAX_UNIT_GROUP,
     MR_LIMIT,
     _iroot,
-    euler_phi_prime_power,
     is_prime,
     prime_and_phi,
     prime_power_decomposition,
@@ -68,7 +67,7 @@ def test_prime_power_decomposition_finds_huge_prime_powers():
     assert prime_power_decomposition(3**30) == (3, 30)
     assert prime_power_decomposition(2**61 - 1) == (2**61 - 1, 1)
     assert prime_power_decomposition((2**61 - 1) ** 2) == (2**61 - 1, 2)
-    assert euler_phi_prime_power(2**61 - 1) == 2**61 - 2
+    assert prime_and_phi(2**61 - 1) == (2**61 - 1, 2**61 - 2)
     assert prime_and_phi(3**30) == (3, 2 * 3**29) and prime_and_phi(1) == (0, 1)
     for q in (1, 6, 12, 36, 100, 3**30 * 2, 2**59 - 1):
         with pytest.raises(ValueError):
