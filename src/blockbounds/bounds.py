@@ -19,6 +19,7 @@ from .exactmat import (
     InternalInvariantError,
     RationalMatrix,
     _cleared_int_rows,
+    _dot,
     _inverse_rows,
     determinant,
     trace_pairing,
@@ -362,9 +363,8 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
         if j > l:
             raise DomainError(f"form index ({i},{j}) exceeds matrix size {l}")
     w = from_quadratic_form(form_coeffs, size=l, max_dim=max_dim)
-    value = sum(
-        Fraction(v) * c.matrix[i - 1, j - 1] for (i, j), v in form_coeffs.items()
-    )
+    ints, _ = _cleared_int_rows(c.matrix)
+    value = Fraction(sum(v * ints[i - 1][j - 1] for (i, j), v in form_coeffs.items()))
     if value != trace_pairing(w.matrix, c.matrix):
         raise InternalInvariantError("form bound differs from the trace pairing tr(W C)")
     return BoundReport(
@@ -564,13 +564,18 @@ def compare_all(
         and q > 1
     ):
         w_aligned, _ = _aligned_weight(best_weight, spec, l, max_dim)
-        wc = w_aligned.matrix @ c_bar.matrix
-        # tr(W C P_g) = sum_i (W C)[g(i), i], summed over g in N
-        refined = sum(
-            wc[g_i, i]
-            for unit in spec.elements
-            for i, g_i in enumerate(spec.perm_of(unit, l))
-        ) + Fraction(q - 1, spec.n) * wc.trace()
+        w_ints, s_w = _cleared_int_rows(w_aligned.matrix)
+        c_ints, s_c = _cleared_int_rows(c_bar.matrix)
+        c_cols = list(zip(*c_ints))
+
+        def diagonal(perm) -> int:
+            # s_w s_c tr(W C P_g) = s_w s_c sum_i (W C)[g(i), i], no product formed
+            return sum(_dot(w_ints[g_i], c_cols[i]) for i, g_i in enumerate(perm))
+
+        summed = sum(diagonal(spec.perm_of(unit, l)) for unit in spec.elements)
+        refined = Fraction(
+            spec.n * summed + (q - 1) * diagonal(range(l)), spec.n * s_w * s_c
+        )
         rows.append(
             BoundReport(
                 name="refined k0(B) bound",

@@ -8,7 +8,9 @@ and leading principal minors share one fraction-free elimination kernel
 intermediate coefficient growth polynomial; an inverse back-substitutes on
 integers too and comes out as numerators over one common denominator.
 Positive definiteness here and every LDL in ``lattice`` are read from the
-swap-free run by one reader, ``_ldl_rows``.
+swap-free run by one reader, ``_ldl_rows``.  ``trace_pairing`` reads both
+operands as cleared integer rows too: tr(a b) is one integer dot product
+over them, and one ``Fraction`` over the product of the two denominators.
 
 Floating point never enters any result.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .ntheory import DomainError, is_prime
 
@@ -171,10 +174,21 @@ class RationalMatrix:
 
 
 def trace_pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:
-    """tr(a b) = sum a_ij b_ji, without forming the product."""
+    """tr(a b) = sum a_ij b_ji, without forming the product.
+
+    With s_a a = A and s_b b = B integral (``_cleared_int_rows``), this is
+    sum A_ij B_ji / (s_a s_b): one integer dot product and one ``Fraction``.
+    """
     if a.rows != b.cols or a.cols != b.rows:
         raise ShapeError(f"cannot pair {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
+    ints_a, s_a = _cleared_int_rows(a)
+    ints_b, s_b = _cleared_int_rows(b)
+    return Fraction(sum(map(_dot, ints_a, zip(*ints_b))), s_a * s_b)
+
+
+def _dot(u, v) -> int:
+    """sum u_k v_k of two integer sequences."""
+    return sum(map(mul, u, v))
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

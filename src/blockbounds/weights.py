@@ -270,7 +270,8 @@ def weight_candidates(
 
     Emits the identity, the path weight under the input ordering, the path
     weight under a heuristic heavy-path reordering, the scaled inverse Cartan
-    matrix C^{-1}/m (whose trace pairing is exactly l/m), and symmetrized
+    matrix C^{-1}/m (whose trace pairing is exactly l/m, which is checked:
+    a mismatch is an ``InternalInvariantError``), and symmetrized
     variants under the action.  These are candidates, not proven optima.
     """
     l = c.l
@@ -290,6 +291,7 @@ def weight_candidates(
         )
     cinv = inverse(cm)
     mval = form_minimum(cinv, max_dim=max_dim).value
+    at_inverse = len(out)
     out.append(
         certified_weight(cinv.scale(1 / mval), "inverse-cartan", max_dim=max_dim)
     )
@@ -299,5 +301,10 @@ def weight_candidates(
                 averaged = symmetrize(wm, action, max_dim=max_dim)
                 out.append(replace(averaged, provenance=f"symmetrized-{wm.provenance}"))
     scored = [(wm, trace_pairing(wm.matrix, cm)) for wm in out]
+    got, l_over_m = scored[at_inverse][1], Fraction(l) / mval
+    if got != l_over_m:
+        raise InternalInvariantError(
+            f"inverse-Cartan weight pairs with C to {got}, not l/m = {l_over_m}"
+        )
     scored.sort(key=lambda t: (t[1], t[0].provenance))
     return scored

@@ -7,6 +7,7 @@ divisors, explicit permutation matrices for permutations that the library
 keeps as index tuples, a textbook Gram-Schmidt for the LLL conditions, the
 ``Fraction`` Fincke-Pohst descent that the library's integer search replaced,
 the ``Fraction`` back substitution that the library's integer inverse
+replaced, the ``Fraction`` trace pairing that its integer dot product
 replaced, the reduce-and-compare ``verify_all`` that the library's coset zero
 test replaced, the dense Gram-block scan that its sparse rows replaced, and
 the cyclotomic helpers that no library path needs (field trace, conjugation,
@@ -209,6 +210,13 @@ def reference_inverse(matrix: RationalMatrix) -> RationalMatrix:
                 acc -= ints[i][j] * sol[j][c]
             sol[i][c] = acc / ints[i][i]
     return RationalMatrix(sol)
+
+
+def reference_trace_pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:
+    """tr(a b) = sum a_ij b_ji as a sum of ``Fraction`` products: the trace
+    pairing as the library computed it before it moved to cleared integer
+    rows."""
+    return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
 
 
 def gram_schmidt(gram: RationalMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -19,6 +19,7 @@ from blockbounds import (
     hks_bound,
     inverse_cartan_bound,
     k0_semidirect,
+    kron,
     kw_bound,
     subsection_k0_bound,
     subsection_k_bound,
@@ -35,6 +36,7 @@ from conftest import (
     commutator_subgroup_order,
     conjugacy_class_count,
     perm_matrix,
+    reference_trace_pairing,
     semidirect_c9_by_inversion,
 )
 
@@ -328,7 +330,8 @@ def test_dade_cyclic_bound_is_bounded_on_a_huge_unit_group():
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(Path(blockbounds.__file__).parent.parent)},
+        env={"PYTHONPATH": str(Path(blockbounds.__file__).parent.parent),
+             "PYTHONDONTWRITEBYTECODE": "1"},
         preexec_fn=cap,
     )
     assert proc.returncode == 0, proc.stderr
@@ -445,6 +448,75 @@ def test_compare_all_refined_k0_row_sharpens_under_nontrivial_action():
             p_n = p_n + perm_matrix(spec.perm_of(u, l))
         wc = w.matrix @ c_bar
         assert refined.value == (wc @ p_n).trace() + Fraction(q - 1, spec.n) * wc.trace()
+
+
+def _path_triples(order) -> list:
+    triples = [(i, i, 1) for i in range(1, len(order) + 1)]
+    triples += [(min(a, b), max(a, b), -1) for a, b in zip(order, order[1:])]
+    return triples
+
+
+def _kron_square_cases(rng):
+    """(label, b's Cartan data, spec, forms): squares of Brauer stars m J + I,
+    relabelled at random, with the factor swap as the action of the unit -1."""
+    for e, p, q in [(2, 3, 3), (2, 3, 9), (3, 7, 7)]:
+        m = (p - 1) // e
+        star = RationalMatrix([[m + (i == j) for j in range(e)] for i in range(e)])
+        perm = list(range(e * e))
+        rng.shuffle(perm)
+        swap = [0] * (e * e)
+        for k in range(e * e):  # old index i e + j is new index perm[i e + j]
+            swap[perm[k]] = perm[(k % e) * e + k // e]
+        cartan_b = CartanData(kron(star, star).permuted(perm).scale(q), p)
+        spec = SubsectionSpec(p, q, (q - 1,), PermutationAction(e * e, [swap]))
+        order = list(range(1, e * e + 1))
+        rng.shuffle(order)
+        yield f"star({e}, {p})^2, q = {q}", cartan_b, spec, [_path_triples(order)]
+
+
+def test_compare_all_sums_match_the_matrix_product_and_fraction_routes(monkeypatch):
+    # oracles: the refined k0(B) row from W @ C_bar, the quadratic form rows
+    # as Fraction sums, and every other row with the Fraction trace pairing
+    import blockbounds.bounds as bounds
+    import blockbounds.weights as weights
+
+    rng = random.Random(1220)
+    cases = [
+        ("agl18", CartanData(agl18_cartan(), 2, 3), SubsectionSpec(2, 1),
+         [agl18_form_triples()]),
+        ("a4xa4", CartanData(a4xa4_cartan(), 2, 4), SubsectionSpec(2, 1),
+         [_path_triples(rng.sample(range(1, 10), 9))]),
+        *_kron_square_cases(rng),
+    ]
+    refined_rows = 0
+    for label, cartan_b, spec, forms in cases:
+        report = compare_all(cartan_b, spec, forms=forms)
+        by_name = {r.name: r for r in report.rows}
+        for idx, form in enumerate(forms, start=1):
+            row = by_name[f"quadratic form bound (form #{idx})"]
+            assert row.value == sum(
+                Fraction(v) * cartan_b.matrix[i - 1, j - 1] for i, j, v in form
+            ), label
+        if spec.acts_nontrivially:
+            c_bar = _normalized_cartan(cartan_b, spec)
+            best = weight_candidates(c_bar, spec.ibr_action)[0][0]
+            w, _ = _aligned_weight(best, spec, c_bar.l, DEFAULT_DIM_CAP)
+            wc = w.matrix @ c_bar.matrix
+            old = sum(
+                wc[g_i, i]
+                for unit in spec.elements
+                for i, g_i in enumerate(spec.perm_of(unit, c_bar.l))
+            ) + Fraction(spec.q - 1, spec.n) * wc.trace()
+            refined = by_name["refined k0(B) bound"]
+            assert refined.value == old, label
+            # the action moves indices, so reading (W C)[i, i] for each g differs
+            assert refined.value != (spec.n + Fraction(spec.q - 1, spec.n)) * wc.trace()
+            refined_rows += 1
+        with monkeypatch.context() as patched:
+            patched.setattr(bounds, "trace_pairing", reference_trace_pairing)
+            patched.setattr(weights, "trace_pairing", reference_trace_pairing)
+            assert compare_all(cartan_b, spec, forms=forms) == report, label
+    assert refined_rows == 3
 
 
 def test_degenerate_subsection_equals_trace_bound_for_identity_weight():

@@ -134,7 +134,8 @@ def run_bounded(argv):
     src = str(Path(blockbounds.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True,
-        timeout=60, env={"PYTHONPATH": src}, preexec_fn=cap,
+        timeout=60, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=cap,
     )
     return proc.returncode, float(proc.stdout.split()[-1]), proc.stderr
 
@@ -582,10 +583,51 @@ def test_exit_code_on_internal_invariant(tmp_path, capsys, monkeypatch):
     src = str(Path(blockbounds.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("internal error: witness") and "Traceback" not in proc.stderr
+
+
+def test_inverse_cartan_score_is_checked_against_l_over_m(tmp_path, capsys, monkeypatch):
+    # a trace pairing that drops the weight's denominator breaks tr(C^-1 C) / m
+    # = l/m: exit 3 with no traceback, also under python -O
+    import subprocess
+    import sys
+
+    import blockbounds.weights as weights
+
+    path = emit(tmp_path, "agl18")
+    dropped = (
+        "from fractions import Fraction\n"
+        "from blockbounds.exactmat import _cleared_int_rows, _dot\n"
+        "def dropped(a, b):\n"
+        "    ints_a, _ = _cleared_int_rows(a)\n"
+        "    ints_b, s_b = _cleared_int_rows(b)\n"
+        "    return Fraction(sum(map(_dot, ints_a, zip(*ints_b))), s_b)\n"
+    )
+    namespace = {}
+    exec(dropped, namespace)
+    monkeypatch.setattr(weights, "trace_pairing", namespace["dropped"])
+    assert run(["bounds", "compare", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: inverse-Cartan weight pairs with C to ")
+    assert "not l/m = " in err and "Traceback" not in err
+
+    script = dropped + (
+        "import sys; from blockbounds import cli, weights\n"
+        "weights.trace_pairing = dropped\n"
+        f"sys.exit(cli.run(['bounds', 'compare', '--input', {str(path)!r}]))\n"
+    )
+    src = str(Path(blockbounds.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == err and "Traceback" not in proc.stderr
 
 
 def test_exit_code_on_bad_entry_string(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from blockbounds import (
     CartanData,
     DomainError,
+    PermutationAction,
     RationalMatrix,
     ShapeError,
     SingularMatrixError,
@@ -29,6 +30,7 @@ from conftest import (
     perm_matrix,
     random_unimodular,
     reference_inverse,
+    reference_trace_pairing,
 )
 
 
@@ -325,6 +327,62 @@ def test_permuted_and_trace_pairing_match_matrix_products():
     for bad in [(0, 0), (1, 2), (0,), (0, 1, 2)]:
         with pytest.raises(DomainError):
             rational(2, 2).permuted(bad)
+
+
+def test_trace_pairing_matches_the_fraction_sum_on_weight_shapes():
+    # oracle: the Fraction sum the integer dot product replaced, on the
+    # weights the library builds, each paired with an integral C_bar of
+    # size 1-18 in both orders, and on random rationals of every shape
+    rng = random.Random(2002)
+    half = Fraction(1, 2)
+    for trial in range(36):
+        l = trial % 18 + 1
+        # symmetric, nonnegative and diagonally dominant, so nonsingular
+        c = [[0] * l for _ in range(l)]
+        for i in range(l):
+            for j in range(i):
+                c[i][j] = c[j][i] = rng.randint(0, 3)
+        for i in range(l):
+            c[i][i] = sum(c[i]) + rng.randint(1, 4)
+        c = RationalMatrix(c)
+        order = list(range(l))
+        rng.shuffle(order)
+        path = RationalMatrix(
+            [[1 if i == j else (-half if abs(i - j) == 1 else 0) for j in range(l)]
+             for i in range(l)]
+        ).permuted(order)
+        form = [[0] * l for _ in range(l)]
+        for i in range(l):
+            form[i][i] = rng.randint(1, 4)
+            for j in range(i):
+                form[i][j] = form[j][i] = Fraction(rng.randint(-3, 3), 2)
+        form = RationalMatrix(form)
+        # (1/2n) sum_g P_g (W + W^t) P_g^t over the cyclic group of a shuffle
+        action = PermutationAction(l, [order])
+        averaged = RationalMatrix.zeros(l, l)
+        for g in action.elements:
+            averaged = averaged + (path + path.transpose()).permuted(g)
+        averaged = averaged.scale(Fraction(1, 2 * action.order))
+        m = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled_inverse = inverse(c).scale(1 / m)
+        for w in (path, form, averaged, scaled_inverse):
+            assert trace_pairing(w, c) == reference_trace_pairing(w, c)
+            assert trace_pairing(c, w) == reference_trace_pairing(c, w)
+        assert trace_pairing(scaled_inverse, c) == Fraction(l) / m
+
+    def rational(rows, cols):
+        return RationalMatrix(
+            [[Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(cols)]
+             for _ in range(rows)]
+        )
+
+    for _ in range(200):
+        r, k = rng.randint(1, 7), rng.randint(1, 7)
+        a, b = rational(r, k), rational(k, r)
+        got = trace_pairing(a, b)
+        assert type(got) is Fraction and got == reference_trace_pairing(a, b)
+    with pytest.raises(ShapeError, match=r"^cannot pair 2x3 with 2x3$"):
+        trace_pairing(rational(2, 3), rational(2, 3))
 
 
 def test_cleared_int_rows_matches_fraction_oracle():
