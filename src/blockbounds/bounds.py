@@ -46,7 +46,9 @@ class SubsectionSpec:
 
     The fusion quotient N is given by generating units modulo q, optionally
     paired (index by index) with generating permutations of its action on the
-    Brauer characters of b.
+    Brauer characters of b: entry i of an image array is the column that the
+    paired unit sends column i to.  For C_7's characters at zeta, zeta^2,
+    zeta^4, ``n_generators`` (2,) acts by (1, 2, 0), in files [[2, 3, 1]].
     """
 
     __slots__ = ("p", "q", "n_generators", "ibr_action", "elements", "_rep")
@@ -131,6 +133,7 @@ class SubsectionSpec:
         )
 
     def perm_of(self, unit: int, degree: int) -> tuple[int, ...]:
+        """Entry a: the column that ``unit`` sends column a to (0-indexed)."""
         if self._rep:
             if self.ibr_action.degree != degree:
                 raise DomainError(

@@ -381,30 +381,27 @@ def _gram_blocks(data: GenDecData) -> dict:
 
 class _Expected:
     """What both verifiers read of (spec, C_bar) for data with l columns;
-    ``verify_all`` builds it once and passes it to each.
+    ``verify_all`` builds it once and passes it to each.  ``perms`` maps
+    each unit of N to its column permutation, ``cm`` is C_bar as int rows
+    and ``zero`` the l x l zero block.  ``cp``, the one table of expected
+    products, maps each d in N to C_bar P_d as int rows, P_d e_b = e_perm[b]:
+    d sends column b to column perm[b] (``SubsectionSpec.perm_of``), so
+    Q^d = Q P_d, and as C_bar commutes with P_g, both verifiers expect
+    P(g, d) = (Q^g)^t conj(Q^d) = q C_bar P_{d/g}, or 0 when d/g is not in
+    N.  Nothing in it may be modified."""
 
-    - ``perms`` maps each unit of N to its column permutation;
-    - ``cm`` and ``cb`` are C_bar and b's C = q C_bar as int rows, and
-      ``zero`` is the l x l zero block;
-    - ``cp`` maps each delta in N to C_bar P_delta as int rows;
-    - ``involutive`` says that every fusion permutation is its own inverse.
-
-    Nothing in it may be modified."""
-
-    __slots__ = ("q", "l", "perms", "cm", "cb", "zero", "cp", "involutive")
+    __slots__ = ("q", "l", "perms", "cm", "zero", "cp")
 
     def __init__(self, spec: SubsectionSpec, c_bar, l: int):
         if c_bar.l != l:
             raise DomainError("Cartan size does not match the column count")
-        self.q = q = spec.q
+        self.q = spec.q
         self.l = l
         self.perms = perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
         self.cm = cm = _cleared_int_rows(c_bar.matrix)[0]
-        self.cb = [[q * x for x in row] for row in cm]
         self.zero = [[0] * l for _ in range(l)]
         self.cp = {d: [[row[perm[b]] for b in range(l)] for row in cm]
                    for d, perm in perms.items()}
-        self.involutive = all(perm[perm[b]] == b for perm in perms.values() for b in range(l))
 
 
 def _orthogonality_rows(pairs: int, bad_entry=None, bad_pairs=None, comm=None) -> list:
@@ -424,25 +421,24 @@ def _orthogonality_rows(pairs: int, bad_entry=None, bad_pairs=None, comm=None) -
 
 
 def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> VerificationReport:
-    """Check Q^t conj(Q) = q C_bar, the Galois-twisted products against
-    C_b P_gamma (0 across distinct cosets), and that C_b commutes with every
-    fusion permutation matrix.  ``expected`` is the ``_Expected`` of
-    (data, c_bar) when the caller has built it.
+    """Check Q^t conj(Q) = q C_bar, each P(gamma, delta) against the
+    ``_Expected`` product q C_bar P_{delta/gamma}, and that C_bar commutes
+    with every fusion permutation matrix.  ``expected`` is the ``_Expected``
+    of (data, c_bar) when the caller has built it.
 
     Galois automorphisms commute with complex conjugation and fix the
-    rational expected matrices, so P(gamma, delta) = (Q^gamma)^t conj(Q^delta)
-    is the image of P(gamma/delta, 1) under zeta -> zeta^delta: it fails
-    exactly when P(gamma/delta, 1) does, at the same entries.  Only the
-    phi(q) products P(gamma, 1) are computed; a failing ratio stands for
-    phi(q) failing pairs, and only its first failing (a, b) is kept.
-    Entry (a, b) of P(gamma, 1) is sum_{e,f} (A_e^t A_f)[a][b]
-    zeta^(gamma e - f): one term per nonzero Gram block, collected by
-    exponent with the expected integer subtracted at exponent 0 and tested
-    with ``_vanishes``, so a gamma costs the nonzero terms, not l^2 q.  Only
-    the two reported entries, for gamma = 1 and the least delta, are
-    reduced."""
+    rational expected matrices, so P(gamma, delta) is the image of
+    P(gamma/delta, 1) under zeta -> zeta^delta: it fails exactly when
+    P(gamma/delta, 1) does, at the same entries.  Only the phi(q) products
+    P(gamma, 1) are computed; a failing ratio stands for phi(q) failing
+    pairs, and only its first failing (a, b) is kept.  Entry (a, b) of
+    P(gamma, 1) is sum_{e,f} (A_e^t A_f)[a][b] zeta^(gamma e - f): one term
+    per nonzero Gram block, collected by exponent with the expected integer
+    subtracted at exponent 0 and tested with ``_vanishes``, so a gamma costs
+    the nonzero terms, not l^2 q.  Only the two reported entries, for
+    gamma = 1 and the least delta, are reduced."""
     exp = expected or _Expected(data.spec, c_bar, data.l)
-    q, l, cb, perms = exp.q, exp.l, exp.cb, exp.perms
+    q, l, cm, cp = exp.q, exp.l, exp.cm, exp.cp
     p, units = data.p, units_mod(q)
     blocks = data.gram_blocks.items()
     # entry a l + b: its (e, f, x) terms, one per nonzero block entry
@@ -457,9 +453,10 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
             acc[s] = acc.get(s, 0) + x
         return acc
 
-    def want(gamma, a, b):
-        perm = perms.get(gamma)
-        return 0 if perm is None else cb[a][perm[b]]
+    def want(gamma, delta, a, b):
+        """Entry (a, b) of the expected P(gamma, delta), q C_bar P_{delta/gamma}."""
+        m = cp.get(delta * pow(gamma, -1, q) % q if q > 1 else 1)
+        return 0 if m is None else q * m[a][b]
 
     def first_mismatch(gamma):
         """(a, b) of the first entry of P(gamma, 1) off its expected integer,
@@ -467,7 +464,7 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
         for a in range(l):
             for b in range(l):
                 acc = entry(gamma, 1, a, b)
-                acc[0] = acc.get(0, 0) - want(gamma, a, b)
+                acc[0] = acc.get(0, 0) - want(gamma, 1, a, b)
                 if not _vanishes(acc, q, p):
                     return a, b
         return None
@@ -476,8 +473,7 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
         """'entry (a, b): got != want' for P(1, delta), the image of
         P(1/delta, 1) under zeta -> zeta^delta; the only entries reduced."""
         got = cyc_reduce(entry(1, delta, a, b), q)
-        ratio = pow(delta, -1, q) if q > 1 else 1
-        expected = CyclotomicInteger.from_int(q, want(ratio, a, b))
+        expected = CyclotomicInteger.from_int(q, want(1, delta, a, b))
         return f"entry {a, b}: {got!r} != {expected!r}"
 
     bad = {g: m for g in units if (m := first_mismatch(g)) is not None}
@@ -491,8 +487,8 @@ def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> Verification
             f"(gamma=1, delta={delta}) {shown(delta, *bad[ratio])}"
         )
     # C P = P C  iff  C[perm[a]][perm[b]] = C[a][b] for all a, b
-    comm = next((unit for unit, perm in perms.items()
-                 if any(cb[perm[a]][perm[b]] != cb[a][b]
+    comm = next((unit for unit, perm in exp.perms.items()
+                 if any(cm[perm[a]][perm[b]] != cm[a][b]
                         for a in range(l) for b in range(l))), None)
     return VerificationReport(tuple(_orthogonality_rows(
         pairs, shown(1, *bad[1]) if 1 in bad else None, bad_pairs, comm)))
@@ -661,11 +657,10 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
     """Run all verifiers; height-dependent checks only when heights are given.
 
     The Gram comparison runs first.  When its ``gram`` row passes
-    (``gram(1,1)`` at q = 1) and every fusion permutation P_x is an
-    involution, the orthogonality, Galois, commutation and rank rows are the
-    passing rows that ``verify_orthogonality`` and ``rank_check`` compute,
-    built without running either; otherwise both run.  Write s_g for
-    zeta -> zeta^g and G_ef = A_e^t A_f.
+    (``gram(1,1)`` at q = 1), the orthogonality, Galois, commutation and
+    rank rows are the passing rows that ``verify_orthogonality`` and
+    ``rank_check`` compute, built without running either; otherwise both
+    run.  Write s_g for zeta -> zeta^g and G_ef = A_e^t A_f.
 
     - *The Gram identity decides every Galois pair.*  P(g, d) =
       sum_{e,f} G_ef s_g(zeta^e) conj(s_d(zeta^f)) is the image of the
@@ -676,13 +671,12 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
       gives R_ij = C_bar sum_{d in N} Tr(t_i s_-d(t_j))/q P_d, and of the
       traces of the four powers of zeta in t_i s_-d(t_j) the -1/p parts
       cancel (the four exponents agree modulo q/p), leaving w(i, j, d).  So
-      the ``gram`` row passes iff P(g, d) = q C_bar P_{d/g} for every pair.
-      Then P(1, 1) = q C_bar; the Galois check, which expects q C_bar
-      P_{g/d}, passes iff P_x = P_{x^-1} on N (C_bar is nonsingular), which
-      is the involution condition; and since P(d, g) is the conjugate
-      transpose of P(g, d), C_bar P_x = P_x C_bar for every x: no input
-      passes the ``gram`` row and fails commutation, so the shortcut does
-      not test commutation.
+      the ``gram`` row passes iff P(g, d) = q C_bar P_{d/g} for every pair,
+      which is what the Galois check expects (both read ``_Expected.cp``),
+      for any N.  Then P(1, 1) = q C_bar, and since P(d, g) is the
+      conjugate transpose of P(g, d), C_bar P_x = P_x C_bar for every x: no
+      input passes the ``gram`` row and fails orthogonality, the Galois
+      check or commutation.
     - *Rank.*  X = [Q^s_g]_g = [A_1 .. A_phi] (V^t (x) I_l) has the rank of
       the coefficient matrix, which is that of its Hermitian Gram
       (P(g, d))_{g,d}.  That vanishes across distinct cosets of N, and on a
@@ -693,7 +687,7 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
     """
     exp = _Expected(data.spec, c_bar, data.l)
     gram = verify_gram_identity(data, c_bar, exp).checks
-    if gram[0].passed and exp.involutive:
+    if gram[0].passed:
         phi = _conductor_parts(data.q)[1]
         rank = data.l * phi // data.spec.n
         checks = [*_orthogonality_rows(phi * phi), *gram, _rank_row(rank, rank)]

@@ -396,6 +396,21 @@ def dihedral_cells(q: int, expand: bool = False) -> tuple[list, list, list]:
     return cells, cbar, [h for h in heights for _ in d]
 
 
+def orbit_cells(q: int, gen: int) -> tuple[list, list, tuple]:
+    """(cells, C_bar, shift): the q linear characters of C_q at the N-orbit
+    zeta^d, d = gen^0, gen^1, ... (N = <gen> of order n; one column per d,
+    so l = n and C_bar = I), and the natural action of gen on the columns:
+    zeta -> zeta^gen sends the column at zeta^d to the one at zeta^(gen d),
+    column i to column i + 1 mod n (0-indexed images)."""
+    ds = [1]
+    while (d := ds[-1] * gen % q) != 1:
+        ds.append(d)
+    n = len(ds)
+    cells = [[{j * d % q: 1} for d in ds] for j in range(q)]
+    return (cells, [[int(a == b) for b in range(n)] for a in range(n)],
+            tuple((i + 1) % n for i in range(n)))
+
+
 def data_from_cells(q, cells, cbar, gens=None, perm=None):
     """GenDecData and C_bar from exponent-map cells; N = <gens> (default
     <-1>), each generator acting on the columns by ``perm``."""
@@ -412,11 +427,13 @@ def data_from_cells(q, cells, cbar, gens=None, perm=None):
     return GenDecData(stack, spec), CartanData(RationalMatrix(cbar), p)
 
 
-def gendec_record(q: int, cells, cbar, heights, perm=None) -> dict:
-    """A ``gendec verify`` input: N generated by -1, acting on the columns
-    by ``perm`` (1-indexed images, the identity by default)."""
+def gendec_record(q: int, cells, cbar, heights, perm=None, gens=None) -> dict:
+    """A ``gendec verify`` input: N = <gens> (default <-1>), each generator
+    acting on the columns by ``perm`` (1-indexed images, the identity by
+    default)."""
     p = next(f for f in range(2, q + 1) if q % f == 0)
     l = len(cbar)
+    gens = [q - 1] if gens is None else list(gens)
     return {
         "q": q,
         "p": p,
@@ -425,8 +442,8 @@ def gendec_record(q: int, cells, cbar, heights, perm=None) -> dict:
         "spec": {
             "p": p,
             "q": q,
-            "n_generators": [q - 1],
-            "ibr_action": [perm or list(range(1, l + 1))],
+            "n_generators": gens,
+            "ibr_action": [perm or list(range(1, l + 1))] * len(gens),
             "cartan": {
                 "normalization": "b_bar",
                 "matrix": {"rows": l, "cols": l,
@@ -507,7 +524,8 @@ def reference_orthogonality(data, c_bar):
     detail = f"all {len(units)**2} Galois pairs match"
     for g in units:
         for d in units:
-            ratio = g * pow(d, -1, q) % q if q > 1 else 1
+            # P(g, d) = q C_bar P_{d/g}: g sends column a to column perm[a]
+            ratio = d * pow(g, -1, q) % q if q > 1 else 1
             prod = _cyc_product_t_conj(images[g], images[d], q)
             if ratio in spec.elements:
                 expected = cb @ perm_matrix(spec.perm_of(ratio, l))
@@ -644,7 +662,7 @@ def _reference_orthogonality_checks(data, c_bar) -> list:
             for a in range(l):
                 for b in range(l):
                     raws[a][b][s] += blk[a][b]
-        perm = perms.get(gamma)
+        perm = perms.get(pow(gamma, -1, q) if q > 1 else 1)  # q C_bar P_{1/gamma}
         for a in range(l):
             for b in range(l):
                 got = cyc_reduce(raws[a][b], q)

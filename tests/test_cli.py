@@ -10,7 +10,8 @@ from blockbounds.cli import run
 from blockbounds.exactmat import matrix_from_record
 from blockbounds.fixtures import FIXTURES, agl18_bundle, s3_subsection
 from blockbounds.gendec import cyc_reduce
-from conftest import data_from_cells, dihedral_cells, gendec_record, reference_verify_all
+from conftest import (data_from_cells, dihedral_cells, gendec_record, orbit_cells,
+                      reference_verify_all)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -474,6 +475,27 @@ def test_exit_code_on_failing_verification(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL orthogonality" in out
     assert "entry" in out
+
+
+def test_gendec_verify_of_an_order_four_action(tmp_path, capsys):
+    # C_13's characters at zeta, zeta^5, zeta^12, zeta^8 with N = <5>: the
+    # natural action [2, 3, 4, 1] is valid, its inverse fails the Gram and
+    # the Galois check
+    cells, cbar, shift = orbit_cells(13, 5)
+    natural = [i + 1 for i in shift]
+    inverse = [shift.index(i) + 1 for i in range(len(shift))]
+    for label, perm, status in (("natural", natural, 0), ("inverse", inverse, 1)):
+        path = tmp_path / f"c13-{label}.json"
+        path.write_text(json.dumps(gendec_record(13, cells, cbar, [0] * 13, perm, [5])))
+        assert run(["gendec", "verify", "--input", str(path), "--format", "records"]) == status
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err, label
+        report = json.loads(out)
+        failing = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert report["ok"] is (status == 0), (label, failing)
+        if status:
+            assert "galois-orthogonality" in failing, label
+            assert any(name.startswith("gram(") for name in failing), label
 
 
 def test_exit_code_on_unwritable_output(tmp_path, capsys):

@@ -31,6 +31,7 @@ from conftest import (
     entry_of,
     field_trace,
     gendec_record,
+    orbit_cells,
     q_matrix_of,
     reference_fourier_split,
     reference_gram_identity,
@@ -556,7 +557,11 @@ def oracle_cases():
 
 
 def test_integer_verifiers_match_pair_loop_reference():
-    for label, data, c_bar, corrupt in oracle_cases():
+    # the non-involutive actions whose pair loop stays small (phi(q) <= 8)
+    orbits = [(label, data, c_bar, label.endswith("inverse"))
+              for label, data, c_bar, _ in non_involutive_cases()
+              if prime_and_phi(data.q)[1] <= 8]
+    for label, data, c_bar, corrupt in [*oracle_cases(), *orbits]:
         pairs = len(units_mod(data.q)) ** 2
         ortho = verify_orthogonality(data, c_bar).checks
         ref_ortho, failing = reference_orthogonality(data, c_bar)
@@ -845,18 +850,19 @@ def non_commuting_cases():
 
 
 def non_involutive_cases():
-    """(label, data, C_bar, heights): the seven linear characters of C_7 at
-    the three conjugates zeta, zeta^2, zeta^4 (l = 3, C_bar = I), with
-    N = <2> of order 3 acting on the columns by a 3-cycle.  The Gram
-    identity expects P(gamma, delta) = q C_bar P_{delta/gamma} and the
-    Galois check q C_bar P_{gamma/delta}, so with (1, 2, 0) the Gram rows
-    pass while the Galois check fails, and with its inverse the reverse."""
-    q = 7
-    cells = [[{j * d % q: 1} for d in (1, 2, 4)] for j in range(q)]
-    identity = [[int(a == b) for b in range(3)] for a in range(3)]
-    for label, perm in (("Gram", (1, 2, 0)), ("Galois", (2, 0, 1))):
-        yield (f"q=7 N=<2> 3-cycle, {label} convention",
-               *data_from_cells(q, cells, identity, gens=(2,), perm=perm), [0] * q)
+    """(label, data, C_bar, heights): the q linear characters of C_q at an
+    N-orbit of zeta (``orbit_cells``) with N = <2> of order 3 at q = 7, <5>
+    of order 4 at 13, <3> of order 4 at 16 (p = 2, a unit group that is not
+    cyclic) and <7> of order 4 at 25, each acting on the columns by its
+    natural cycle (valid data) and by the inverse cycle.  All-zero heights
+    fail the valuation row when p divides n, so q = 16 has none."""
+    for q, gen in ((7, 2), (13, 5), (16, 3), (25, 7)):
+        cells, identity, shift = orbit_cells(q, gen)
+        inverse = tuple(shift.index(i) for i in range(len(shift)))
+        heights = None if q == 16 else [0] * q
+        for label, perm in (("natural", shift), ("inverse", inverse)):
+            yield (f"q={q} N=<{gen}>, {label}",
+                   *data_from_cells(q, cells, identity, gens=(gen,), perm=perm), heights)
 
 
 def unit_multiple_cases():
@@ -888,11 +894,12 @@ def test_verify_all_with_one_expected_matches_the_reference(monkeypatch):
              *unit_multiple_cases()]
     for label, data, c_bar, hs in cases:
         ref = reference_verify_all(data, c_bar, hs).checks
+        bare = ref if hs is None else ref[:-1]  # without the height row
         built.clear()
         # the two verifiers share one _Expected, and nothing outlives the call
         for _ in range(2):
             assert verify_all(data, c_bar, hs).checks == ref, label
-            assert verify_all(data, c_bar, None).checks == ref[:-1], label
+            assert verify_all(data, c_bar, None).checks == bare, label
         assert len(built) == 4, label
         # each verifier called alone builds its own and gives the same rows
         ortho = verify_orthogonality(data, c_bar).checks
@@ -931,9 +938,10 @@ def test_derived_rows_equal_the_computed_rows():
         assert [report[c.name] for c in computed] == list(computed), label
         gram = next(c for c in report.values() if c.name.startswith("gram"))
         seen.add((gram.passed, *(c.passed for c in computed)))
-    # the Gram rows pass with the Galois check failing (a 3-cycle action),
-    # and plain orthogonality passes with both failing (a unit multiple)
-    assert (True, True, False, True, True) in seen
+        # no case passes the Gram rows and fails a row they decide
+        assert not gram.passed or all(c.passed for c in computed), label
+    # plain orthogonality passes with the Gram and Galois checks failing (a
+    # unit multiple, an inverse action)
     assert (False, True, False, True, True) in seen
     assert (True, True, True, True, True) in seen
 
@@ -951,19 +959,28 @@ def test_valid_data_skips_the_coset_test_and_the_elimination(monkeypatch):
     derived = computed = 0
     for label, data, c_bar, heights in shortcut_cases():
         gram_holds = verify_gram_identity(data, c_bar).checks[0].passed
-        involutive = all(
-            data.spec.perm_of(unit, data.l) == data.spec.perm_of(pow(unit, -1, data.q), data.l)
-            for unit in data.spec.elements
-        )
         calls.update(dict.fromkeys(calls, 0))
         verify_all(data, c_bar, heights)
-        if gram_holds and involutive:
+        if gram_holds:
             assert calls == {"_vanishes": 0, "_bareiss": 0}, label
             derived += 1
         else:
             assert calls["_vanishes"] and calls["_bareiss"], label
             computed += 1
     assert derived > 10 and computed > 10
+
+
+def test_non_involutive_actions_have_one_convention():
+    # the natural action passes every row (through the shortcut, which the
+    # test above checks); the inverse fails both the Gram and the Galois check
+    for label, data, c_bar, heights in non_involutive_cases():
+        assert data.spec.n > 2, label
+        failing = [c.name for c in verify_all(data, c_bar, heights).failures()]
+        if label.endswith("natural"):
+            assert failing == [], label
+        else:
+            assert "galois-orthogonality" in failing, label
+            assert any(name.startswith("gram(") for name in failing), label
 
 
 def test_gram_formula_is_the_preimage_of_the_galois_pairs():
