@@ -20,8 +20,8 @@ from .exactmat import (
     RationalMatrix,
     _cleared_int_rows,
     _dot,
-    _inverse_rows,
-    determinant,
+    _int_determinant,
+    inverse,
     trace_pairing,
 )
 from .lattice import DEFAULT_DIM_CAP, form_minimum
@@ -200,19 +200,7 @@ def k0_semidirect(spec: SubsectionSpec) -> int:
 
 def _normalized_cartan(c: CartanData, spec: SubsectionSpec) -> CartanData:
     """Return the Cartan matrix of the dominated block (b's divided by q)."""
-    if spec.q == 1:
-        return c
-    q = spec.q
-    scaled = c.matrix.scale(Fraction(1, q))
-    if not scaled.is_integral():
-        raise DomainError(
-            f"Cartan matrix of b must be divisible by q = {q}; "
-            "it does not match the subsection"
-        )
-    defect = None if c.defect is None else c.defect - ntheory.valuation(q, spec.p)
-    if defect is not None and defect < 0:
-        raise DomainError("defect smaller than the order of u")
-    return CartanData(scaled, c.p, defect)
+    return c if spec.q == 1 else c._divided(spec.q, spec.p)
 
 
 def _aligned_weight(
@@ -248,7 +236,7 @@ def subsection_k_bound(
             "(its order divides p - 1)"
         )
     weight, notes = _aligned_weight(weight, spec, c_bar.l, max_dim)
-    tr = trace_pairing(weight.matrix, c_bar.matrix)
+    tr = trace_pairing(weight.matrix, c_bar)
     n, q = spec.n, spec.q
     value = (Fraction(n) + Fraction(q - 1, n)) * tr
     return BoundReport(
@@ -275,7 +263,7 @@ def subsection_k0_bound(
     """k0(B) <= k0(<u> x| N) tr(W C) <= q tr(W C), any subsection; ``c_bar``
     is the Cartan matrix of the dominated block."""
     weight, notes = _aligned_weight(weight, spec, c_bar.l, max_dim)
-    tr = trace_pairing(weight.matrix, c_bar.matrix)
+    tr = trace_pairing(weight.matrix, c_bar)
     k0 = k0_semidirect(spec)
     return BoundReport(
         name="subsection k0(B) bound",
@@ -333,8 +321,7 @@ def classical_bounds(
             raise DomainError("partition must cover each index exactly once")
         total = Fraction(0)
         for b in blocks:
-            sub = RationalMatrix([[cm[i, j] for j in b] for i in b])
-            total += determinant(sub)
+            total += _int_determinant([[c.ints[i][j] for j in b] for i in b])
         reports.append(
             BoundReport(
                 name="partition determinant bound",
@@ -366,9 +353,8 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
         if j > l:
             raise DomainError(f"form index ({i},{j}) exceeds matrix size {l}")
     w = from_quadratic_form(form_coeffs, size=l, max_dim=max_dim)
-    ints, _ = _cleared_int_rows(c.matrix)
-    value = Fraction(sum(v * ints[i - 1][j - 1] for (i, j), v in form_coeffs.items()))
-    if value != trace_pairing(w.matrix, c.matrix):
+    value = Fraction(sum(v * c.ints[i - 1][j - 1] for (i, j), v in form_coeffs.items()))
+    if value != trace_pairing(w.matrix, c):
         raise InternalInvariantError("form bound differs from the trace pairing tr(W C)")
     return BoundReport(
         name="quadratic form bound",
@@ -382,9 +368,8 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
 
 def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> BoundReport:
     """k(B) <= l/m <= l p^d with m the integer minimum of the C^{-1} form."""
-    rows, top = _inverse_rows(c.matrix)  # top: largest elementary divisor of C
-    cinv = RationalMatrix([[Fraction(v, top) for v in row] for row in rows])
-    mres = form_minimum(cinv, max_dim=max_dim)
+    top = c.inverse_rows[1]  # the largest elementary divisor of C
+    mres = form_minimum(inverse(c), max_dim=max_dim)
     l = c.l
     value = l / mres.value
     weak = Fraction(l * top)
@@ -568,16 +553,15 @@ def compare_all(
     ):
         w_aligned, _ = _aligned_weight(best_weight, spec, l, max_dim)
         w_ints, s_w = _cleared_int_rows(w_aligned.matrix)
-        c_ints, s_c = _cleared_int_rows(c_bar.matrix)
-        c_cols = list(zip(*c_ints))
+        c_cols = list(zip(*c_bar.ints))
 
         def diagonal(perm) -> int:
-            # s_w s_c tr(W C P_g) = s_w s_c sum_i (W C)[g(i), i], no product formed
+            # s_w tr(W C P_g) = s_w sum_i (W C)[g(i), i], no product formed
             return sum(_dot(w_ints[g_i], c_cols[i]) for i, g_i in enumerate(perm))
 
         summed = sum(diagonal(spec.perm_of(unit, l)) for unit in spec.elements)
         refined = Fraction(
-            spec.n * summed + (q - 1) * diagonal(range(l)), spec.n * s_w * s_c
+            spec.n * summed + (q - 1) * diagonal(range(l)), spec.n * s_w
         )
         rows.append(
             BoundReport(
@@ -590,7 +574,7 @@ def compare_all(
         )
 
     if l == 1 and spec.p > 2:
-        [[top]], _ = _cleared_int_rows(cartan_b.matrix)
+        [[top]] = cartan_b.ints
         if ntheory.is_power_of(top, spec.p):
             s_exp = ntheory.valuation(spec.n_p, spec.p)
             d = ntheory.valuation(top, spec.p)

@@ -151,8 +151,10 @@ def _load_action(arrays, degree: int, path: str) -> PermutationAction | None:
     return PermutationAction(degree, gens)
 
 
-def _load_cartan(record: dict, matrix, p: int, q: int, defect, path: str) -> CartanData:
-    """b's Cartan data from a ``cartan`` record and its parsed ``matrix``."""
+def _load_cartan(record: dict, matrix, p: int, q: int, defect, path: str,
+                 known: CartanData | None) -> CartanData:
+    """b's Cartan data from a ``cartan`` record and its parsed ``matrix``;
+    ``known`` (or None) is returned when it has the same matrix, p and defect."""
     normalization = _require(record, "normalization", path)
     if normalization not in ("b", "b_bar"):
         raise InputError(f"{path}: normalization must be 'b' or 'b_bar'")
@@ -160,6 +162,8 @@ def _load_cartan(record: dict, matrix, p: int, q: int, defect, path: str) -> Car
         defect = _integer(defect, "defect", path)
     if normalization == "b_bar":
         matrix = matrix.scale(q)
+    if known is not None and (known.matrix, known.p, known.defect) == (matrix, p, defect):
+        return known
     try:
         return CartanData(matrix, p, defect)
     except DomainError as exc:
@@ -196,7 +200,7 @@ def _powers_cell(cell, r: int, c: int, path: str) -> list:
     return pairs
 
 
-def _load_gendec(record: dict, path: str) -> tuple:
+def _load_gendec(record: dict, path: str, bundle_cartan: CartanData | None) -> tuple:
     """Returns (GenDecData, CartanData of the dominated block, heights)."""
     q = _require(record, "q", path)
     p = _require(record, "p", path)
@@ -208,7 +212,8 @@ def _load_gendec(record: dict, path: str) -> tuple:
     spec = _load_spec({**spec_rec, "p": p, "q": q}, l, path)
     cartan_rec = _object(_require(spec_rec, "cartan", path), "cartan", path)
     matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
-    cartan_b = _load_cartan(cartan_rec, matrix, p, q, spec_rec.get("defect"), path)
+    cartan_b = _load_cartan(cartan_rec, matrix, p, q, spec_rec.get("defect"), path,
+                            bundle_cartan)
     if cartan_b.l != l:
         raise InputError(f"{path}: cartan size {cartan_b.l} does not match l = {l}")
     qm = _object(_require(record, "q_matrix", path), "q_matrix", path)
@@ -248,7 +253,7 @@ def _load_bundle(path: str) -> BlockBundle:
     matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
     l = matrix.rows
     spec = _load_spec(rec, l, path)
-    cartan_b = _load_cartan(cartan_rec, matrix, p, q, rec.get("defect"), path)
+    cartan_b = _load_cartan(cartan_rec, matrix, p, q, rec.get("defect"), path, None)
     ordering = rec.get("ordering")
     if ordering is not None:
         ordering = tuple(x - 1 for x in _integer_list(ordering, "ordering", path))
@@ -266,7 +271,7 @@ def _load_bundle(path: str) -> BlockBundle:
     gendec = c_bar = heights = None
     if rec.get("gendec") is not None:
         gendec_rec = _object(rec["gendec"], "gendec", path)
-        gendec, c_bar, heights = _load_gendec(gendec_rec, path)
+        gendec, c_bar, heights = _load_gendec(gendec_rec, path, cartan_b)
         if gendec.q != q or gendec.p != p or gendec.l != l:
             raise InputError(f"{path}: gendec sub-record disagrees with the bundle")
         if c_bar.matrix.scale(q) != cartan_b.matrix:
@@ -566,7 +571,7 @@ def _cmd_weights_build(args) -> int:
 
 
 def _cmd_gendec_verify(args) -> int:
-    data, c_bar, heights = _load_gendec(_load_json(args.input), args.input)
+    data, c_bar, heights = _load_gendec(_load_json(args.input), args.input, None)
     report = verify_all(data, c_bar, heights)
     return _print_verification(report, args.format == "records")
 

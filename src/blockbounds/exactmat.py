@@ -12,6 +12,11 @@ swap-free run by one reader, ``_ldl_rows``.  ``trace_pairing`` reads both
 operands as cleared integer rows too: tr(a b) is one integer dot product
 over them, and one ``Fraction`` over the product of the two denominators.
 
+``CartanData`` owns what is derived from a Cartan matrix: its integer rows,
+its inverse as (rows, den), eliminated at most once and only when read, and
+the dominated block's C/q, made once.  Its symmetry and positive
+definiteness are decided once, on construction.
+
 Floating point never enters any result.
 """
 
@@ -22,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .ntheory import DomainError, is_prime
+from .ntheory import DomainError, is_prime, valuation
 
 # The documented entry format: an integer or a/b, nothing else Fraction parses.
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -173,16 +178,17 @@ class RationalMatrix:
         return all(x.denominator == 1 for row in self._rows for x in row)
 
 
-def trace_pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:
+def trace_pairing(a: RationalMatrix, b: "RationalMatrix | CartanData") -> Fraction:
     """tr(a b) = sum a_ij b_ji, without forming the product.
 
     With s_a a = A and s_b b = B integral (``_cleared_int_rows``), this is
     sum A_ij B_ji / (s_a s_b): one integer dot product and one ``Fraction``.
+    A ``CartanData`` ``b`` gives its integer rows as they are (s_b = 1).
     """
-    if a.rows != b.cols or a.cols != b.rows:
-        raise ShapeError(f"cannot pair {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    ints_b, s_b = (b.ints, 1) if isinstance(b, CartanData) else _cleared_int_rows(b)
+    if a.rows != len(ints_b[0]) or a.cols != len(ints_b):
+        raise ShapeError(f"cannot pair {a.rows}x{a.cols} with {len(ints_b)}x{len(ints_b[0])}")
     ints_a, s_a = _cleared_int_rows(a)
-    ints_b, s_b = _cleared_int_rows(b)
     return Fraction(sum(map(_dot, ints_a, zip(*ints_b))), s_a * s_b)
 
 
@@ -264,10 +270,14 @@ def _bareiss(m: list[list[int]], ncols: int, pivoting: bool) -> tuple[list[int],
 def determinant(a: RationalMatrix) -> Fraction:
     if not a.is_square():
         raise ShapeError("determinant needs a square matrix")
-    n = a.rows
     ints, s = _cleared_int_rows(a)
-    pivots, sign = _bareiss(ints, n, pivoting=True)
-    return Fraction(sign * ints[-1][-1] if len(pivots) == n else 0, s**n)
+    return Fraction(_int_determinant(ints), s**a.rows)
+
+
+def _int_determinant(m: list[list[int]]) -> int:
+    """det of the square integer rows ``m``, which the kernel eliminates in place."""
+    pivots, sign = _bareiss(m, len(m), pivoting=True)
+    return sign * m[-1][-1] if len(pivots) == len(m) else 0
 
 
 def _inverse_rows(a: RationalMatrix) -> tuple[list[list[int]], int]:
@@ -307,9 +317,10 @@ def _inverse_rows(a: RationalMatrix) -> tuple[list[list[int]], int]:
     return [[v // g for v in row] for row in y], d // g
 
 
-def inverse(a: RationalMatrix) -> RationalMatrix:
-    """Exact inverse: the integer rows of ``_inverse_rows`` over their denominator."""
-    rows, den = _inverse_rows(a)
+def inverse(a: "RationalMatrix | CartanData") -> RationalMatrix:
+    """Exact inverse: the integer rows of ``_inverse_rows`` over their
+    denominator, or of ``CartanData.inverse_rows`` for Cartan data."""
+    rows, den = a.inverse_rows if isinstance(a, CartanData) else _inverse_rows(a)
     return RationalMatrix([[Fraction(v, den) for v in row] for row in rows])
 
 
@@ -332,39 +343,50 @@ def _ldl_rows(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 def is_positive_definite(a: RationalMatrix) -> bool:
     """True iff a is symmetric with all leading principal minors positive."""
-    if not a.is_symmetric():
-        return False
-    minors, _ = _ldl_rows(_cleared_int_rows(a)[0])
-    return len(minors) > a.rows and minors[-1] > 0
+    return a.is_symmetric() and _minors_positive(_cleared_int_rows(a)[0])
+
+
+def _minors_positive(m: list[list[int]]) -> bool:
+    """True iff every leading principal minor of the square int rows ``m``,
+    eliminated in place, is positive: for symmetric m, positive definite."""
+    return _ldl_rows(m)[0][-1] > 0
 
 
 class CartanData:
     """Integer symmetric positive definite matrix with block metadata.
 
     ``defect``, when given, pins the largest elementary divisor to p**defect.
+    ``ints`` (integer rows), ``inverse_rows`` and ``_divided`` are each made
+    once, and nothing may modify them.
     """
 
-    __slots__ = ("matrix", "p", "defect")
+    __slots__ = ("matrix", "p", "defect", "ints", "_inverse", "_divided_by")
 
     def __init__(self, matrix: RationalMatrix, p: int, defect: int | None = None):
         if not is_prime(p):
             raise DomainError(f"{p} is not a prime")
         if not matrix.is_square():
             raise DomainError("Cartan matrix must be square")
-        if not matrix.is_integral():
+        ints, s = _cleared_int_rows(matrix)
+        if s != 1:
             raise DomainError("Cartan matrix must have integer entries")
-        if any(x < 0 for row in matrix for x in row):
+        if any(x < 0 for row in ints for x in row):
             raise DomainError("Cartan matrix entries must be nonnegative")
         if not matrix.is_symmetric():
             raise DomainError("Cartan matrix must be symmetric")
-        if not is_positive_definite(matrix):
+        if not _minors_positive([row[:] for row in ints]):
             raise DomainError("Cartan matrix must be positive definite")
+        self.matrix = matrix
+        self.p = p
+        self.defect = defect
+        self.ints = ints
+        self._inverse = self._divided_by = None
         if defect is not None:
             if defect < 0:
                 raise DomainError("defect must be nonnegative")
             # the largest elementary divisor of a nonsingular integer matrix
             # is the least common denominator of its inverse
-            top = _inverse_rows(matrix)[1]
+            top = self.inverse_rows[1]
             # p^defect >= 2^(defect (bits(p) - 1)): when that reaches the bit
             # length of top, the two differ and p^defect is never formed
             if defect * (p.bit_length() - 1) >= top.bit_length() or top != p**defect:
@@ -372,13 +394,39 @@ class CartanData:
                 raise DomainError(
                     f"largest elementary divisor {shown} is not p^defect = {p}^{defect}"
                 )
-        self.matrix = matrix
-        self.p = p
-        self.defect = defect
 
     @property
     def l(self) -> int:
         return self.matrix.rows
+
+    @property
+    def inverse_rows(self) -> tuple[list[list[int]], int]:
+        """``_inverse_rows`` of C, eliminated on the first read."""
+        if self._inverse is None:
+            self._inverse = _inverse_rows(self.matrix)
+        return self._inverse
+
+    def _divided(self, q: int, p: int) -> "CartanData":
+        """C/q, the dominated block's data for q = p^v > 1, made on the first
+        call for q.  Only divisibility and the defect are checked: C/q inherits
+        the rest, and C^{-1} = rows / den gives (C/q)^{-1} = rows / (den/q)."""
+        if self._divided_by is None or self._divided_by[0] != q:
+            if any(x % q for row in self.ints for x in row):
+                raise DomainError(
+                    f"Cartan matrix of b must be divisible by q = {q}; "
+                    "it does not match the subsection"
+                )
+            defect = None if self.defect is None else self.defect - valuation(q, p)
+            if defect is not None and defect < 0:
+                raise DomainError("defect smaller than the order of u")
+            bar = object.__new__(CartanData)
+            bar.ints = [[x // q for x in row] for row in self.ints]
+            bar.matrix, bar.p, bar.defect = RationalMatrix(bar.ints), self.p, defect
+            known = self._inverse
+            bar._inverse = None if known is None else (known[0], known[1] // q)
+            bar._divided_by = None
+            self._divided_by = q, bar
+        return self._divided_by[1]
 
     def __eq__(self, other) -> bool:
         return (

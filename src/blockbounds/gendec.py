@@ -22,7 +22,6 @@ from .exactmat import (
     RationalMatrix,
     _bareiss,
     _cleared_int_rows,
-    _inverse_rows,
     _rows_repr,
 )
 from .ntheory import prime_and_phi, units_mod
@@ -398,7 +397,7 @@ class _Expected:
         self.q = spec.q
         self.l = l
         self.perms = perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
-        self.cm = cm = _cleared_int_rows(c_bar.matrix)[0]
+        self.cm = cm = c_bar.ints
         self.zero = [[0] * l for _ in range(l)]
         self.cp = {d: [[row[perm[b]] for b in range(l)] for row in cm]
                    for d, perm in perms.items()}
@@ -650,7 +649,7 @@ def _valuation_zero(residues, ct: list, p: int) -> bool:
 def c_tilde_of(c_bar) -> RationalMatrix:
     """p^d C^{-1} for the dominated block: p^d, the largest elementary divisor
     of the integer matrix C, is the common denominator of C^{-1}."""
-    return RationalMatrix(_inverse_rows(c_bar.matrix)[0])
+    return RationalMatrix(c_bar.inverse_rows[0])
 
 
 def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
@@ -707,7 +706,7 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
         heights = list(heights)
         if len(heights) != data.k:
             raise DomainError("need one height per row")
-        ct = _inverse_rows(c_bar.matrix)[0]  # p^d C^{-1}, shared by every check
+        ct = c_bar.inverse_rows[0]  # p^d C^{-1}, shared by every check
         # residues of each height-zero row: its coefficients summed per
         # column; rows with equal residues share one check
         residues = {r: tuple(sum(x for _, b, x in terms if b == a) for a in range(data.l))

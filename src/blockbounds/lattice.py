@@ -7,8 +7,8 @@ Gram-Schmidt lengths from it (``_ldl``), and the search takes the reduced
 matrix's leading minors and unscaled L entries and works on integers only,
 scaling every partial sum by one common multiple of the denominators so
 that each coordinate range is one integer square root.  Certification
-decides positive definiteness once, in ``GramForm``; only a refused form is
-eliminated again, for its integer witness.  No step uses floating point.
+decides symmetry once and, in one elimination, positive definiteness and a
+refused form's integer witness.  No step uses floating point.
 
 Searches are cached on the primitive integer form (the cleared rows over
 their gcd): c G has minimum c min(G) with the same minimizers, so all
@@ -29,8 +29,8 @@ from .exactmat import (
     ShapeError,
     _cleared_int_rows,
     _ldl_rows,
+    _minors_positive,
     determinant,
-    is_positive_definite,
 )
 
 DEFAULT_DIM_CAP = 24
@@ -44,7 +44,7 @@ class GramForm:
     def __init__(self, matrix: RationalMatrix):
         if not matrix.is_symmetric():
             raise DomainError("Gram matrix must be symmetric")
-        if not is_positive_definite(matrix):
+        if not _minors_positive(_cleared_int_rows(matrix)[0]):
             raise DomainError("Gram matrix must be positive definite")
         self.matrix = matrix
 
@@ -260,20 +260,17 @@ def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
     return LatticeMinimum(value=value, witness=witness, num_minimizers=len(minimizers))
 
 
-def _nonpositive_direction(sym: RationalMatrix):
-    """(x, x W x^t, i) for symmetric non-PD W: x primitive and integral with
-    value <= 0, and D_{i+1} <= 0 the first failing leading minor.
+def _nonpositive_direction(minors: list[int], a: list[list[int]], s: int):
+    """(x, x W x^t, i) for symmetric non-PD W from ``_ldl_rows`` of s W: x
+    primitive and integral with value <= 0, and D_{i+1} <= 0 the first
+    failing leading minor.
 
     x L = e_i gives the value d_i.  D_i x is integral (cofactors), so back
     substitution on the kernel's integer rows, X_j = -(sum_t X_t a_tj) /
     D_{j+1} from X_i = D_i, divides exactly; its primitive part is m x.
     """
-    ints, s = _cleared_int_rows(sym)
-    minors, a = _ldl_rows(ints)
-    if minors[-1] > 0:
-        raise InternalInvariantError("a refused form has no failing leading minor")
     i = len(minors) - 2
-    x = [0] * sym.rows
+    x = [0] * len(a)
     x[i] = minors[i]
     for j in range(i - 1, -1, -1):
         acc = sum(x[t] * a[t][j] for t in range(j + 1, i + 1))
@@ -298,10 +295,16 @@ def certify_integral_positive_definite(
         raise ShapeError("weight matrix must be square")
     symmetrized = not w.is_symmetric()
     sym = (w + w.transpose()).scale(Fraction(1, 2)) if symmetrized else w
-    try:
-        form = GramForm(sym)
-    except DomainError:
-        vec, val, k = _nonpositive_direction(sym)
+    return _certify_symmetric(sym, symmetrized, max_dim)
+
+
+def _certify_symmetric(sym: RationalMatrix, symmetrized: bool, max_dim: int) -> Certificate:
+    """``certify_integral_positive_definite`` of ``sym``, known to be symmetric:
+    one elimination decides positive definiteness and a refusal's witness."""
+    ints, s = _cleared_int_rows(sym)
+    minors, a = _ldl_rows(ints)
+    if minors[-1] <= 0:
+        vec, val, k = _nonpositive_direction(minors, a, s)
         return Certificate(
             ok=False,
             minimum=None,
@@ -311,6 +314,8 @@ def certify_integral_positive_definite(
                 f"{val} <= 0 (leading principal minor {k + 1} fails)"
             ),
         )
+    form = object.__new__(GramForm)  # positive definite, just decided
+    form.matrix = sym
     m = form_minimum(form, max_dim=max_dim)
     if m.value < 1:
         return Certificate(

@@ -24,6 +24,7 @@ from .exactmat import (
 from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeMinimum,
+    _certify_symmetric,
     certify_integral_positive_definite,
     form_minimum,
 )
@@ -93,7 +94,7 @@ def certified_weight(
 ) -> WeightMatrix:
     if not matrix.is_symmetric():
         raise CertificationError(f"{provenance}: constructed matrix is not symmetric")
-    cert = certify_integral_positive_definite(matrix, max_dim=max_dim)
+    cert = _certify_symmetric(matrix, symmetrized=False, max_dim=max_dim)
     if not cert.ok:
         raise CertificationError(f"{provenance}: {cert.reason}")
     return WeightMatrix(matrix=matrix, certificate=cert.minimum, provenance=provenance)
@@ -289,7 +290,7 @@ def weight_candidates(
                 wada.matrix.permuted(order), "wada-path-reordered", max_dim=max_dim
             )
         )
-    cinv = inverse(cm)
+    cinv = inverse(c)
     mval = form_minimum(cinv, max_dim=max_dim).value
     at_inverse = len(out)
     out.append(
@@ -300,7 +301,7 @@ def weight_candidates(
             if not all(commutes_with(wm.matrix, g) for g in action.generators):
                 averaged = symmetrize(wm, action, max_dim=max_dim)
                 out.append(replace(averaged, provenance=f"symmetrized-{wm.provenance}"))
-    scored = [(wm, trace_pairing(wm.matrix, cm)) for wm in out]
+    scored = [(wm, trace_pairing(wm.matrix, c)) for wm in out]
     got, l_over_m = scored[at_inverse][1], Fraction(l) / mval
     if got != l_over_m:
         raise InternalInvariantError(

@@ -212,10 +212,12 @@ def reference_inverse(matrix: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(sol)
 
 
-def reference_trace_pairing(a: RationalMatrix, b: RationalMatrix) -> Fraction:
+def reference_trace_pairing(a: RationalMatrix, b) -> Fraction:
     """tr(a b) = sum a_ij b_ji as a sum of ``Fraction`` products: the trace
     pairing as the library computed it before it moved to cleared integer
-    rows."""
+    rows.  ``b`` may be a ``CartanData``, paired through its matrix."""
+    if isinstance(b, CartanData):
+        b = b.matrix
     return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
 
 

@@ -27,6 +27,7 @@ from blockbounds import (
     weight_candidates,
 )
 from blockbounds.bounds import _aligned_weight, _normalized_cartan
+from blockbounds.exactmat import _cleared_int_rows
 from blockbounds.fixtures import agl18_cartan, agl18_form_triples, a4xa4_cartan
 from blockbounds.lattice import DEFAULT_DIM_CAP
 from blockbounds.ntheory import unit_of_order
@@ -36,6 +37,7 @@ from conftest import (
     commutator_subgroup_order,
     conjugacy_class_count,
     perm_matrix,
+    random_unimodular,
     reference_trace_pairing,
     semidirect_c9_by_inversion,
 )
@@ -160,6 +162,29 @@ def test_normalized_cartan_divides_b_cartan():
         _normalized_cartan(bad, spec)
     with pytest.raises(DomainError, match="divisible by q = 3"):
         compare_all(bad, spec)
+
+
+def test_normalized_cartan_is_derived_once_and_matches_a_fresh_one():
+    # C_bar = C / q made from C's integer rows, and (rows, den / q) from C's
+    # inverse when C's defect check computed it, equal a validated C_bar
+    # with its own elimination; a second call returns the same object
+    from blockbounds.exactmat import _inverse_rows
+
+    rng = random.Random(59)
+    for trial in range(40):
+        n, p, v = 1 + trial % 6, rng.choice((2, 3, 5)), rng.randint(1, 2)
+        s = random_unimodular(rng, n, ops=n + 2, coeffs=(1, 2))
+        exps = [rng.randint(0, 2) for _ in range(n)]
+        d = RationalMatrix([[p ** exps[r] if r == c else 0 for c in range(n)]
+                            for r in range(n)])
+        c_bar = s.transpose() @ d @ s
+        spec = SubsectionSpec(p, p**v)
+        for defect in (None, max(exps)):
+            c = CartanData(c_bar.scale(p**v), p, None if defect is None else defect + v)
+            got = _normalized_cartan(c, spec)
+            assert got == CartanData(c_bar, p, defect) and got.ints == _cleared_int_rows(c_bar)[0]
+            assert got.inverse_rows == _inverse_rows(c_bar)
+            assert _normalized_cartan(c, spec) is got
 
 
 def test_subsection_k0_bound_examples():

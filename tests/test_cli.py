@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,11 +82,17 @@ def test_dade_fixture_recomputes(tmp_path):
 
 
 def test_golden_bounds_records(tmp_path, capsys):
-    path = emit(tmp_path, "agl18")
+    # q = 1 at l = 5 and l = 9, and q = 3 with a gendec sub-record
+    inputs = {
+        "agl18_compare.json": emit(tmp_path, "agl18"),
+        "a4xa4_compare.json": emit(tmp_path, "a4xa4"),
+        "s3_block_compare.json": s3_block_bundle(tmp_path),
+    }
     capsys.readouterr()
-    assert run(["bounds", "compare", "--input", str(path), "--format", "records"]) == 0
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / "agl18_compare.json").read_text()
+    for golden, path in inputs.items():
+        assert run(["bounds", "compare", "--input", str(path), "--format", "records"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / golden).read_text(), golden
 
 
 def test_golden_verify_records(tmp_path, capsys):
@@ -317,30 +324,108 @@ def test_bundle_with_gendec_subrecord(tmp_path, capsys):
 
 
 def test_bundle_gendec_c_bar_is_built_by_the_loader_only(tmp_path, capsys, monkeypatch):
-    # CartanData: the bundle's C and the gendec record's C, the loader's C_bar
-    # (kept for verify_all) and compare_all's C_bar; two normalizations
-    import blockbounds.bounds as bounds
-    import blockbounds.cli as cli
+    # two CartanData, one normalization: the bundle's C, reused for the
+    # gendec record's equal C, and C_bar, made from it once by the loader
+    # and read again by compare_all
     from blockbounds.exactmat import CartanData
 
     path = s3_block_bundle(tmp_path)
     built, normalized = [], []
-    init, normalize = CartanData.__init__, bounds._normalized_cartan
+    init, divided = CartanData.__init__, CartanData._divided
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    def counting_normalize(c, spec):
-        normalized.append(c)
-        return normalize(c, spec)
+    def counting_divided(self, q, p):
+        c_bar = divided(self, q, p)
+        if all(c_bar is not seen for seen in normalized):
+            normalized.append(c_bar)
+        return c_bar
 
     monkeypatch.setattr(CartanData, "__init__", counting_init)
-    monkeypatch.setattr(bounds, "_normalized_cartan", counting_normalize)
-    monkeypatch.setattr(cli, "_normalized_cartan", counting_normalize)
+    monkeypatch.setattr(CartanData, "_divided", counting_divided)
     assert run(["bounds", "compare", "--input", str(path)]) == 0
     assert "gendec verification passed" in capsys.readouterr().out
-    assert (len(built), len(normalized)) == (4, 2)
+    assert (len(built) + len(normalized), len(normalized)) == (2, 1)
+    # a gendec record whose C or defect differs from the bundle's gets its
+    # own CartanData, validated and refused as before
+    rec = json.loads(path.read_text())
+    rec["gendec"]["spec"]["defect"] = 2
+    path.write_text(json.dumps(rec))
+    built.clear()
+    assert run(["bounds", "compare", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (f"input error: {path}: bad Cartan matrix: largest "
+                                       "elementary divisor 3 is not p^defect = 3^2\n")
+    assert len(built) == 2
+    del rec["gendec"]["spec"]["defect"]
+    rec["gendec"]["spec"]["cartan"]["matrix"]["entries"] = [["2"]]
+    path.write_text(json.dumps(rec))
+    built.clear()
+    assert run(["bounds", "compare", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {path}: gendec Cartan disagrees with the bundle\n"
+    )
+    assert len(built) == 2
+
+
+def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monkeypatch):
+    # per command: one _inverse_rows per distinct matrix that some row reads;
+    # C cleared to integer rows once, plus the working copy of its
+    # elimination, and a C_bar made from C's rows never; and a fixed number
+    # of symmetry checks (C once, each weight once, C^-1 once per reader)
+    import blockbounds.exactmat as exactmat
+    from blockbounds.exactmat import RationalMatrix
+
+    inverted, symmetric, cleared = [], [], []
+    inverse_rows, is_symmetric = exactmat._inverse_rows, RationalMatrix.is_symmetric
+    cleared_rows = exactmat._cleared_int_rows
+
+    def content(a):
+        return tuple(map(tuple, a))
+
+    def counting_clear(a):
+        cleared.append(content(a))
+        return cleared_rows(a)
+
+    monkeypatch.setattr(exactmat, "_inverse_rows", lambda a: inverted.append(content(a))
+                        or inverse_rows(a))
+    monkeypatch.setattr(RationalMatrix, "is_symmetric", lambda a: symmetric.append(a)
+                        or is_symmetric(a))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("blockbounds.") and hasattr(mod, "_cleared_int_rows"):
+            monkeypatch.setattr(mod, "_cleared_int_rows", counting_clear)
+
+    def write(name, rec):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rec))
+        return str(path)
+
+    c = matrix_from_record(agl18_bundle()["cartan"]["matrix"])
+    c2 = c.scale(2)
+    at_q2 = agl18_bundle()  # C = 2 C_bar at q = 2: largest elementary divisor 16
+    at_q2.update(q=2, defect=4, forms=[], cartan={"normalization": "b_bar",
+                                                  "matrix": at_q2["cartan"]["matrix"]})
+    s3 = json.loads(s3_block_bundle(tmp_path).read_text())
+    s3_defect = json.loads(json.dumps(s3))
+    s3_defect["defect"] = s3_defect["gendec"]["spec"]["defect"] = 1
+    compare = ["bounds", "compare", "--input"]
+    cases = [  # (argv, inverted matrices, symmetry checks, {matrix: clears})
+        (compare + [str(emit(tmp_path, "agl18"))], [c], 9, {content(c): 2}),
+        (compare + [write("agl18-q2", at_q2)], [c2], 7, {content(c2): 2, content(c): 0}),
+        (compare + [write("s3", s3)], [[[3]], [[1]]], 6, {}),
+        (compare + [write("s3-defect", s3_defect)], [[[3]]], 6, {}),
+        (["gendec", "verify", "--input", str(emit(tmp_path, "s3-subsection"))],
+         [[[1]]], 1, {}),
+    ]
+    for argv, inverses, checks, clears in cases:
+        capsys.readouterr()
+        for log in (inverted, symmetric, cleared):
+            log.clear()
+        assert run(argv) == 0, argv
+        assert inverted == [content(m) for m in inverses], argv
+        assert len(symmetric) == checks, argv
+        assert {m: cleared.count(m) for m in clears} == clears, argv
 
 
 def test_gendec_accepts_stack_format(tmp_path, capsys):
@@ -626,7 +711,7 @@ def test_inverse_cartan_score_is_checked_against_l_over_m(tmp_path, capsys, monk
         "from blockbounds.exactmat import _cleared_int_rows, _dot\n"
         "def dropped(a, b):\n"
         "    ints_a, _ = _cleared_int_rows(a)\n"
-        "    ints_b, s_b = _cleared_int_rows(b)\n"
+        "    ints_b, s_b = _cleared_int_rows(b.matrix)\n"
         "    return Fraction(sum(map(_dot, ints_a, zip(*ints_b))), s_b)\n"
     )
     namespace = {}

@@ -138,16 +138,39 @@ def test_positive_definite_needs_symmetry():
 
 def test_cartan_data_validation():
     CartanData(agl18_cartan(), 2, 3)  # defect 3: largest divisor 8
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^largest elementary divisor 8 is not p\^defect = 2\^2$"):
         CartanData(agl18_cartan(), 2, 2)
-    with pytest.raises(DomainError):
-        CartanData(RationalMatrix([[1, 2], [2, 1]]), 2)  # not PD
-    with pytest.raises(DomainError):
-        CartanData(RationalMatrix([[1, -1], [-1, 2]]), 2)  # negative entry
-    with pytest.raises(DomainError):
-        CartanData(RationalMatrix([[1, 1], [0, 1]]), 2)  # asymmetric
-    with pytest.raises(DomainError):
-        CartanData(RationalMatrix([[1]]), 4)  # p not prime
+    with pytest.raises(DomainError, match="^Cartan matrix must be positive definite$"):
+        CartanData(RationalMatrix([[1, 2], [2, 1]]), 2)
+    with pytest.raises(DomainError, match="^Cartan matrix entries must be nonnegative$"):
+        CartanData(RationalMatrix([[1, -1], [-1, 2]]), 2)
+    with pytest.raises(DomainError, match="^Cartan matrix must be symmetric$"):
+        CartanData(RationalMatrix([[1, 1], [0, 1]]), 2)
+    with pytest.raises(DomainError, match="^4 is not a prime$"):
+        CartanData(RationalMatrix([[1]]), 4)
+    with pytest.raises(DomainError, match="^Cartan matrix must be square$"):
+        CartanData(RationalMatrix([[1, 0]]), 2)
+    with pytest.raises(DomainError, match="^Cartan matrix must have integer entries$"):
+        CartanData(RationalMatrix([["1/2"]]), 2)
+    with pytest.raises(DomainError, match="^defect must be nonnegative$"):
+        CartanData(RationalMatrix([[1]]), 2, -1)
+
+
+def test_cartan_data_refusal_order():
+    # an input failing several checks gets the message of the first:
+    # prime, square, integral, nonnegative, symmetric, positive definite, defect
+    cases = [
+        ([[1, 3], [1, 1]], 2, None, "Cartan matrix must be symmetric"),  # and not PD
+        ([["1/2", -1], [-1, 2]], 2, None, "Cartan matrix must have integer entries"),
+        ([[1, -1], [0, 1]], 2, None, "Cartan matrix entries must be nonnegative"),
+        ([[1, 2], [2, 1]], 2, 1, "Cartan matrix must be positive definite"),
+        ([[1, 3], [1, 1]], 4, -1, "4 is not a prime"),
+        ([[2, 1], [1, 2]], 2, -1, "defect must be nonnegative"),
+    ]
+    for rows, p, defect, message in cases:
+        with pytest.raises(DomainError) as err:
+            CartanData(RationalMatrix(rows), p, defect)
+        assert str(err.value) == message
 
 
 def test_cartan_defect_is_the_oracle_largest_elementary_divisor():

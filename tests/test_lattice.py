@@ -33,10 +33,13 @@ from conftest import (
 
 
 def test_gram_form_rejects_indefinite():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^Gram matrix must be positive definite$"):
         GramForm(RationalMatrix([[1, 2], [2, 1]]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^Gram matrix must be symmetric$"):
         GramForm(RationalMatrix([[1, 1], [0, 1]]))
+    # asymmetric and not positive definite: the symmetry message comes first
+    with pytest.raises(DomainError, match="^Gram matrix must be symmetric$"):
+        GramForm(RationalMatrix([[1, 3], [1, 1]]))
 
 
 def test_lll_identity_is_fixed():

@@ -10,6 +10,7 @@ from blockbounds import (
     PermutationAction,
     RationalMatrix,
     block_tridiagonal_weight,
+    certified_weight,
     certify_integral_positive_definite,
     from_quadratic_form,
     inverse,
@@ -188,6 +189,23 @@ def test_from_quadratic_form_rejects_indefinite():
     with pytest.raises(CertificationError) as err:
         from_quadratic_form({(1, 1): 1, (2, 2): 1, (1, 2): -3})
     assert "vector" in str(err.value)
+
+
+def test_certified_weight_refusals():
+    with pytest.raises(CertificationError, match="^path: constructed matrix is not symmetric$"):
+        certified_weight(RationalMatrix([[1, 1], [0, 1]]), "path")
+    # asymmetric and not positive definite: the symmetry message comes first
+    with pytest.raises(CertificationError, match="^path: constructed matrix is not symmetric$"):
+        certified_weight(RationalMatrix([[1, 3], [1, 1]]), "path")
+    with pytest.raises(CertificationError) as err:
+        certified_weight(RationalMatrix([[1, 2], [2, 1]]), "path")
+    assert str(err.value) == (
+        "path: not positive definite: integer vector (-2, 1) has form value -3 <= 0 "
+        "(leading principal minor 2 fails)"
+    )
+    with pytest.raises(CertificationError) as err:
+        certified_weight(RationalMatrix([["1/2"]]), "half")
+    assert str(err.value) == "half: integer vector (1,) has form value 1/2 < 1"
 
 
 def test_weight_candidates_scalar_cartan():
