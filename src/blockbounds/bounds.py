@@ -21,10 +21,9 @@ from .exactmat import (
     _cleared_int_rows,
     _dot,
     _int_determinant,
-    inverse,
     trace_pairing,
 )
-from .lattice import DEFAULT_DIM_CAP, form_minimum
+from .lattice import DEFAULT_DIM_CAP, _gram_form, form_minimum
 from .weights import (
     PermutationAction,
     WeightMatrix,
@@ -159,6 +158,7 @@ class BoundReport:
     inputs: tuple[tuple[str, str], ...] = ()
     strict: tuple[tuple[str, bool], ...] = ()
     notes: tuple[str, ...] = ()
+    _weight: WeightMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.value < 1:
@@ -356,7 +356,7 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
     value = Fraction(sum(v * c.ints[i - 1][j - 1] for (i, j), v in form_coeffs.items()))
     if value != trace_pairing(w.matrix, c):
         raise InternalInvariantError("form bound differs from the trace pairing tr(W C)")
-    return BoundReport(
+    rep = BoundReport(
         name="quadratic form bound",
         target="k(B)",
         value=value,
@@ -364,12 +364,14 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
         inputs=_echo(form=tuple(sorted(form_coeffs.items())),
                      minimum=w.certificate.value),
     )
+    object.__setattr__(rep, "_weight", w)  # the certified weight, reused by compare_all
+    return rep
 
 
 def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> BoundReport:
     """k(B) <= l/m <= l p^d with m the integer minimum of the C^{-1} form."""
     top = c.inverse_rows[1]  # the largest elementary divisor of C
-    mres = form_minimum(inverse(c), max_dim=max_dim)
+    mres = form_minimum(_gram_form(*c.inverse_rows), max_dim=max_dim)
     l = c.l
     value = l / mres.value
     weak = Fraction(l * top)
@@ -521,8 +523,10 @@ def compare_all(
             continue
         rows.append(rep)
 
+    form_weights = []
     for idx, form in enumerate(forms, start=1):
         rep = kw_bound(cartan_b, form, max_dim=max_dim)
+        form_weights.append(rep._weight)
         rows.append(replace(rep, name=f"quadratic form bound (form #{idx})"))
 
     rows.append(inverse_cartan_bound(cartan_b, max_dim=max_dim))
@@ -530,8 +534,7 @@ def compare_all(
     candidates = weight_candidates(c_bar, spec.ibr_action, max_dim=max_dim)
 
     if spec.n % spec.p:
-        for idx, form in enumerate(forms, start=1):
-            w = from_quadratic_form(form, size=l, max_dim=max_dim)
+        for idx, w in enumerate(form_weights, start=1):
             rep = subsection_k_bound(c_bar, spec, w, max_dim=max_dim)
             rows.append(replace(rep, name=f"subsection k(B) bound (form #{idx})"))
         for wm, _tr in candidates:

@@ -12,7 +12,10 @@ refused form's integer witness.  No step uses floating point.
 
 Searches are cached on the primitive integer form (the cleared rows over
 their gcd): c G has minimum c min(G) with the same minimizers, so all
-positive multiples of one form share one search.
+positive multiples of one form share one search.  A ``GramForm`` keeps the
+cleared rows it checked for the search, as does a certified weight; C^{-1}
+arrives as ``CartanData.inverse_rows``, unchecked, since C's checks imply its
+own.  The witness is re-checked on a copy of the rows the search started from.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .exactmat import (
     RationalMatrix,
     ShapeError,
     _cleared_int_rows,
+    _dot,
     _ldl_rows,
     _minors_positive,
     determinant,
@@ -37,23 +41,32 @@ DEFAULT_DIM_CAP = 24
 
 
 class GramForm:
-    """Symmetric positive definite rational matrix, checked on construction."""
+    """Symmetric positive definite ``matrix`` = ``ints`` / ``scale``, checked on construction."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "ints", "scale")
 
     def __init__(self, matrix: RationalMatrix):
         if not matrix.is_symmetric():
             raise DomainError("Gram matrix must be symmetric")
-        if not _minors_positive(_cleared_int_rows(matrix)[0]):
+        self.ints, self.scale = _cleared_int_rows(matrix)
+        if not _minors_positive([row[:] for row in self.ints]):
             raise DomainError("Gram matrix must be positive definite")
         self.matrix = matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.rows
+        return len(self.ints)
 
     def __repr__(self) -> str:
         return f"GramForm(dim={self.dim})"
+
+
+def _gram_form(ints: list[list[int]], scale: int, matrix=None) -> GramForm:
+    """GramForm ints / scale, unchecked: known symmetric positive definite by the
+    caller's elimination, or as C^{-1} by C's checks.  ``matrix`` may be None."""
+    form = object.__new__(GramForm)
+    form.ints, form.scale, form.matrix = ints, scale, matrix
+    return form
 
 
 @dataclass(frozen=True)
@@ -129,12 +142,12 @@ def _lll_rows(g: list[list[int]]):
 def lll_reduce(gram: GramForm | RationalMatrix):
     """Return (transform, reduced) with transform unimodular and
     reduced = transform^t . gram . transform, recomputed exactly."""
-    matrix = gram.matrix if isinstance(gram, GramForm) else GramForm(gram).matrix
-    u, _ = _lll_rows(_cleared_int_rows(matrix)[0])
+    form = gram if isinstance(gram, GramForm) else GramForm(gram)
+    u, _ = _lll_rows([row[:] for row in form.ints])
     transform = RationalMatrix(u).transpose()
     if abs(determinant(transform)) != 1:
         raise InternalInvariantError("LLL transform is not unimodular")
-    reduced = transform.transpose() @ matrix @ transform
+    reduced = transform.transpose() @ form.matrix @ transform
     return transform, reduced
 
 
@@ -168,20 +181,20 @@ def form_minimum(
 ) -> LatticeMinimum:
     """Exact global minimum of x G x^t over Z^dim \\ {0}, with witness.
 
-    The search runs on the primitive integer form of G (its denominator-
-    cleared rows over their gcd), so all positive multiples of one form
-    share a single cached search; the value is scaled back exactly.
+    The search runs on the primitive integer form of G (the cleared rows a
+    ``GramForm`` keeps, over their gcd), so all positive multiples of one
+    form share a single cached search; the value is scaled back exactly.
     """
-    matrix = gram.matrix if isinstance(gram, GramForm) else GramForm(gram).matrix
-    if matrix.rows > max_dim:
+    form = gram if isinstance(gram, GramForm) else GramForm(gram)
+    ints, s = form.ints, form.scale
+    if len(ints) > max_dim:
         raise DomainError(
-            f"dimension {matrix.rows} exceeds the enumeration cap {max_dim}; "
+            f"dimension {len(ints)} exceeds the enumeration cap {max_dim}; "
             "raise it with --max-dim (max_dim= in Python)"
         )
-    ints, s = _cleared_int_rows(matrix)
     g = gcd(*(x for row in ints for x in row))
-    if s == g == 1:
-        return _form_minimum_cached(matrix)
+    if s == g == 1 and form.matrix is not None:
+        return _form_minimum_cached(form.matrix)
     found = _form_minimum_cached(RationalMatrix([[x // g for x in row] for row in ints]))
     return LatticeMinimum(
         value=found.value * g / s,
@@ -194,6 +207,7 @@ def form_minimum(
 def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
     n = matrix.rows
     ints, s = _cleared_int_rows(matrix)
+    start = [row[:] for row in ints]
     u, m = _lll_rows(ints)
     # With D_0 = 1, D_k the leading minors and a_ji the unscaled L entries of
     # the reduced rows, x m x^t = sum_i (D_{i+1} y_i + S_i)^2 / (D_i D_{i+1})
@@ -251,9 +265,8 @@ def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
         )
     value = Fraction(scaled, s)
     witness = min(minimizers, key=lambda v: tuple(reversed(v)))
-    # defensive exact re-check of the reported witness in original coordinates
-    wm = RationalMatrix([witness])
-    if (wm @ matrix @ wm.transpose())[0, 0] != value:
+    # defensive exact re-check of the reported witness on the starting rows
+    if _dot(witness, [_dot(row, witness) for row in start]) != scaled:
         raise InternalInvariantError(
             f"witness {witness} does not attain the minimum {value}"
         )
@@ -302,7 +315,7 @@ def _certify_symmetric(sym: RationalMatrix, symmetrized: bool, max_dim: int) -> 
     """``certify_integral_positive_definite`` of ``sym``, known to be symmetric:
     one elimination decides positive definiteness and a refusal's witness."""
     ints, s = _cleared_int_rows(sym)
-    minors, a = _ldl_rows(ints)
+    minors, a = _ldl_rows([row[:] for row in ints])
     if minors[-1] <= 0:
         vec, val, k = _nonpositive_direction(minors, a, s)
         return Certificate(
@@ -314,9 +327,7 @@ def _certify_symmetric(sym: RationalMatrix, symmetrized: bool, max_dim: int) -> 
                 f"{val} <= 0 (leading principal minor {k + 1} fails)"
             ),
         )
-    form = object.__new__(GramForm)  # positive definite, just decided
-    form.matrix = sym
-    m = form_minimum(form, max_dim=max_dim)
+    m = form_minimum(_gram_form(ints, s, sym), max_dim=max_dim)
     if m.value < 1:
         return Certificate(
             ok=False,

@@ -25,6 +25,7 @@ from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeMinimum,
     _certify_symmetric,
+    _gram_form,
     certify_integral_positive_definite,
     form_minimum,
 )
@@ -290,11 +291,10 @@ def weight_candidates(
                 wada.matrix.permuted(order), "wada-path-reordered", max_dim=max_dim
             )
         )
-    cinv = inverse(c)
-    mval = form_minimum(cinv, max_dim=max_dim).value
+    mval = form_minimum(_gram_form(*c.inverse_rows), max_dim=max_dim).value
     at_inverse = len(out)
     out.append(
-        certified_weight(cinv.scale(1 / mval), "inverse-cartan", max_dim=max_dim)
+        certified_weight(inverse(c).scale(1 / mval), "inverse-cartan", max_dim=max_dim)
     )
     if action is not None and not action.is_trivial:
         for wm in list(out):

@@ -284,6 +284,29 @@ def test_inverse_cartan_bound_examples():
     assert rep.weak_value == 3
 
 
+def test_inverse_cartan_bound_refuses_a_forged_inverse_below_one_over_p_d(monkeypatch):
+    # the bound reads C^-1 from CartanData.inverse_rows: a forged pair there
+    # is what the search sees.  A pair (rows, den) alone cannot put the
+    # minimum below 1/den, since integer rows have minimum >= 1, so the forged
+    # inverse reaches the search with 8 times its denominator while
+    # p^d = den stays: minimum 1/16 < 1/8, today's refusal
+    import blockbounds.bounds as bounds
+    from blockbounds.lattice import _gram_form
+
+    c = CartanData(agl18_cartan(), 2, 3)
+    rows, den = c.inverse_rows
+    c._inverse = ([[int(i == j) for j in range(5)] for i in range(5)], den)
+    rep = inverse_cartan_bound(c)
+    assert dict(rep.inputs)["minimum"] == "1/8" and rep.value == rep.weak_value == 40
+    c._inverse = (rows, den)
+    monkeypatch.setattr(bounds, "_gram_form", lambda ints, s: _gram_form(ints, 8 * s))
+    with pytest.raises(InconsistentDataError, match=(
+            r"^inverse Cartan minimum is below 1/p\^d; inputs are not a Cartan matrix$")):
+        inverse_cartan_bound(c)
+    monkeypatch.undo()
+    assert inverse_cartan_bound(c).value == 10
+
+
 def test_hks_bound_examples():
     assert hks_bound(3, 9, 0, 1, 2).value == 9  # trivial quotient: p^d
     assert hks_bound(3, 9, 0, 2, 2).value == 6

@@ -372,14 +372,20 @@ def test_bundle_gendec_c_bar_is_built_by_the_loader_only(tmp_path, capsys, monke
 def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monkeypatch):
     # per command: one _inverse_rows per distinct matrix that some row reads;
     # C cleared to integer rows once, plus the working copy of its
-    # elimination, and a C_bar made from C's rows never; and a fixed number
-    # of symmetry checks (C once, each weight once, C^-1 once per reader)
+    # elimination, and a C_bar made from C's rows never; a fixed number of
+    # symmetry checks (C once and each weight once: a supplied form's weight
+    # is certified once, and C^-1 reaches the search from CartanData, so it
+    # is never checked); no GramForm validated, since the C^-1 and weight
+    # forms hand the search rows already known; and one RationalMatrix C^-1
+    # (exactmat.inverse), for the inverse-cartan candidate only
     import blockbounds.exactmat as exactmat
-    from blockbounds.exactmat import RationalMatrix
+    from blockbounds.exactmat import CartanData, RationalMatrix
+    from blockbounds.lattice import GramForm
 
-    inverted, symmetric, cleared = [], [], []
+    inverted, symmetric, cleared, validated, inverses_built = [], [], [], [], []
     inverse_rows, is_symmetric = exactmat._inverse_rows, RationalMatrix.is_symmetric
-    cleared_rows = exactmat._cleared_int_rows
+    cleared_rows, inverse = exactmat._cleared_int_rows, exactmat.inverse
+    gram_init = GramForm.__init__
 
     def content(a):
         return tuple(map(tuple, a))
@@ -388,13 +394,21 @@ def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monke
         cleared.append(content(a))
         return cleared_rows(a)
 
+    def counting_inverse(a):
+        inverses_built.append(content(a.matrix if isinstance(a, CartanData) else a))
+        return inverse(a)
+
     monkeypatch.setattr(exactmat, "_inverse_rows", lambda a: inverted.append(content(a))
                         or inverse_rows(a))
     monkeypatch.setattr(RationalMatrix, "is_symmetric", lambda a: symmetric.append(a)
                         or is_symmetric(a))
+    monkeypatch.setattr(GramForm, "__init__", lambda form, a: validated.append(a)
+                        or gram_init(form, a))
     for name, mod in list(sys.modules.items()):
         if name.startswith("blockbounds.") and hasattr(mod, "_cleared_int_rows"):
             monkeypatch.setattr(mod, "_cleared_int_rows", counting_clear)
+        if name.startswith("blockbounds.") and getattr(mod, "inverse", None) is inverse:
+            monkeypatch.setattr(mod, "inverse", counting_inverse)
 
     def write(name, rec):
         path = tmp_path / f"{name}.json"
@@ -410,22 +424,26 @@ def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monke
     s3_defect = json.loads(json.dumps(s3))
     s3_defect["defect"] = s3_defect["gendec"]["spec"]["defect"] = 1
     compare = ["bounds", "compare", "--input"]
-    cases = [  # (argv, inverted matrices, symmetry checks, {matrix: clears})
-        (compare + [str(emit(tmp_path, "agl18"))], [c], 9, {content(c): 2}),
-        (compare + [write("agl18-q2", at_q2)], [c2], 7, {content(c2): 2, content(c): 0}),
-        (compare + [write("s3", s3)], [[[3]], [[1]]], 6, {}),
-        (compare + [write("s3-defect", s3_defect)], [[[3]]], 6, {}),
+    cases = [  # (argv, inverted matrices, symmetry checks, {matrix: clears},
+        #          matrices built as RationalMatrix inverses)
+        (compare + [str(emit(tmp_path, "agl18"))], [c], 6, {content(c): 2}, [c]),
+        (compare + [write("agl18-q2", at_q2)], [c2], 5, {content(c2): 2, content(c): 0},
+         [c]),
+        (compare + [write("s3", s3)], [[[3]], [[1]]], 4, {}, [[[1]]]),
+        (compare + [write("s3-defect", s3_defect)], [[[3]]], 4, {}, [[[1]]]),
         (["gendec", "verify", "--input", str(emit(tmp_path, "s3-subsection"))],
-         [[[1]]], 1, {}),
+         [[[1]]], 1, {}, []),
     ]
-    for argv, inverses, checks, clears in cases:
+    for argv, inverses, checks, clears, built in cases:
         capsys.readouterr()
-        for log in (inverted, symmetric, cleared):
+        for log in (inverted, symmetric, cleared, validated, inverses_built):
             log.clear()
         assert run(argv) == 0, argv
         assert inverted == [content(m) for m in inverses], argv
         assert len(symmetric) == checks, argv
         assert {m: cleared.count(m) for m in clears} == clears, argv
+        assert validated == [], argv
+        assert inverses_built == [content(m) for m in built], argv
 
 
 def test_gendec_accepts_stack_format(tmp_path, capsys):

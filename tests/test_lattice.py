@@ -19,7 +19,7 @@ from blockbounds import (
     lll_reduce,
     wada_weight,
 )
-from blockbounds.fixtures import agl18_cartan
+from blockbounds.fixtures import a4xa4_cartan, agl18_cartan
 
 from conftest import (
     box_minimum,
@@ -251,6 +251,34 @@ def test_inverse_cartan_minimum_at_least_inverse_defect_power():
     assert m >= Fraction(1, 2**3)
     top = largest_elementary_divisor(c.matrix)
     assert (inverse(c.matrix).scale(top)).is_integral()
+
+
+def test_inverse_rows_form_matches_the_fraction_inverse():
+    # C^-1 reaches the search as CartanData.inverse_rows, with no symmetry or
+    # positive-definiteness check of its own: on seeded Cartan data of
+    # dimensions 1-8, their C/2 (which inherits the inverse) and the built-in
+    # fixtures, value, witness and minimizer count equal the Fraction search
+    # on inverse(c)
+    from blockbounds.lattice import _gram_form
+
+    rng = random.Random(117)
+    datas = [CartanData(agl18_cartan(), 2, 3), CartanData(a4xa4_cartan(), 2, 4)]
+    for dim in range(1, 9):
+        for _ in range(3):
+            g = random_pd_int_matrix(rng, dim)
+            # entries made nonnegative and the diagonal raised to dominate
+            # its row: still positive definite, and a Cartan matrix's shape
+            rows = [[abs(int(x)) for x in row] for row in g]
+            for i, row in enumerate(rows):
+                row[i] += sum(row) - row[i]
+            c = CartanData(RationalMatrix(rows).scale(2), 2)
+            inv, den = c.inverse_rows  # read before C/2 is made, so C/2 inherits it
+            bar = c._divided(2, 2)
+            assert bar._inverse == (inv, den // 2)
+            datas += [c, bar]
+    for c in datas:
+        found = form_minimum(_gram_form(*c.inverse_rows))
+        assert found == reference_form_minimum(inverse(c)), c.matrix
 
 
 def test_certify_wada_weight():
