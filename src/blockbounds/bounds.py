@@ -131,21 +131,19 @@ class SubsectionSpec:
             perm != tuple(range(len(perm))) for perm in self._rep.values()
         )
 
+    def _action_on(self, degree: int) -> PermutationAction | None:
+        """``ibr_action``, refused unless it permutes ``degree`` columns."""
+        if self.ibr_action is not None and self.ibr_action.degree != degree:
+            raise DomainError(
+                f"action degree {self.ibr_action.degree} does not match l = {degree}"
+            )
+        return self.ibr_action
+
     def perm_of(self, unit: int, degree: int) -> tuple[int, ...]:
         """Entry a: the column that ``unit`` sends column a to (0-indexed)."""
-        if self._rep:
-            if self.ibr_action.degree != degree:
-                raise DomainError(
-                    f"action degree {self.ibr_action.degree} does not match l = {degree}"
-                )
-            return self._rep[unit % self.q if self.q > 1 else 1]
-        return tuple(range(degree))
-
-    def __repr__(self) -> str:
-        return (
-            f"SubsectionSpec(p={self.p}, q={self.q}, n={self.n}, "
-            f"acts_nontrivially={self.acts_nontrivially})"
-        )
+        if self._action_on(degree) is None:
+            return tuple(range(degree))
+        return self._rep[unit % self.q if self.q > 1 else 1]
 
 
 @dataclass(frozen=True)
@@ -207,15 +205,12 @@ def _aligned_weight(
     weight: WeightMatrix, spec: SubsectionSpec, degree: int, max_dim: int
 ) -> tuple[WeightMatrix, tuple[str, ...]]:
     """Symmetrize the weight over the action when it does not commute."""
-    if spec.ibr_action is None or spec.ibr_action.is_trivial:
+    action = spec._action_on(degree)
+    if action is None or action.is_trivial:
         return weight, ()
-    if spec.ibr_action.degree != degree:
-        raise DomainError(
-            f"action degree {spec.ibr_action.degree} does not match l = {degree}"
-        )
-    if all(commutes_with(weight.matrix, g) for g in spec.ibr_action.generators):
+    if all(commutes_with(weight.matrix, g) for g in action.generators):
         return weight, ()
-    averaged = symmetrize(weight, spec.ibr_action, max_dim=max_dim)
+    averaged = symmetrize(weight, action, max_dim=max_dim)
     return averaged, ("weight symmetrized over the fusion action",)
 
 
@@ -375,11 +370,7 @@ def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> Bound
     l = c.l
     value = l / mres.value
     weak = Fraction(l * top)
-    if mres.value * top < 1:
-        raise InconsistentDataError(
-            "inverse Cartan minimum is below 1/p^d; inputs are not a Cartan matrix"
-        )
-    if value > weak:
+    if value > weak:  # m top is the integer minimum of C^{-1}'s rows, at least 1
         raise InternalInvariantError("inverse Cartan bound exceeds l p^d")
     return BoundReport(
         name="inverse Cartan bound",
@@ -432,13 +423,11 @@ def dade_cyclic_bound(
         raise DomainError("|<u>| must divide |D|")
     if ne_cu < 1 or ce_u < 1:
         raise DomainError("group orders must be positive")
-    if d_order > 1:
+    if d_order > 1:  # then |<u>|, a divisor of |D| = p^k, is a power of p too
         try:
             p, _ = ntheory.prime_power_decomposition(d_order)
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
-        if not ntheory.is_power_of(u_order, p):
-            raise DomainError("|D| and |<u>| must be powers of the same prime")
     else:
         p = None
     a, b = ne_cu, ce_u
@@ -447,8 +436,8 @@ def dade_cyclic_bound(
     first = a + Fraction(u_order - 1, a)
     second = b + m
     value = first * second
-    if value > d_order:
-        raise InternalInvariantError("cyclic-defect product bound exceeded |D|")
+    if value > d_order:  # a or b too large for the orders of <u> and D/<u>
+        raise DomainError("cyclic-defect product bound exceeded |D|")
     # cross-check the trace route: tr(U_b (m + delta)) = b + m
     w = wada_weight(b)
     cmat = RationalMatrix.filled(b, b, m) + RationalMatrix.identity(b)
@@ -508,10 +497,7 @@ def compare_all(
     q = spec.q
     c_bar = _normalized_cartan(cartan_b, spec)
     l = cartan_b.l
-    if spec.ibr_action is not None and spec.ibr_action.degree != l:
-        raise DomainError(
-            f"action degree {spec.ibr_action.degree} does not match l = {l}"
-        )
+    action = spec._action_on(l)
     rows: list[BoundReport] = []
     notes: list[str] = []
 
@@ -531,7 +517,7 @@ def compare_all(
 
     rows.append(inverse_cartan_bound(cartan_b, max_dim=max_dim))
 
-    candidates = weight_candidates(c_bar, spec.ibr_action, max_dim=max_dim)
+    candidates = weight_candidates(c_bar, action, max_dim=max_dim)
 
     if spec.n % spec.p:
         for idx, w in enumerate(form_weights, start=1):
@@ -549,7 +535,7 @@ def compare_all(
     rows.append(subsection_k0_bound(c_bar, spec, best_weight, max_dim=max_dim))
 
     if (
-        spec.ibr_action is not None
+        action is not None
         and spec.p > 2
         and spec.n_p == 1
         and q > 1

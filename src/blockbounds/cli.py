@@ -600,25 +600,23 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "bounds": _cmd_bounds_compare,
+    "lattice": _cmd_lattice_min,
+    "weights": _cmd_weights_build,
+    "gendec": _cmd_gendec_verify,
+    "k0": _cmd_k0,
+    "fixtures": _cmd_fixtures,
+}
+
+
 def run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.group == "bounds":
-            return _cmd_bounds_compare(args)
-        if args.group == "lattice":
-            return _cmd_lattice_min(args)
-        if args.group == "weights":
-            return _cmd_weights_build(args)
-        if args.group == "gendec":
-            return _cmd_gendec_verify(args)
-        if args.group == "k0":
-            return _cmd_k0(args)
-        if args.group == "fixtures":
-            return _cmd_fixtures(args)
-        raise InputError(f"unknown command group {args.group}")
+        return _COMMANDS[args.group](args)  # argparse requires a known group
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -416,9 +416,8 @@ class CartanData:
                     f"Cartan matrix of b must be divisible by q = {q}; "
                     "it does not match the subsection"
                 )
+            # q divides every elementary divisor of C, so p^defect >= q
             defect = None if self.defect is None else self.defect - valuation(q, p)
-            if defect is not None and defect < 0:
-                raise DomainError("defect smaller than the order of u")
             bar = object.__new__(CartanData)
             bar.ints = [[x // q for x in row] for row in self.ints]
             bar.matrix, bar.p, bar.defect = RationalMatrix(bar.ints), self.p, defect
@@ -435,9 +434,6 @@ class CartanData:
             and self.p == other.p
             and self.defect == other.defect
         )
-
-    def __repr__(self) -> str:
-        return f"CartanData(l={self.l}, p={self.p}, defect={self.defect})"
 
 
 def matrix_to_record(a: RationalMatrix) -> dict:

@@ -18,7 +18,6 @@ from math import gcd
 from .bounds import PreconditionError, SubsectionSpec
 from .exactmat import (
     DomainError,
-    InternalInvariantError,
     RationalMatrix,
     _bareiss,
     _cleared_int_rows,
@@ -221,17 +220,16 @@ def _vanishes(terms: dict, q: int, p: int) -> bool:
 
 
 def neg_residue_index(i: int, q: int, p: int) -> int:
-    """The unique i' with 0 <= i' < q/p and i' = -i (mod q/p)."""
+    """The unique i' with 0 <= i' < q/p and i' = -i (mod q/p).
+
+    i + i' is the least multiple of q/p that is at least i, so for
+    1 <= i <= phi(q) = (p - 1) q/p it lies in q/p..phi(q)."""
     if q == 1:
         return 0
     phi = q - q // p
     if not 1 <= i <= phi:
         raise DomainError(f"index {i} outside 1..{phi}")
-    qp = q // p
-    ip = (-i) % qp
-    if not qp <= i + ip <= phi:
-        raise InternalInvariantError(f"i + i' = {i + ip} outside {qp}..{phi}")
-    return ip
+    return (-i) % (q // p)
 
 
 @dataclass(frozen=True)
@@ -319,9 +317,6 @@ class GenDecData:
         if self._blocks is None:
             self._blocks = _gram_blocks(self)
         return self._blocks
-
-    def __repr__(self) -> str:
-        return f"GenDecData(k={self.k}, l={self.l}, q={self.q})"
 
 
 def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:

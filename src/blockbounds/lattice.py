@@ -53,13 +53,6 @@ class GramForm:
             raise DomainError("Gram matrix must be positive definite")
         self.matrix = matrix
 
-    @property
-    def dim(self) -> int:
-        return len(self.ints)
-
-    def __repr__(self) -> str:
-        return f"GramForm(dim={self.dim})"
-
 
 def _gram_form(ints: list[list[int]], scale: int, matrix=None) -> GramForm:
     """GramForm ints / scale, unchecked: known symmetric positive definite by the
@@ -170,10 +163,11 @@ def _ldl(m: list[list[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
 
 
 def _normalize_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """``vec`` or its negative, whichever has a positive first nonzero
+    coordinate; ``vec`` is a minimizer, so it is nonzero."""
     for x in vec:
         if x:
             return vec if x > 0 else tuple(-v for v in vec)
-    return vec
 
 
 def form_minimum(

@@ -2,9 +2,10 @@
 
 A weight matrix W is a symmetric rational matrix whose quadratic form is at
 least 1 on every nonzero integer vector.  Every constructor in this module
-re-certifies its output through the lattice module, even where a lemma
-guarantees the property; a failed certification here is a bug, not an input
-problem.
+certifies its output through the lattice module; a failed certification
+here is a bug, not an input problem.  The one weight built without a search
+of its own is the ``inverse-cartan`` candidate C^{-1}/m: its certificate is
+the search for m, the minimum of C^{-1}, which it scales to 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .exactmat import (
     DomainError,
     InternalInvariantError,
     RationalMatrix,
-    inverse,
     kron,
     trace_pairing,
 )
@@ -69,9 +69,6 @@ class PermutationAction:
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def __repr__(self) -> str:
-        return f"PermutationAction(degree={self.degree}, order={self.order})"
 
 
 @dataclass(frozen=True)
@@ -291,11 +288,18 @@ def weight_candidates(
                 wada.matrix.permuted(order), "wada-path-reordered", max_dim=max_dim
             )
         )
-    mval = form_minimum(_gram_form(*c.inverse_rows), max_dim=max_dim).value
+    # C^{-1} = rows / den, and m = den_m / den with den_m the integer minimum
+    # of rows, so C^{-1}/m = rows / den_m takes the value 1 exactly at the
+    # minimizers of C^{-1}: the search below is its certificate
+    rows, den = c.inverse_rows
+    found = form_minimum(_gram_form(rows, den), max_dim=max_dim)
+    mval, den_m = found.value, int(den * found.value)
     at_inverse = len(out)
-    out.append(
-        certified_weight(inverse(c).scale(1 / mval), "inverse-cartan", max_dim=max_dim)
-    )
+    out.append(WeightMatrix(
+        matrix=RationalMatrix([[Fraction(v, den_m) for v in row] for row in rows]),
+        certificate=LatticeMinimum(Fraction(1), found.witness, found.num_minimizers),
+        provenance="inverse-cartan",
+    ))
     if action is not None and not action.is_trivial:
         for wm in list(out):
             if not all(commutes_with(wm.matrix, g) for g in action.generators):

@@ -9,6 +9,7 @@ from blockbounds import (
     CartanData,
     DomainError,
     InconsistentDataError,
+    InternalInvariantError,
     PermutationAction,
     PreconditionError,
     RationalMatrix,
@@ -289,7 +290,8 @@ def test_inverse_cartan_bound_refuses_a_forged_inverse_below_one_over_p_d(monkey
     # is what the search sees.  A pair (rows, den) alone cannot put the
     # minimum below 1/den, since integer rows have minimum >= 1, so the forged
     # inverse reaches the search with 8 times its denominator while
-    # p^d = den stays: minimum 1/16 < 1/8, today's refusal
+    # p^d = den stays: minimum 1/16 < 1/8 gives l/m = 80 > l p^d = 40, a
+    # wrong search result, so a library bug (exit 3 from the CLI)
     import blockbounds.bounds as bounds
     from blockbounds.lattice import _gram_form
 
@@ -300,8 +302,7 @@ def test_inverse_cartan_bound_refuses_a_forged_inverse_below_one_over_p_d(monkey
     assert dict(rep.inputs)["minimum"] == "1/8" and rep.value == rep.weak_value == 40
     c._inverse = (rows, den)
     monkeypatch.setattr(bounds, "_gram_form", lambda ints, s: _gram_form(ints, 8 * s))
-    with pytest.raises(InconsistentDataError, match=(
-            r"^inverse Cartan minimum is below 1/p\^d; inputs are not a Cartan matrix$")):
+    with pytest.raises(InternalInvariantError, match=r"^inverse Cartan bound exceeds l p\^d$"):
         inverse_cartan_bound(c)
     monkeypatch.undo()
     assert inverse_cartan_bound(c).value == 10
@@ -345,6 +346,13 @@ def test_hks_matches_subsection_k0_for_scalar_cartan():
 def test_dade_cyclic_bound_examples():
     assert dade_cyclic_bound(9, 3, 1, 1).value == 9
     assert dade_cyclic_bound(27, 3, 2, 2).value == 18
+    assert (dade_cyclic_bound(1, 1, 1, 1).value, dade_cyclic_bound(1, 1, 1, 1).notes) == (1, ())
+    assert dade_cyclic_bound(9, 3, 2, 1).notes == (
+        "verified against the weighted subsection bound",)
+    # (Z/5)^x has no unit of order a = 3: unit_of_order raises ValueError and
+    # the product stands without the weighted subsection cross-check
+    rep = dade_cyclic_bound(25, 5, 3, 1)
+    assert (rep.value, rep.notes) == (Fraction(65, 3), ())
     # trace identity for the cyclic-defect Cartan shape
     m, l = 2, 3
     cmat = RationalMatrix.filled(l, l, m) + RationalMatrix.identity(l)

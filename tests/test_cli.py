@@ -376,8 +376,9 @@ def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monke
     # symmetry checks (C once and each weight once: a supplied form's weight
     # is certified once, and C^-1 reaches the search from CartanData, so it
     # is never checked); no GramForm validated, since the C^-1 and weight
-    # forms hand the search rows already known; and one RationalMatrix C^-1
-    # (exactmat.inverse), for the inverse-cartan candidate only
+    # forms hand the search rows already known; and no RationalMatrix C^-1
+    # (exactmat.inverse): the inverse-cartan candidate is C's inverse rows
+    # over their minimum, certified by the C^-1 search, not checked again
     import blockbounds.exactmat as exactmat
     from blockbounds.exactmat import CartanData, RationalMatrix
     from blockbounds.lattice import GramForm
@@ -426,11 +427,11 @@ def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monke
     compare = ["bounds", "compare", "--input"]
     cases = [  # (argv, inverted matrices, symmetry checks, {matrix: clears},
         #          matrices built as RationalMatrix inverses)
-        (compare + [str(emit(tmp_path, "agl18"))], [c], 6, {content(c): 2}, [c]),
-        (compare + [write("agl18-q2", at_q2)], [c2], 5, {content(c2): 2, content(c): 0},
-         [c]),
-        (compare + [write("s3", s3)], [[[3]], [[1]]], 4, {}, [[[1]]]),
-        (compare + [write("s3-defect", s3_defect)], [[[3]]], 4, {}, [[[1]]]),
+        (compare + [str(emit(tmp_path, "agl18"))], [c], 5, {content(c): 2}, []),
+        (compare + [write("agl18-q2", at_q2)], [c2], 4, {content(c2): 2, content(c): 0},
+         []),
+        (compare + [write("s3", s3)], [[[3]], [[1]]], 3, {}, []),
+        (compare + [write("s3-defect", s3_defect)], [[[3]]], 3, {}, []),
         (["gendec", "verify", "--input", str(emit(tmp_path, "s3-subsection"))],
          [[[1]]], 1, {}, []),
     ]

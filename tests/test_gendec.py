@@ -157,6 +157,8 @@ def test_integer_embedding():
             x = CyclotomicInteger.from_int(q, n)
             assert x.residue_at_one() % p == n % p
             assert x + CyclotomicInteger.from_int(q, -n) == CyclotomicInteger.zero(q)
+            assert -x == CyclotomicInteger.from_int(q, -n) == x * -1
+            assert hash(x) == hash(CyclotomicInteger.from_int(q, n))
     assert CyclotomicInteger.from_int(1, 5).coeffs == (5,)
     assert CyclotomicInteger.from_int(1, 5).residue_at_one() == 5
 
@@ -211,6 +213,7 @@ def test_neg_residue_index_examples():
     assert neg_residue_index(3, 9, 3) == 0
     assert neg_residue_index(1, 4, 2) == 1
     assert neg_residue_index(2, 4, 2) == 0
+    assert neg_residue_index(1, 1, 2) == 0
     with pytest.raises(DomainError):
         neg_residue_index(7, 9, 3)
 
@@ -270,6 +273,9 @@ def test_fourier_split_q1_is_identity():
     entries = [[CyclotomicInteger.from_int(1, 3)], [CyclotomicInteger.from_int(1, -2)]]
     data = fourier_split(entries, spec)
     assert RationalMatrix(data.stack[0]) == RationalMatrix([[3], [-2]])
+    # without a spec: N trivial, p read from the conductor (2 for q = 1)
+    assert fourier_split(entries).stack == data.stack
+    assert fourier_split([[CyclotomicInteger.from_int(9, 2)]]).spec.p == 3
 
 
 def cbar1(p):

@@ -8,6 +8,7 @@ from blockbounds.ntheory import (
     MR_LIMIT,
     _iroot,
     is_prime,
+    multiplicative_order,
     prime_and_phi,
     prime_power_decomposition,
     unit_group_closure,
@@ -87,3 +88,4 @@ def test_unit_group_closure_is_bounded():
     with pytest.raises(DomainError):
         unit_group_closure(3**30, [2])
     assert unit_group_closure(9, [2]) == (1, 2, 4, 5, 7, 8)
+    assert multiplicative_order(2, 9) == 6 and multiplicative_order(5, 1) == 1

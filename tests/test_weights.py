@@ -21,7 +21,13 @@ from blockbounds import (
 from blockbounds.weights import commutes_with
 from blockbounds.fixtures import agl18_cartan, agl18_form_triples
 
-from conftest import box_minimum, perm_matrix, random_pd_int_matrix, random_unimodular
+from conftest import (
+    box_minimum,
+    perm_matrix,
+    random_pd_int_matrix,
+    random_unimodular,
+    reference_form_minimum,
+)
 
 
 def half(x):
@@ -237,6 +243,25 @@ def test_weight_candidates_kronecker_inverse_cartan():
     ranked = weight_candidates(c)
     by_tag = {w.provenance: t for w, t in ranked}
     assert by_tag["inverse-cartan"] == 16  # l/m = 9/(9/16)
+
+
+def test_inverse_cartan_candidate_is_certified_by_the_inverse_search():
+    # C^-1/m is built from C's inverse rows and takes its certificate from
+    # the search for m, with no search of its own: that certificate must be
+    # the minimum 1 of the built matrix, with its witness and minimizer count
+    from blockbounds.fixtures import a4xa4_cartan
+
+    rng = random.Random(29)
+    cartans = [CartanData(agl18_cartan(), 2, 3), CartanData(a4xa4_cartan(), 2, 4)]
+    for dim in (1, 2, 3, 4) * 3:  # A^t A + I with A >= 0: a Cartan-shaped matrix
+        a = RationalMatrix([[rng.randint(0, 2) for _ in range(dim)] for _ in range(dim)])
+        cartans.append(CartanData(a.transpose() @ a + RationalMatrix.identity(dim), 2))
+    for c in cartans:
+        [w] = [w for w, _ in weight_candidates(c) if w.provenance == "inverse-cartan"]
+        assert w.certificate == reference_form_minimum(w.matrix), c.matrix
+        assert w.certificate.value == 1
+        m = reference_form_minimum(inverse(c)).value
+        assert w.matrix == inverse(c).scale(1 / m)
 
 
 def test_trace_permutation_inequality():
