@@ -27,6 +27,8 @@ from .lattice import DEFAULT_DIM_CAP, _gram_form, form_minimum
 from .weights import (
     PermutationAction,
     WeightMatrix,
+    _form_coeffs,
+    _of_degree,
     commutes_with,
     compose,
     from_quadratic_form,
@@ -59,19 +61,13 @@ class SubsectionSpec:
         n_generators=(),
         ibr_action: PermutationAction | None = None,
     ):
-        if not ntheory.is_prime(p):
-            raise DomainError(f"{p} is not a prime")
-        if not ntheory.is_power_of(q, p):
-            raise DomainError(f"q = {q} is not a power of p = {p}")
+        ntheory.check_prime_and_power(p, q)
         n_generators = tuple(n_generators)
         for g in n_generators:
             if not isinstance(g, int) or isinstance(g, bool):
                 raise DomainError(f"generator {g!r} is not an integer")
         gens = tuple(g % q if q > 1 else 1 for g in n_generators)
-        if q > 1:
-            for g in gens:
-                if gcd(g, q) != 1:
-                    raise DomainError(f"generator {g} is not a unit modulo {q}")
+        elements = ntheory.unit_group_closure(q, gens)
         if ibr_action is not None and len(ibr_action.generators) != len(gens):
             raise DomainError(
                 "need exactly one action generator per unit generator "
@@ -81,7 +77,7 @@ class SubsectionSpec:
         self.q = q
         self.n_generators = gens
         self.ibr_action = ibr_action
-        self.elements = ntheory.unit_group_closure(q, gens)
+        self.elements = elements
         self._rep = self._build_rep()
 
     def _build_rep(self) -> dict[int, tuple[int, ...]]:
@@ -131,17 +127,9 @@ class SubsectionSpec:
             perm != tuple(range(len(perm))) for perm in self._rep.values()
         )
 
-    def _action_on(self, degree: int) -> PermutationAction | None:
-        """``ibr_action``, refused unless it permutes ``degree`` columns."""
-        if self.ibr_action is not None and self.ibr_action.degree != degree:
-            raise DomainError(
-                f"action degree {self.ibr_action.degree} does not match l = {degree}"
-            )
-        return self.ibr_action
-
     def perm_of(self, unit: int, degree: int) -> tuple[int, ...]:
         """Entry a: the column that ``unit`` sends column a to (0-indexed)."""
-        if self._action_on(degree) is None:
+        if _of_degree(self.ibr_action, degree) is None:
             return tuple(range(degree))
         return self._rep[unit % self.q if self.q > 1 else 1]
 
@@ -205,7 +193,7 @@ def _aligned_weight(
     weight: WeightMatrix, spec: SubsectionSpec, degree: int, max_dim: int
 ) -> tuple[WeightMatrix, tuple[str, ...]]:
     """Symmetrize the weight over the action when it does not commute."""
-    action = spec._action_on(degree)
+    action = _of_degree(spec.ibr_action, degree)
     if action is None or action.is_trivial:
         return weight, ()
     if all(commutes_with(weight.matrix, g) for g in action.generators):
@@ -341,14 +329,10 @@ def classical_bounds(
 
 def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> BoundReport:
     """k(B) <= sum_{i<=j} q_ij c_ij for a positive definite integral form."""
-    if not isinstance(form_coeffs, dict):
-        form_coeffs = {(i, j): v for i, j, v in form_coeffs}
     l = c.l
-    for i, j in form_coeffs:
-        if j > l:
-            raise DomainError(f"form index ({i},{j}) exceeds matrix size {l}")
-    w = from_quadratic_form(form_coeffs, size=l, max_dim=max_dim)
-    value = Fraction(sum(v * c.ints[i - 1][j - 1] for (i, j), v in form_coeffs.items()))
+    coeffs = _form_coeffs(form_coeffs, size=l)
+    w = from_quadratic_form(coeffs, size=l, max_dim=max_dim)
+    value = Fraction(sum(v * c.ints[i - 1][j - 1] for (i, j), v in coeffs.items()))
     if value != trace_pairing(w.matrix, c):
         raise InternalInvariantError("form bound differs from the trace pairing tr(W C)")
     rep = BoundReport(
@@ -356,7 +340,7 @@ def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> Boun
         target="k(B)",
         value=value,
         citation="Kuelshammer-Wada",
-        inputs=_echo(form=tuple(sorted(form_coeffs.items())),
+        inputs=_echo(form=tuple(sorted(coeffs.items())),
                      minimum=w.certificate.value),
     )
     object.__setattr__(rep, "_weight", w)  # the certified weight, reused by compare_all
@@ -390,10 +374,7 @@ def hks_bound(p: int, q: int, s: int, r: int, defect: int) -> BoundReport:
     """
     if p == 2:
         raise DomainError("this height-zero bound requires p > 2")
-    if not ntheory.is_prime(p):
-        raise DomainError(f"{p} is not a prime")
-    if not ntheory.is_power_of(q, p):
-        raise DomainError(f"q = {q} is not a power of p = {p}")
+    ntheory.check_prime_and_power(p, q)
     if s < 0 or r < 1 or r % p == 0:
         raise DomainError("need s >= 0 and r >= 1 coprime to p")
     if defect < 0 or p**defect % q:
@@ -421,15 +402,10 @@ def dade_cyclic_bound(
     """
     if u_order < 1 or d_order % u_order:
         raise DomainError("|<u>| must divide |D|")
-    if ne_cu < 1 or ce_u < 1:
+    if d_order < 1 or ne_cu < 1 or ce_u < 1:
         raise DomainError("group orders must be positive")
-    if d_order > 1:  # then |<u>|, a divisor of |D| = p^k, is a power of p too
-        try:
-            p, _ = ntheory.prime_power_decomposition(d_order)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
-    else:
-        p = None
+    # for |D| = p^k > 1, |<u>|, a divisor of |D|, is a power of p too
+    p = ntheory.prime_power_decomposition(d_order)[0] if d_order > 1 else None
     a, b = ne_cu, ce_u
     quotient = d_order // u_order
     m = Fraction(quotient - 1, b)
@@ -447,7 +423,7 @@ def dade_cyclic_bound(
     if p is not None and m.denominator == 1 and a % p and u_order > 1:
         try:
             gen = ntheory.unit_of_order(u_order, a)
-        except ValueError:
+        except DomainError:
             gen = None
         if gen is not None:
             spec = SubsectionSpec(p, u_order, (gen,))
@@ -497,7 +473,7 @@ def compare_all(
     q = spec.q
     c_bar = _normalized_cartan(cartan_b, spec)
     l = cartan_b.l
-    action = spec._action_on(l)
+    action = _of_degree(spec.ibr_action, l)
     rows: list[BoundReport] = []
     notes: list[str] = []
 

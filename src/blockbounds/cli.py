@@ -538,11 +538,7 @@ def _cmd_weights_build(args) -> int:
         if sorted(images) != list(range(1, matrix.rows + 1)):
             raise InputError(f"--perm {args.perm} is not 1-indexed of degree {matrix.rows}")
         perm = tuple(x - 1 for x in images)
-        try:
-            w = block_tridiagonal_weight(matrix, perm, args.blocks,
-                                         max_dim=args.max_dim)
-        except DomainError as exc:
-            raise InputError(str(exc)) from exc
+        w = block_tridiagonal_weight(matrix, perm, args.blocks, max_dim=args.max_dim)
         _emit(_weight_record(w), args.output)
         return 0
     # candidates
@@ -577,10 +573,7 @@ def _cmd_gendec_verify(args) -> int:
 
 
 def _cmd_k0(args) -> int:
-    try:
-        spec = SubsectionSpec(args.p, args.q, tuple(args.n_gen))
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    spec = SubsectionSpec(args.p, args.q, tuple(args.n_gen))
     value = k0_semidirect(spec)
     if args.format == "records":
         _emit({"k0": value, "n": spec.n, "p": args.p, "q": args.q}, None)

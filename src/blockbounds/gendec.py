@@ -26,16 +26,6 @@ from .exactmat import (
 from .ntheory import prime_and_phi, units_mod
 
 
-def _conductor_parts(q: int) -> tuple[int, int]:
-    """(p, phi(q)) for prime power q; q = 1 uses the phi(1) = 1 convention."""
-    try:
-        return prime_and_phi(q)
-    except DomainError:
-        raise  # too large to decide, which is not the same as composite
-    except ValueError as exc:
-        raise DomainError(f"conductor {q} is not a prime power") from exc
-
-
 def _int_coeffs(values) -> tuple[int, ...]:
     """The coefficients as a tuple; anything but an int is a DomainError."""
     values = tuple(values)
@@ -50,7 +40,7 @@ class CyclotomicInteger:
     __slots__ = ("q", "p", "coeffs")
 
     def __init__(self, q: int, coeffs):
-        p, phi = _conductor_parts(q)
+        p, phi = prime_and_phi(q)
         coeffs = _int_coeffs(coeffs)
         if len(coeffs) != phi:
             raise DomainError(f"conductor {q} needs {phi} coefficients")
@@ -68,7 +58,7 @@ class CyclotomicInteger:
 
     @classmethod
     def zero(cls, q: int) -> "CyclotomicInteger":
-        return cls(q, [0] * _conductor_parts(q)[1])
+        return cls(q, [0] * prime_and_phi(q)[1])
 
     @classmethod
     def from_int(cls, q: int, n: int) -> "CyclotomicInteger":
@@ -165,7 +155,7 @@ def _sparse_rows(cells, q: int) -> list[tuple]:
     basis elements.  Only the nonzero coefficients are visited; their types
     are the caller's check.
     """
-    p, phi = _conductor_parts(q)
+    p, phi = prime_and_phi(q)
     qp = q // p if q > 1 else 1
     rows = []
     for row in cells:
@@ -186,7 +176,7 @@ def _sparse_rows(cells, q: int) -> list[tuple]:
 def cyc_reduce(raw, q: int) -> CyclotomicInteger:
     """Reduce coefficients on zeta^0..zeta^{q-1} (a list, or a dict keyed by
     exponents) to the canonical basis; see ``_sparse_rows``."""
-    p, phi = _conductor_parts(q)
+    p, phi = prime_and_phi(q)
     if isinstance(raw, dict):
         pairs = zip(raw, _int_coeffs(raw.values()))
     else:
@@ -260,7 +250,7 @@ class GenDecData:
 
     def __init__(self, stack, spec: SubsectionSpec):
         stack = tuple(tuple(map(tuple, m)) for m in stack)
-        phi = _conductor_parts(spec.q)[1]
+        phi = prime_and_phi(spec.q)[1]
         if len(stack) != phi:
             raise DomainError(f"need {phi} coefficient matrices, got {len(stack)}")
         k = len(stack[0])
@@ -306,7 +296,7 @@ class GenDecData:
             at = {(i, r, a): x for r, terms in enumerate(self.rows) for i, a, x in terms}
             self._stack = tuple(
                 tuple(tuple(at.get((i, r, a), 0) for a in range(self.l)) for r in range(self.k))
-                for i in range(1, _conductor_parts(self.q)[1] + 1))
+                for i in range(1, prime_and_phi(self.q)[1] + 1))
         return self._stack
 
     @property
@@ -538,7 +528,7 @@ def verify_gram_identity(data: GenDecData, c_bar, expected=None) -> Verification
         detail = "A_1^t A_1 = C" if ok else f"A_1^t A_1 = {_rows_repr(lhs)} != C"
         return VerificationReport((CheckResult("gram(1,1)", ok, detail),))
 
-    phi = _conductor_parts(q)[1]
+    phi = prime_and_phi(q)[1]
     want, made = {}, {}  # the nonzero R_ij, one matrix per distinct weight cell
     for ij, cell in _indicator_weights(spec, phi).items():
         key = frozenset(cell.items())
@@ -596,7 +586,7 @@ def rank_check(data: GenDecData) -> VerificationReport:
     """The assembled coefficient matrix (A_1 .. A_phi side by side) must have
     rank l*phi(q)/n; n = |N| divides phi(q), the order of (Z/q)^x."""
     l = data.l
-    num = l * _conductor_parts(data.q)[1]
+    num = l * prime_and_phi(data.q)[1]
     rows = [[0] * num for _ in data.rows]
     for row, terms in zip(rows, data.rows):
         for i, a, x in terms:
@@ -682,7 +672,7 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
     exp = _Expected(data.spec, c_bar, data.l)
     gram = verify_gram_identity(data, c_bar, exp).checks
     if gram[0].passed:
-        phi = _conductor_parts(data.q)[1]
+        phi = prime_and_phi(data.q)[1]
         rank = data.l * phi // data.spec.n
         checks = [*_orthogonality_rows(phi * phi), *gram, _rank_row(rank, rank)]
     else:

@@ -54,6 +54,16 @@ class GramForm:
         self.matrix = matrix
 
 
+def _check_cap(what: str, size: int, max_dim: int):
+    """Refuse a search, or a weight matrix before it is built, whose ``what``
+    is ``size`` > ``max_dim``, the enumeration cap."""
+    if size > max_dim:
+        raise DomainError(
+            f"{what} {size} exceeds the enumeration cap {max_dim}; "
+            "raise it with --max-dim (max_dim= in Python)"
+        )
+
+
 def _gram_form(ints: list[list[int]], scale: int, matrix=None) -> GramForm:
     """GramForm ints / scale, unchecked: known symmetric positive definite by the
     caller's elimination, or as C^{-1} by C's checks.  ``matrix`` may be None."""
@@ -107,15 +117,14 @@ def _lll_rows(g: list[list[int]]):
 
     At step k, mu and the squared Gram-Schmidt lengths are read from the LDL
     decomposition of the leading (k+1) x (k+1) block, so every size
-    reduction and swap decision is exact.
+    reduction and swap decision is exact.  It terminates: a swap at k scales
+    the leading minor of order k, a positive integer, by less than 3/4 and
+    leaves the other leading minors as they are.
     """
     n = len(g)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    max_steps = 1000 + 100 * n * n
     k = 1
-    steps = 0
-    while k < n and steps < max_steps:
-        steps += 1
+    while k < n:
         d, mu = _ldl([row[: k + 1] for row in g[: k + 1]])
         for j in range(k - 1, -1, -1):
             r = round(mu[k][j])
@@ -134,14 +143,14 @@ def _lll_rows(g: list[list[int]]):
 
 def lll_reduce(gram: GramForm | RationalMatrix):
     """Return (transform, reduced) with transform unimodular and
-    reduced = transform^t . gram . transform, recomputed exactly."""
+    reduced = transform^t . gram . transform, the LLL's own integer rows
+    over the form's scale."""
     form = gram if isinstance(gram, GramForm) else GramForm(gram)
-    u, _ = _lll_rows([row[:] for row in form.ints])
+    u, g = _lll_rows([row[:] for row in form.ints])
     transform = RationalMatrix(u).transpose()
     if abs(determinant(transform)) != 1:
         raise InternalInvariantError("LLL transform is not unimodular")
-    reduced = transform.transpose() @ form.matrix @ transform
-    return transform, reduced
+    return transform, RationalMatrix([[Fraction(x, form.scale) for x in row] for row in g])
 
 
 def _ldl(m: list[list[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -181,11 +190,7 @@ def form_minimum(
     """
     form = gram if isinstance(gram, GramForm) else GramForm(gram)
     ints, s = form.ints, form.scale
-    if len(ints) > max_dim:
-        raise DomainError(
-            f"dimension {len(ints)} exceeds the enumeration cap {max_dim}; "
-            "raise it with --max-dim (max_dim= in Python)"
-        )
+    _check_cap("dimension", len(ints), max_dim)
     g = gcd(*(x for row in ints for x in row))
     if s == g == 1 and form.matrix is not None:
         return _form_minimum_cached(form.matrix)

@@ -62,28 +62,28 @@ def _iroot(n: int, k: int) -> int:
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
-    """Return (p, k) with q = p**k, k >= 1. Raises for non prime powers."""
+    """Return (p, k) with q = p**k, k >= 1; DomainError for non prime powers."""
     if q < 2:
-        raise ValueError(f"{q} is not a prime power")
+        raise DomainError(f"{q} is not a prime power")
     for p in _MR_BASES:
         if q % p == 0:
             k = valuation(q, p)
             if p**k == q:
                 return p, k
-            raise ValueError(f"{q} is not a prime power")
+            raise DomainError(f"{q} is not a prime power")
     # every prime factor exceeds 41 > 2^5, so q = p^k has k <= bits / 5; the
     # largest exponent first, so a huge prime power is found by its root
     for k in range(q.bit_length() // 5, 0, -1):
         p = _iroot(q, k)
         if p**k == q and is_prime(p):
             return p, k
-    raise ValueError(f"{q} is not a prime power")
+    raise DomainError(f"{q} is not a prime power")
 
 
 def valuation(n: int, p: int) -> int:
     """Exponent of p in the nonzero integer n; 0 for n = 1."""
     if n == 0:
-        raise ValueError("the valuation of 0 is infinite")
+        raise DomainError("the valuation of 0 is infinite")
     k = 0
     while n % p == 0:
         n //= p
@@ -94,6 +94,14 @@ def valuation(n: int, p: int) -> int:
 def is_power_of(q: int, p: int) -> bool:
     """True iff q = p**k for some k >= 0."""
     return q >= 1 and q == p ** valuation(q, p)
+
+
+def check_prime_and_power(p: int, q: int):
+    """Refuse unless p is a prime and q a power of p."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not a prime")
+    if not is_power_of(q, p):
+        raise DomainError(f"q = {q} is not a power of p = {p}")
 
 
 @lru_cache(maxsize=64)
@@ -147,7 +155,7 @@ def unit_group_closure(q: int, generators) -> tuple[int, ...]:
     for g in generators:
         g %= q
         if gcd(g, q) != 1:
-            raise ValueError(f"{g} is not a unit modulo {q}")
+            raise DomainError(f"generator {g} is not a unit modulo {q}")
         gens.append(g)
     elements = []
     for x in closure(1, lambda a: [a * g % q for g in gens]):
@@ -163,7 +171,7 @@ def multiplicative_order(g: int, q: int) -> int:
     if q == 1:
         return 1
     if gcd(g, q) != 1:
-        raise ValueError(f"{g} is not a unit modulo {q}")
+        raise DomainError(f"{g} is not a unit modulo {q}")
     o, x = 1, g % q
     while x != 1:
         x = x * g % q
@@ -179,4 +187,4 @@ def unit_of_order(q: int, n: int) -> int:
     for g in units_mod(q):
         if multiplicative_order(g, q) == n:
             return g
-    raise ValueError(f"(Z/{q})^x has no element of order {n}")
+    raise DomainError(f"(Z/{q})^x has no element of order {n}")

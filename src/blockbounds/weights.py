@@ -25,6 +25,7 @@ from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeMinimum,
     _certify_symmetric,
+    _check_cap,
     _gram_form,
     certify_integral_positive_definite,
     form_minimum,
@@ -78,13 +79,11 @@ class WeightMatrix:
     provenance: str
 
 
-def _check_size(size: int, max_dim: int):
-    """Refuse a weight matrix above the enumeration cap before allocating it."""
-    if size > max_dim:
-        raise DomainError(
-            f"weight matrix size {size} exceeds the enumeration cap {max_dim}; "
-            "raise it with --max-dim (max_dim= in Python)"
-        )
+def _of_degree(action: PermutationAction | None, l: int) -> PermutationAction | None:
+    """``action``, refused unless it is None or permutes ``l`` columns."""
+    if action is not None and action.degree != l:
+        raise DomainError(f"action degree {action.degree} does not match l = {l}")
+    return action
 
 
 def certified_weight(
@@ -106,7 +105,7 @@ def wada_weight(n: int, max_dim: int = DEFAULT_DIM_CAP) -> WeightMatrix:
     """
     if n < 1:
         raise DomainError("size must be at least 1")
-    _check_size(n, max_dim)
+    _check_cap("weight matrix size", n, max_dim)
     half = Fraction(-1, 2)
     rows = [
         [1 if i == j else (half if abs(i - j) == 1 else 0) for j in range(n)]
@@ -141,7 +140,7 @@ def block_tridiagonal_weight(
         raise DomainError("weight matrix does not commute with the permutation")
     if m == 1:
         return certified_weight(wm, "block-tridiagonal(m=1)", max_dim=max_dim)
-    _check_size(m * wm.rows, max_dim)
+    _check_cap("weight matrix size", m * wm.rows, max_dim)
     half = Fraction(1, 2)
     shift = _shift_matrix(m)
     # (P W)[a] = W[perm^-1(a)] and (P^t W)[a] = W[perm(a)]: rows reindexed
@@ -170,8 +169,7 @@ def symmetrize(
         cert = certify_integral_positive_definite(wm, max_dim=max_dim)
         if not cert.ok:
             raise CertificationError(f"symmetrize input: {cert.reason}")
-    if wm.rows != action.degree:
-        raise DomainError("action degree does not match matrix size")
+    _of_degree(action, wm.rows)
     n = action.order
     sym = wm + wm.transpose()
     acc = RationalMatrix.zeros(wm.rows, wm.cols)
@@ -183,28 +181,45 @@ def symmetrize(
     return certified_weight(avg, "symmetrized", max_dim=max_dim)
 
 
+def _form_coeffs(coeffs, size: int | None = None) -> dict:
+    """The {(i, j): q_ij} dict of a form given as a dict or as (i, j, q_ij)
+    triples; with ``size``, no index may exceed it."""
+    pairs = list(coeffs.items() if isinstance(coeffs, dict)
+                 else (((i, j), v) for i, j, v in coeffs))
+    if not pairs:
+        raise DomainError("empty quadratic form")
+    for (i, j), _ in pairs:
+        if type(i) is not int or type(j) is not int:
+            raise DomainError(f"form indices must be integers, not ({i!r},{j!r})")
+        if size is not None and j > size:
+            raise DomainError(f"form index ({i},{j}) exceeds matrix size {size}")
+    out = {}
+    for (i, j), v in pairs:
+        if i < 1 or j < i:
+            raise DomainError(f"coefficient index ({i},{j}) must satisfy 1 <= i <= j")
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise DomainError("form coefficients must be integers")
+        if (i, j) in out:
+            raise DomainError(f"form coefficient ({i},{j}) is given twice")
+        out[i, j] = v
+    return out
+
+
 def from_quadratic_form(
     coeffs, size: int | None = None, max_dim: int = DEFAULT_DIM_CAP
 ) -> WeightMatrix:
     """Weight matrix of an integral quadratic form sum_{i<=j} q_ij x_i x_j.
 
     ``coeffs`` maps 1-indexed pairs (i, j), i <= j, to integer coefficients,
-    or is an iterable of (i, j, q_ij) triples.  W_ii = q_ii and
-    W_ij = q_ij / 2 off the diagonal, so x W x^t reproduces the form.
+    or is an iterable of (i, j, q_ij) triples, each pair at most once.
+    W_ii = q_ii and W_ij = q_ij / 2 off the diagonal, so x W x^t reproduces
+    the form.  The matrix is ``size`` x ``size``, which no index may exceed,
+    or as large as the largest index.
     """
-    if not isinstance(coeffs, dict):
-        coeffs = {(i, j): v for i, j, v in coeffs}
-    if not coeffs:
-        raise DomainError("empty quadratic form")
-    top = 0
-    for (i, j), v in coeffs.items():
-        if i < 1 or j < i:
-            raise DomainError(f"coefficient index ({i},{j}) must satisfy 1 <= i <= j")
-        if not isinstance(v, int):
-            raise DomainError("form coefficients must be integers")
-        top = max(top, j)
-    size = top if size is None else max(size, top)
-    _check_size(size, max_dim)
+    coeffs = _form_coeffs(coeffs, size)
+    if size is None:
+        size = max(j for _, j in coeffs)
+    _check_cap("weight matrix size", size, max_dim)
     rows = [[Fraction(0)] * size for _ in range(size)]
     for (i, j), v in coeffs.items():
         if i == j:

@@ -349,7 +349,7 @@ def test_dade_cyclic_bound_examples():
     assert (dade_cyclic_bound(1, 1, 1, 1).value, dade_cyclic_bound(1, 1, 1, 1).notes) == (1, ())
     assert dade_cyclic_bound(9, 3, 2, 1).notes == (
         "verified against the weighted subsection bound",)
-    # (Z/5)^x has no unit of order a = 3: unit_of_order raises ValueError and
+    # (Z/5)^x has no unit of order a = 3: unit_of_order raises DomainError and
     # the product stands without the weighted subsection cross-check
     rep = dade_cyclic_bound(25, 5, 3, 1)
     assert (rep.value, rep.notes) == (Fraction(65, 3), ())

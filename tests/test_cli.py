@@ -831,6 +831,20 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
+def test_library_raises_no_plain_value_or_runtime_error():
+    # every refusal carries a named class (DomainError, ShapeError, ...), so a
+    # caller can tell bad input, inconsistent input and a library bug apart
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(blockbounds.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and getattr(getattr(node.exc, "func", node.exc), "id", None)
+        in ("ValueError", "RuntimeError")
+    ]
+    assert offenders == []
+
+
 def test_library_has_no_unused_imports():
     # every name a module takes with ``from ... import`` is referenced in it;
     # the package __init__ imports only to re-export

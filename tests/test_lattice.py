@@ -19,7 +19,9 @@ from blockbounds import (
     lll_reduce,
     wada_weight,
 )
+from blockbounds.exactmat import _cleared_int_rows
 from blockbounds.fixtures import a4xa4_cartan, agl18_cartan
+from blockbounds.lattice import _gram_form
 
 from conftest import (
     box_minimum,
@@ -61,6 +63,21 @@ def test_lll_reduces_skew_form():
     assert abs(determinant(t)) == 1
     assert r == t.transpose() @ g @ t
     assert min(r[0, 0], r[1, 1]) == 2  # achieved by the basis change (1, -1)
+
+
+def test_lll_reduced_gram_matches_the_transform_product():
+    # lll_reduce returns the LLL's own integer Gram rows over the form's
+    # scale; the product T^t G T it replaces is the oracle, on rational
+    # disguised forms and on forms built from cleared rows with no matrix
+    rng = random.Random(119)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        g = random_pd_int_matrix(rng, n, 3).scale(Fraction(1, rng.randint(1, 12)))
+        s = random_unimodular(rng, n, ops=4 * n)
+        g = s.transpose() @ g @ s
+        t, r = lll_reduce(g)
+        assert r == t.transpose() @ g @ t
+        assert lll_reduce(_gram_form(*_cleared_int_rows(g))) == (t, r)
 
 
 def _root_gram(kind: str, n: int) -> RationalMatrix:

@@ -94,6 +94,8 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
      ShapeError, "weight matrix must be square"),
     ("cyclotomic-length", lambda: CyclotomicInteger(3, [1]), DomainError,
      "conductor 3 needs 2 coefficients"),
+    ("cyclotomic-conductor", lambda: CyclotomicInteger(6, [0, 0]), DomainError,
+     "6 is not a prime power"),
     ("cyclotomic-conductors",
      lambda: CyclotomicInteger(3, [1, 0]) + CyclotomicInteger(4, [1, 0]), DomainError,
      "conductors differ"),
@@ -112,13 +114,13 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
      DomainError, "need one height per row"),
     ("valuation-row", lambda: height_zero_valuation_check([1], C2.matrix, 3), DomainError,
      "row length does not match the matrix"),
-    ("valuation-zero", lambda: valuation(0, 2), ValueError, "the valuation of 0 is infinite"),
-    ("closure-unit", lambda: unit_group_closure(9, (3,)), ValueError,
-     "3 is not a unit modulo 9"),
-    ("order-unit", lambda: multiplicative_order(3, 9), ValueError, "3 is not a unit modulo 9"),
+    ("valuation-zero", lambda: valuation(0, 2), DomainError, "the valuation of 0 is infinite"),
+    ("closure-unit", lambda: unit_group_closure(9, (3,)), DomainError,
+     "generator 3 is not a unit modulo 9"),
+    ("order-unit", lambda: multiplicative_order(3, 9), DomainError, "3 is not a unit modulo 9"),
     ("order-search-size", lambda: unit_of_order(3 ** 30, 2), DomainError,
      "more than 65536 units modulo 205891132094649 to search"),
-    ("order-missing", lambda: unit_of_order(25, 3), ValueError,
+    ("order-missing", lambda: unit_of_order(25, 3), DomainError,
      "(Z/25)^x has no element of order 3"),
     ("symmetrize-input",
      lambda: symmetrize(RationalMatrix([[1, 2], [2, 1]]), PermutationAction(2, [(1, 0)])),
@@ -126,9 +128,23 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
      "symmetrize input: not positive definite: integer vector (-2, 1) has form value -3 "
      "<= 0 (leading principal minor 2 fails)"),
     ("symmetrize-degree", lambda: symmetrize(wada_weight(2), PermutationAction(1, [(0,)])),
-     DomainError, "action degree does not match matrix size"),
+     DomainError, "action degree 1 does not match l = 2"),
     ("form-coefficients", lambda: from_quadratic_form({(1, 1): Fraction(3, 2)}), DomainError,
      "form coefficients must be integers"),
+    ("form-coefficient-bool", lambda: from_quadratic_form({(1, 1): True}), DomainError,
+     "form coefficients must be integers"),
+    ("form-repeated", lambda: from_quadratic_form([(1, 1, 1), (1, 1, 1)]), DomainError,
+     "form coefficient (1,1) is given twice"),
+    ("form-index-type", lambda: from_quadratic_form([(1, 1.5, 1)]), DomainError,
+     "form indices must be integers, not (1,1.5)"),
+    ("form-index-bool", lambda: kw_bound(C2, [(True, 1, 1)]), DomainError,
+     "form indices must be integers, not (True,1)"),
+    ("form-index-size", lambda: from_quadratic_form([(1, 1, 1), (2, 3, 1)], size=2),
+     DomainError, "form index (2,3) exceeds matrix size 2"),
+    ("dade-defect-zero", lambda: dade_cyclic_bound(0, 1, 1, 1), DomainError,
+     "group orders must be positive"),
+    ("dade-defect-negative", lambda: dade_cyclic_bound(-9, 3, 1, 1), DomainError,
+     "group orders must be positive"),
 ]
 
 
@@ -169,6 +185,12 @@ CLI_REFUSALS = [  # (id, command, input record, exit status, stderr; {path} is t
      "unit generator (1 units, 2 permutations)\n"),
     ("form-index", "bounds compare", {**agl18_bundle(), "forms": [[[1, 6, 1]]]}, 2,
      "input error: form index (1,6) exceeds matrix size 5\n"),
+    # one more x1^2 term: the form is 2 x1^2 + ..., not the fixture's x1^2 + ...
+    ("form-repeated", "bounds compare",
+     {**agl18_bundle(), "forms": [agl18_bundle()["forms"][0] + [[1, 1, 1]]]}, 2,
+     "input error: form coefficient (1,1) is given twice\n"),
+    ("form-repeated-weight", "weights build --kind form", [[1, 1, 1], [1, 1, 1]], 2,
+     "input error: form coefficient (1,1) is given twice\n"),
     ("stack-shape", "gendec verify", _stacked_s3(), 2,
      "input error: {path}: declared shape 3x1 does not match data 2x1\n"),
     ("gendec-disagrees", "bounds compare", _s3_bundle(q=1, n_generators=[], ibr_action=None),
