@@ -9,7 +9,7 @@ Run:  python demos/k0_table.py
 """
 
 from blockbounds import SubsectionSpec, k0_semidirect
-from blockbounds.ntheory import multiplicative_order, units_mod
+from blockbounds.ntheory import units_mod
 
 print(f"{'p':>3} {'q':>4} {'generators':>14} {'n':>4} {'k0':>5}")
 for p, q in ((2, 2), (2, 4), (2, 8), (2, 16), (3, 3), (3, 9), (3, 27), (5, 25)):

@@ -17,10 +17,8 @@ from .exactmat import (
     rank,
 )
 from .lattice import (
-    Certificate,
     GramForm,
     LatticeMinimum,
-    certify_integral_positive_definite,
     form_minimum,
     lll_reduce,
 )

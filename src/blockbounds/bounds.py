@@ -7,6 +7,7 @@ reported but never used to tighten a value.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import floor, gcd
@@ -128,10 +129,13 @@ class SubsectionSpec:
         )
 
     def perm_of(self, unit: int, degree: int) -> tuple[int, ...]:
-        """Entry a: the column that ``unit`` sends column a to (0-indexed)."""
-        if _of_degree(self.ibr_action, degree) is None:
-            return tuple(range(degree))
-        return self._rep[unit % self.q if self.q > 1 else 1]
+        """Entry a: the column that ``unit`` of N sends column a to (0-indexed)."""
+        action = _of_degree(self.ibr_action, degree)
+        u = unit % self.q if self.q > 1 else 1
+        at = bisect_left(self.elements, u)  # elements is sorted
+        if self.elements[at : at + 1] != (u,):
+            raise DomainError(f"unit {unit} is not in the fusion quotient N modulo {self.q}")
+        return tuple(range(degree)) if action is None else self._rep[u]
 
 
 @dataclass(frozen=True)
@@ -184,9 +188,16 @@ def k0_semidirect(spec: SubsectionSpec) -> int:
     return n * d
 
 
+def _of_prime(c: CartanData, spec: SubsectionSpec):
+    """Refuse Cartan data ``c`` unless it is for the subsection's prime."""
+    if c.p != spec.p:
+        raise DomainError(f"Cartan data has p = {c.p} but the subsection has p = {spec.p}")
+
+
 def _normalized_cartan(c: CartanData, spec: SubsectionSpec) -> CartanData:
     """Return the Cartan matrix of the dominated block (b's divided by q)."""
-    return c if spec.q == 1 else c._divided(spec.q, spec.p)
+    _of_prime(c, spec)
+    return c if spec.q == 1 else c._divided(spec.q)
 
 
 def _aligned_weight(
@@ -213,6 +224,7 @@ def subsection_k_bound(
     ``c_bar`` is the Cartan matrix of the dominated block; ``_normalized_cartan``
     turns b's Cartan matrix into it.
     """
+    _of_prime(c_bar, spec)
     if spec.n % spec.p == 0:
         raise PreconditionError(
             "the k(B) bound needs the fusion quotient to be a p'-group "
@@ -245,6 +257,7 @@ def subsection_k0_bound(
 ) -> BoundReport:
     """k0(B) <= k0(<u> x| N) tr(W C) <= q tr(W C), any subsection; ``c_bar``
     is the Cartan matrix of the dominated block."""
+    _of_prime(c_bar, spec)
     weight, notes = _aligned_weight(weight, spec, c_bar.l, max_dim)
     tr = trace_pairing(weight.matrix, c_bar)
     k0 = k0_semidirect(spec)

@@ -406,7 +406,7 @@ class CartanData:
             self._inverse = _inverse_rows(self.matrix)
         return self._inverse
 
-    def _divided(self, q: int, p: int) -> "CartanData":
+    def _divided(self, q: int) -> "CartanData":
         """C/q, the dominated block's data for q = p^v > 1, made on the first
         call for q.  Only divisibility and the defect are checked: C/q inherits
         the rest, and C^{-1} = rows / den gives (C/q)^{-1} = rows / (den/q)."""
@@ -417,7 +417,7 @@ class CartanData:
                     "it does not match the subsection"
                 )
             # q divides every elementary divisor of C, so p^defect >= q
-            defect = None if self.defect is None else self.defect - valuation(q, p)
+            defect = None if self.defect is None else self.defect - valuation(q, self.p)
             bar = object.__new__(CartanData)
             bar.ints = [[x // q for x in row] for row in self.ints]
             bar.matrix, bar.p, bar.defect = RationalMatrix(bar.ints), self.p, defect

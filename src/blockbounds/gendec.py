@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .bounds import PreconditionError, SubsectionSpec
+from .bounds import PreconditionError, SubsectionSpec, _of_prime
 from .exactmat import (
     DomainError,
     RationalMatrix,
@@ -379,6 +379,7 @@ class _Expected:
     def __init__(self, spec: SubsectionSpec, c_bar, l: int):
         if c_bar.l != l:
             raise DomainError("Cartan size does not match the column count")
+        _of_prime(c_bar, spec)
         self.q = spec.q
         self.l = l
         self.perms = perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}

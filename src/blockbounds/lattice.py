@@ -6,9 +6,8 @@ read through ``exactmat._ldl_rows``: LLL takes mu and the squared
 Gram-Schmidt lengths from it (``_ldl``), and the search takes the reduced
 matrix's leading minors and unscaled L entries and works on integers only,
 scaling every partial sum by one common multiple of the denominators so
-that each coordinate range is one integer square root.  Certification
-decides symmetry once and, in one elimination, positive definiteness and a
-refused form's integer witness.  No step uses floating point.
+that each coordinate range is one integer square root.  No step uses
+floating point.
 
 Searches are cached on the primitive integer form (the cleared rows over
 their gcd): c G has minimum c min(G) with the same minimizers, so all
@@ -29,7 +28,6 @@ from .exactmat import (
     DomainError,
     InternalInvariantError,
     RationalMatrix,
-    ShapeError,
     _cleared_int_rows,
     _dot,
     _ldl_rows,
@@ -84,16 +82,6 @@ class LatticeMinimum:
     value: Fraction
     witness: tuple[int, ...]
     num_minimizers: int
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of an integral-positive-definiteness check."""
-
-    ok: bool
-    minimum: LatticeMinimum | None
-    symmetrized: bool = False
-    reason: str = ""
 
 
 def _row_op(g: list[list[int]], u: list[list[int]], k: int, j: int, r: int):
@@ -270,68 +258,3 @@ def _form_minimum_cached(matrix: RationalMatrix) -> LatticeMinimum:
             f"witness {witness} does not attain the minimum {value}"
         )
     return LatticeMinimum(value=value, witness=witness, num_minimizers=len(minimizers))
-
-
-def _nonpositive_direction(minors: list[int], a: list[list[int]], s: int):
-    """(x, x W x^t, i) for symmetric non-PD W from ``_ldl_rows`` of s W: x
-    primitive and integral with value <= 0, and D_{i+1} <= 0 the first
-    failing leading minor.
-
-    x L = e_i gives the value d_i.  D_i x is integral (cofactors), so back
-    substitution on the kernel's integer rows, X_j = -(sum_t X_t a_tj) /
-    D_{j+1} from X_i = D_i, divides exactly; its primitive part is m x.
-    """
-    i = len(minors) - 2
-    x = [0] * len(a)
-    x[i] = minors[i]
-    for j in range(i - 1, -1, -1):
-        acc = sum(x[t] * a[t][j] for t in range(j + 1, i + 1))
-        xj, rem = divmod(-acc, minors[j + 1])
-        if rem:
-            raise InternalInvariantError(f"witness coordinate {j} is not integral")
-        x[j] = xj
-    g = gcd(*x)
-    vec = tuple(v // g for v in x)
-    return vec, Fraction(vec[i] ** 2 * minors[i + 1], minors[i] * s), i
-
-
-def certify_integral_positive_definite(
-    w: RationalMatrix, max_dim: int = DEFAULT_DIM_CAP
-) -> Certificate:
-    """Check x W x^t >= 1 for all nonzero integer x.
-
-    Asymmetric input is replaced by (W + W^t)/2, which defines the same
-    quadratic form; the certificate records that this happened.
-    """
-    if not w.is_square():
-        raise ShapeError("weight matrix must be square")
-    symmetrized = not w.is_symmetric()
-    sym = (w + w.transpose()).scale(Fraction(1, 2)) if symmetrized else w
-    return _certify_symmetric(sym, symmetrized, max_dim)
-
-
-def _certify_symmetric(sym: RationalMatrix, symmetrized: bool, max_dim: int) -> Certificate:
-    """``certify_integral_positive_definite`` of ``sym``, known to be symmetric:
-    one elimination decides positive definiteness and a refusal's witness."""
-    ints, s = _cleared_int_rows(sym)
-    minors, a = _ldl_rows([row[:] for row in ints])
-    if minors[-1] <= 0:
-        vec, val, k = _nonpositive_direction(minors, a, s)
-        return Certificate(
-            ok=False,
-            minimum=None,
-            symmetrized=symmetrized,
-            reason=(
-                f"not positive definite: integer vector {vec} has form value "
-                f"{val} <= 0 (leading principal minor {k + 1} fails)"
-            ),
-        )
-    m = form_minimum(_gram_form(ints, s, sym), max_dim=max_dim)
-    if m.value < 1:
-        return Certificate(
-            ok=False,
-            minimum=m,
-            symmetrized=symmetrized,
-            reason=f"integer vector {m.witness} has form value {m.value} < 1",
-        )
-    return Certificate(ok=True, minimum=m, symmetrized=symmetrized)

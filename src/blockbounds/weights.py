@@ -2,32 +2,33 @@
 
 A weight matrix W is a symmetric rational matrix whose quadratic form is at
 least 1 on every nonzero integer vector.  Every constructor in this module
-certifies its output through the lattice module; a failed certification
-here is a bug, not an input problem.  The one weight built without a search
-of its own is the ``inverse-cartan`` candidate C^{-1}/m: its certificate is
-the search for m, the minimum of C^{-1}, which it scales to 1.
+certifies its output through ``certified_weight``, the one certifier; a
+failed certification here is a bug, not an input problem.  The one weight
+built without a search of its own is the ``inverse-cartan`` candidate
+C^{-1}/m: its certificate is the search for m, the minimum of C^{-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
 from .exactmat import (
     CartanData,
     DomainError,
     InternalInvariantError,
     RationalMatrix,
+    _cleared_int_rows,
+    _ldl_rows,
     kron,
     trace_pairing,
 )
 from .lattice import (
     DEFAULT_DIM_CAP,
     LatticeMinimum,
-    _certify_symmetric,
     _check_cap,
     _gram_form,
-    certify_integral_positive_definite,
     form_minimum,
 )
 from .ntheory import closure
@@ -86,15 +87,46 @@ def _of_degree(action: PermutationAction | None, l: int) -> PermutationAction | 
     return action
 
 
+def _nonpositive_direction(minors: list[int], a: list[list[int]], s: int):
+    """(x, x W x^t, i) for symmetric non-PD W from ``_ldl_rows`` of s W: x
+    primitive and integral with value <= 0, and D_{i+1} <= 0 the first
+    failing leading minor.  x L = e_i gives the value d_i; D_i x is integral
+    (cofactors), so back substitution on the kernel's integer rows,
+    X_j = -(sum_t X_t a_tj) / D_{j+1} from X_i = D_i, divides exactly."""
+    i = len(minors) - 2
+    x = [0] * len(a)
+    x[i] = minors[i]
+    for j in range(i - 1, -1, -1):
+        acc = sum(x[t] * a[t][j] for t in range(j + 1, i + 1))
+        xj, rem = divmod(-acc, minors[j + 1])
+        if rem:
+            raise InternalInvariantError(f"witness coordinate {j} is not integral")
+        x[j] = xj
+    g = gcd(*x)
+    vec = tuple(v // g for v in x)
+    return vec, Fraction(vec[i] ** 2 * minors[i + 1], minors[i] * s), i
+
+
 def certified_weight(
     matrix: RationalMatrix, provenance: str, max_dim: int = DEFAULT_DIM_CAP
 ) -> WeightMatrix:
+    """``matrix`` certified x W x^t >= 1 on nonzero integer x: one elimination
+    decides symmetric W's positive definiteness, or a refusal's witness, and
+    the lattice search on the same rows decides the rest."""
     if not matrix.is_symmetric():
         raise CertificationError(f"{provenance}: constructed matrix is not symmetric")
-    cert = _certify_symmetric(matrix, symmetrized=False, max_dim=max_dim)
-    if not cert.ok:
-        raise CertificationError(f"{provenance}: {cert.reason}")
-    return WeightMatrix(matrix=matrix, certificate=cert.minimum, provenance=provenance)
+    ints, s = _cleared_int_rows(matrix)
+    minors, a = _ldl_rows([row[:] for row in ints])
+    if minors[-1] <= 0:
+        vec, val, k = _nonpositive_direction(minors, a, s)
+        raise CertificationError(
+            f"{provenance}: not positive definite: integer vector {vec} has form "
+            f"value {val} <= 0 (leading principal minor {k + 1} fails)")
+    m = form_minimum(_gram_form(ints, s, matrix), max_dim=max_dim)
+    if m.value < 1:
+        raise CertificationError(
+            f"{provenance}: integer vector {m.witness} has form value {m.value} < 1")
+    return WeightMatrix(matrix=matrix, certificate=m, provenance=provenance)
 
 
 def wada_weight(n: int, max_dim: int = DEFAULT_DIM_CAP) -> WeightMatrix:
@@ -165,13 +197,11 @@ def symmetrize(
     tr(W C) against any C that commutes with the action.
     """
     wm = w.matrix if isinstance(w, WeightMatrix) else w
-    if isinstance(w, RationalMatrix):
-        cert = certify_integral_positive_definite(wm, max_dim=max_dim)
-        if not cert.ok:
-            raise CertificationError(f"symmetrize input: {cert.reason}")
+    sym = wm + wm.transpose()
+    if isinstance(w, RationalMatrix):  # (W + W^t)/2 has the quadratic form of W
+        certified_weight(sym.scale(Fraction(1, 2)), "symmetrize input", max_dim=max_dim)
     _of_degree(action, wm.rows)
     n = action.order
-    sym = wm + wm.transpose()
     acc = RationalMatrix.zeros(wm.rows, wm.cols)
     for g in action.elements:
         acc = acc + sym.permuted(g)
@@ -289,6 +319,7 @@ def weight_candidates(
     variants under the action.  These are candidates, not proven optima.
     """
     l = c.l
+    action = _of_degree(action, l)
     cm = c.matrix
     out: list[WeightMatrix] = []
     out.append(

@@ -16,7 +16,6 @@ from blockbounds import (
     RationalMatrix,
     SubsectionSpec,
     block_tridiagonal_weight,
-    certify_integral_positive_definite,
     classical_bounds,
     dade_cyclic_bound,
     form_minimum,
@@ -36,7 +35,7 @@ from blockbounds import (
 )
 from blockbounds.gendec import c_tilde_of, height_zero_valuation_check
 from blockbounds.lattice import _form_minimum_cached
-from blockbounds.ntheory import unit_of_order, units_mod
+from blockbounds.ntheory import unit_of_order
 from blockbounds.fixtures import agl18_cartan, agl18_form_triples, a4xa4_cartan
 
 from conftest import (

@@ -337,8 +337,8 @@ def test_bundle_gendec_c_bar_is_built_by_the_loader_only(tmp_path, capsys, monke
         built.append(args)
         init(self, *args, **kwargs)
 
-    def counting_divided(self, q, p):
-        c_bar = divided(self, q, p)
+    def counting_divided(self, q):
+        c_bar = divided(self, q)
         if all(c_bar is not seen for seen in normalized):
             normalized.append(c_bar)
         return c_bar
@@ -846,21 +846,23 @@ def test_library_raises_no_plain_value_or_runtime_error():
 
 
 def test_library_has_no_unused_imports():
-    # every name a module takes with ``from ... import`` is referenced in it;
-    # the package __init__ imports only to re-export
+    # every name a library, test or demo module takes with ``from ... import``
+    # is referenced in it; the package __init__ imports only to re-export
+    root = Path(__file__).parent.parent
     offenders = []
-    for path in sorted(Path(blockbounds.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        offenders.extend(
-            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-            if alias.name != "annotations" and (alias.asname or alias.name) not in used
-        )
+    for pattern in ("src/blockbounds/*.py", "tests/*.py", "demos/*.py"):
+        for path in sorted(root.glob(pattern)):
+            if path == root / "src" / "blockbounds" / "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            offenders.extend(
+                f"{path.parent.name}/{path.name}:{node.lineno} {alias.asname or alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name != "annotations" and (alias.asname or alias.name) not in used
+            )
     assert offenders == []
 
 

@@ -6,17 +6,20 @@ import pytest
 
 from blockbounds import (
     CartanData,
+    CertificationError,
     DomainError,
     GramForm,
     LatticeMinimum,
+    PermutationAction,
     RationalMatrix,
-    certify_integral_positive_definite,
+    certified_weight,
     determinant,
     form_minimum,
     is_positive_definite,
     inverse,
     kron,
     lll_reduce,
+    symmetrize,
     wada_weight,
 )
 from blockbounds.exactmat import _cleared_int_rows
@@ -290,7 +293,7 @@ def test_inverse_rows_form_matches_the_fraction_inverse():
                 row[i] += sum(row) - row[i]
             c = CartanData(RationalMatrix(rows).scale(2), 2)
             inv, den = c.inverse_rows  # read before C/2 is made, so C/2 inherits it
-            bar = c._divided(2, 2)
+            bar = c._divided(2)
             assert bar._inverse == (inv, den // 2)
             datas += [c, bar]
     for c in datas:
@@ -299,34 +302,30 @@ def test_inverse_rows_form_matches_the_fraction_inverse():
 
 
 def test_certify_wada_weight():
-    w = wada_weight(4)
-    cert = certify_integral_positive_definite(w.matrix)
-    assert cert.ok
-    assert cert.minimum.value == 1
-    assert cert.minimum.witness == (1, 0, 0, 0)
+    w = certified_weight(wada_weight(4).matrix, "wada")
+    assert w.certificate.value == 1
+    assert w.certificate.witness == (1, 0, 0, 0)
     oracle_value, _ = box_minimum(w.matrix, bound=3)
     assert oracle_value == 1
 
 
 def test_certify_identity():
-    cert = certify_integral_positive_definite(RationalMatrix.identity(3))
-    assert cert.ok and cert.minimum.value == 1
+    w = certified_weight(RationalMatrix.identity(3), "identity")
+    assert w.certificate.value == 1
 
 
 def test_certify_rejects_small_form():
-    cert = certify_integral_positive_definite(
-        RationalMatrix.identity(2).scale(Fraction(1, 2))
-    )
-    assert not cert.ok
-    assert cert.minimum.value == Fraction(1, 2)
-    assert cert.minimum.witness == (1, 0)
-    assert "1/2" in cert.reason
+    # the refusal names the search's witness and its value
+    with pytest.raises(CertificationError) as info:
+        certified_weight(RationalMatrix.identity(2).scale(Fraction(1, 2)), "half")
+    assert str(info.value) == "half: integer vector (1, 0) has form value 1/2 < 1"
 
 
 def test_certify_rejects_indefinite_with_vector_witness():
     # a negative second minor, semidefinite forms (a zero leading minor) and
-    # rational indefinite ones: the named vector must reach a value <= 0, and
-    # the named minor must be the first nonpositive leading principal minor
+    # rational indefinite ones: the named vector must reach the named value,
+    # which is <= 0, and the named minor must be the first nonpositive
+    # leading principal minor
     import re
 
     rng = random.Random(105)
@@ -352,32 +351,33 @@ def test_certify_rejects_indefinite_with_vector_witness():
             )
         if not is_positive_definite(w):
             forms.append(w)
+    shape = re.compile(
+        r"w: not positive definite: integer vector \(([^)]*)\) has form value "
+        r"(\S+) <= 0 \(leading principal minor (\d+) fails\)"
+    )
     for w in forms:
-        cert = certify_integral_positive_definite(w)
-        assert not cert.ok
-        assert cert.minimum is None
-        assert "vector" in cert.reason and "minor" in cert.reason
-        vec = re.search(r"vector \(([^)]*)\)", cert.reason).group(1)
+        with pytest.raises(CertificationError) as info:
+            certified_weight(w, "w")
+        vec, value, k = shape.fullmatch(str(info.value)).groups()
         vm = RationalMatrix([[int(t) for t in vec.split(",") if t.strip()]])
         assert any(vm.row(0))
-        assert (vm @ w @ vm.transpose())[0, 0] <= 0
-        k = int(re.search(r"minor (\d+) fails", cert.reason).group(1))
+        assert (vm @ w @ vm.transpose())[0, 0] == Fraction(value) <= 0
         minors = [
             cofactor_determinant(
                 RationalMatrix([[w[i, j] for j in range(t)] for i in range(t)])
             )
             for t in range(1, w.rows + 1)
         ]
-        assert k == next(t for t, d in enumerate(minors, start=1) if d <= 0)
+        assert int(k) == next(t for t, d in enumerate(minors, start=1) if d <= 0)
 
 
 def test_certify_decides_positive_definiteness_once(monkeypatch):
     # a repeated certification is served by the form-minimum cache, so the
-    # one elimination left is GramForm's positive-definiteness check
-    from blockbounds import exactmat, lattice
+    # one elimination left is the certifier's own
+    from blockbounds import exactmat, lattice, weights
 
     w = RationalMatrix([[3, 1, 0], [1, 4, 1], [0, 1, 5]])
-    first = certify_integral_positive_definite(w)
+    first = certified_weight(w, "w")
     calls = []
     original = exactmat._ldl_rows
 
@@ -385,19 +385,32 @@ def test_certify_decides_positive_definiteness_once(monkeypatch):
         calls.append(len(m))
         return original(m)
 
-    monkeypatch.setattr(exactmat, "_ldl_rows", counted)
-    monkeypatch.setattr(lattice, "_ldl_rows", counted)
+    for module in (exactmat, lattice, weights):
+        monkeypatch.setattr(module, "_ldl_rows", counted)
     hits = lattice._form_minimum_cached.cache_info().hits
-    second = certify_integral_positive_definite(w)
+    second = certified_weight(w, "w")
     assert lattice._form_minimum_cached.cache_info().hits == hits + 1
     assert calls == [3]
-    assert first == second and second.ok
+    assert first == second
 
 
 def test_certify_symmetrizes_and_reports():
-    cert = certify_integral_positive_definite(RationalMatrix([[2, 1], [0, 2]]))
-    assert cert.ok
-    assert cert.symmetrized
+    # a raw asymmetric matrix is certified as (W + W^t)/2, which has its
+    # quadratic form: [[2, 1], [0, 2]] passes as [[2, 1/2], [1/2, 2]], and
+    # [[1, 4], [0, 1]] is refused as [[1, 2], [2, 1]]
+    swap = PermutationAction(2, [(1, 0)])
+    half = Fraction(1, 2)
+    out = symmetrize(RationalMatrix([[2, 1], [0, 2]]), swap)
+    assert out.matrix == RationalMatrix([[2, half], [half, 2]])
+    assert out.provenance == "symmetrized"
+    with pytest.raises(CertificationError) as info:
+        symmetrize(RationalMatrix([[1, 4], [0, 1]]), swap)
+    with pytest.raises(CertificationError) as sym:
+        certified_weight(RationalMatrix([[1, 2], [2, 1]]), "symmetrize input")
+    assert str(info.value) == str(sym.value) == (
+        "symmetrize input: not positive definite: integer vector (-2, 1) has form "
+        "value -3 <= 0 (leading principal minor 2 fails)"
+    )
 
 
 def test_every_certified_matrix_is_positive_definite():
@@ -405,9 +418,11 @@ def test_every_certified_matrix_is_positive_definite():
     rng = random.Random(104)
     for _ in range(50):
         g = random_pd_int_matrix(rng, rng.randint(1, 3))
-        cert = certify_integral_positive_definite(g)
-        if cert.ok:
-            assert is_positive_definite(g)
+        try:
+            certified_weight(g, "g")
+        except CertificationError:
+            continue
+        assert is_positive_definite(g)
 
 
 def test_dimension_cap():

@@ -28,7 +28,6 @@ from blockbounds import (
     RationalMatrix,
     ShapeError,
     SubsectionSpec,
-    certify_integral_positive_definite,
     compare_all,
     cyc_reduce,
     dade_cyclic_bound,
@@ -39,10 +38,12 @@ from blockbounds import (
     inverse,
     kw_bound,
     lll_reduce,
+    subsection_k0_bound,
     subsection_k_bound,
     symmetrize,
     verify_all,
     wada_weight,
+    weight_candidates,
 )
 from blockbounds import lattice
 from blockbounds.cli import run
@@ -74,6 +75,25 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
      "action degree 1 does not match l = 2"),
     ("action-degree-weight", lambda: subsection_k_bound(C2, S3_SPEC, wada_weight(2)),
      DomainError, "action degree 1 does not match l = 2"),
+    ("action-degree-candidates",
+     lambda: weight_candidates(C2, PermutationAction(3, [(1, 2, 0)])), DomainError,
+     "action degree 3 does not match l = 2"),
+    ("prime-compare",
+     lambda: compare_all(CartanData(RationalMatrix([[9]]), 2), SubsectionSpec(3, 3, (2,))),
+     DomainError, "Cartan data has p = 2 but the subsection has p = 3"),
+    ("prime-subsection-k",
+     lambda: subsection_k_bound(CartanData(RationalMatrix([[3]]), 2), S3_SPEC, wada_weight(1)),
+     DomainError, "Cartan data has p = 2 but the subsection has p = 3"),
+    ("prime-subsection-k0",
+     lambda: subsection_k0_bound(CartanData(RationalMatrix([[3]]), 2), S3_SPEC, wada_weight(1)),
+     DomainError, "Cartan data has p = 2 but the subsection has p = 3"),
+    ("prime-verify", lambda: verify_all(_s3_data(), CartanData(RationalMatrix([[1]]), 2)),
+     DomainError, "Cartan data has p = 2 but the subsection has p = 3"),
+    ("unit-outside-n-action",
+     lambda: SubsectionSpec(7, 7, (2,), PermutationAction(3, [(1, 2, 0)])).perm_of(3, 3),
+     DomainError, "unit 3 is not in the fusion quotient N modulo 7"),
+    ("unit-outside-n", lambda: SubsectionSpec(7, 7, (2,)).perm_of(10, 3), DomainError,
+     "unit 10 is not in the fusion quotient N modulo 7"),
     ("form-index", lambda: kw_bound(C2, [(1, 3, 1)]), DomainError,
      "form index (1,3) exceeds matrix size 2"),
     ("hks-prime", lambda: hks_bound(9, 9, 0, 1, 2), DomainError, "9 is not a prime"),
@@ -90,8 +110,6 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
      "trace needs a square matrix"),
     ("inverse-shape", lambda: inverse(RationalMatrix([[1, 2]])), ShapeError,
      "inverse needs a square matrix"),
-    ("certify-shape", lambda: certify_integral_positive_definite(RationalMatrix([[1, 2]])),
-     ShapeError, "weight matrix must be square"),
     ("cyclotomic-length", lambda: CyclotomicInteger(3, [1]), DomainError,
      "conductor 3 needs 2 coefficients"),
     ("cyclotomic-conductor", lambda: CyclotomicInteger(6, [0, 0]), DomainError,
@@ -313,13 +331,13 @@ FAULTS = [  # (id, command with {name} inputs, fault, message)
      "set(lattice, '_normalize_sign', lambda v: tuple(2 * x for x in v))",
      "witness (2, 0) does not attain the minimum 2"),
     ("refusal-witness", "weights build --kind form --input {form}",
-     "from blockbounds import lattice\nreal = lattice._ldl_rows\n"
+     "from blockbounds import weights\nreal = weights._ldl_rows\n"
      "def ldl_rows(m):\n"
      "    minors, a = real(m)\n"
      "    if minors[-1] <= 0:\n"
      "        a[2][0] += 1\n"
      "    return minors, a\n"
-     "set(lattice, '_ldl_rows', ldl_rows)",
+     "set(weights, '_ldl_rows', ldl_rows)",
      "witness coordinate 0 is not integral"),
     ("group-average", "weights build --kind candidates --input {c3} --p 3 --action {action}",
      "from blockbounds import weights\n"
