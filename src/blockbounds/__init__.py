@@ -52,7 +52,6 @@ from .gendec import (
     CyclotomicInteger,
     GenDecData,
     VerificationReport,
-    c_tilde_of,
     cyc_reduce,
     fourier_split,
     height_zero_valuation_check,

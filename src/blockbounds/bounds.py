@@ -2,7 +2,10 @@
 
 Every bound evaluates to an exact rational.  Flooring to an integer is left
 to the caller (``BoundReport.integer_bound``), and strictness information is
-reported but never used to tighten a value.
+reported but never used to tighten a value.  ``_Expected`` is the one table
+of what a subsection does to C_bar (C_bar P_g for each g in N): the refined
+k0(B) row sums it, and ``gendec``'s verifiers check decomposition data
+against it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from .exactmat import (
     InconsistentDataError,
     InternalInvariantError,
     RationalMatrix,
-    _cleared_int_rows,
-    _dot,
     _int_determinant,
     trace_pairing,
 )
@@ -136,6 +137,34 @@ class SubsectionSpec:
         if self.elements[at : at + 1] != (u,):
             raise DomainError(f"unit {unit} is not in the fusion quotient N modulo {self.q}")
         return tuple(range(degree)) if action is None else self._rep[u]
+
+
+class _Expected:
+    """What the subsection does to C_bar with l columns: the one table that
+    ``gendec``'s verifiers and the refined k0(B) row read.  ``perms`` maps
+    each unit of N, in ``spec.elements`` order, to its column permutation
+    as ``SubsectionSpec.perm_of`` gives it, read from the spec's own table;
+    ``cm`` is C_bar as int rows and ``zero`` the l x l zero block.  ``cp``
+    maps each d in N to C_bar P_d as int rows, P_d e_b = e_perm[b]: d sends
+    column b to column perm[b], so Q^d = Q P_d, and as C_bar commutes with
+    P_g, (Q^g)^t conj(Q^d) = q C_bar P_{d/g}, or 0 when d/g is not in N.
+    Nothing in it may be modified."""
+
+    __slots__ = ("q", "l", "perms", "cm", "zero", "cp")
+
+    def __init__(self, spec: SubsectionSpec, c_bar: CartanData, l: int):
+        if c_bar.l != l:
+            raise DomainError("Cartan size does not match the column count")
+        _of_prime(c_bar, spec)
+        _of_degree(spec.ibr_action, l)
+        ident = tuple(range(l))  # every unit's permutation when N has no action
+        self.q = spec.q
+        self.l = l
+        self.perms = perms = {unit: spec._rep.get(unit, ident) for unit in spec.elements}
+        self.cm = cm = c_bar.ints
+        self.zero = [[0] * l for _ in range(l)]
+        self.cp = {d: [[row[perm[b]] for b in range(l)] for row in cm]
+                   for d, perm in perms.items()}
 
 
 @dataclass(frozen=True)
@@ -312,6 +341,8 @@ def classical_bounds(
     )
     if partition is not None:
         blocks = [tuple(sorted(b)) for b in partition]
+        if not all(blocks):
+            raise DomainError("partition blocks must be nonempty")
         seen = [i for b in blocks for i in b]
         if sorted(seen) != list(range(l)):
             raise DomainError("partition must cover each index exactly once")
@@ -523,24 +554,14 @@ def compare_all(
     best_weight = candidates[0][0]
     rows.append(subsection_k0_bound(c_bar, spec, best_weight, max_dim=max_dim))
 
-    if (
-        action is not None
-        and spec.p > 2
-        and spec.n_p == 1
-        and q > 1
-    ):
+    if action is not None and spec.p > 2 and spec.n_p == 1 and q > 1:
         w_aligned, _ = _aligned_weight(best_weight, spec, l, max_dim)
-        w_ints, s_w = _cleared_int_rows(w_aligned.matrix)
-        c_cols = list(zip(*c_bar.ints))
-
-        def diagonal(perm) -> int:
-            # s_w tr(W C P_g) = s_w sum_i (W C)[g(i), i], no product formed
-            return sum(_dot(w_ints[g_i], c_cols[i]) for i, g_i in enumerate(perm))
-
-        summed = sum(diagonal(spec.perm_of(unit, l)) for unit in spec.elements)
-        refined = Fraction(
-            spec.n * summed + (q - 1) * diagonal(range(l)), spec.n * s_w
-        )
+        # sum_g C_bar P_g, entry by entry over the rows a of every C_bar P_g
+        cp = _Expected(spec, c_bar, l).cp.values()
+        summed = RationalMatrix([list(map(sum, zip(*rows))) for rows in zip(*cp)])
+        # tr(W sum_g C_bar P_g) + (q - 1)/n tr(W C_bar)
+        refined = trace_pairing(w_aligned.matrix, summed) + Fraction(
+            q - 1, spec.n) * trace_pairing(w_aligned.matrix, c_bar)
         rows.append(
             BoundReport(
                 name="refined k0(B) bound",

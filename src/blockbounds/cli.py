@@ -173,7 +173,8 @@ def _load_cartan(record: dict, matrix, p: int, q: int, defect, path: str,
 def _load_spec(record: dict, l: int, path: str) -> SubsectionSpec:
     p = _integer(_require(record, "p", path), "p", path)
     q = _integer(_require(record, "q", path), "q", path)
-    gens = _integer_list(record.get("n_generators") or [], "n_generators", path)
+    gens = record.get("n_generators")
+    gens = [] if gens is None else _integer_list(gens, "n_generators", path)
     action = _load_action(record.get("ibr_action"), l, path)
     try:
         return SubsectionSpec(p, q, gens, action)
@@ -280,7 +281,7 @@ def _load_bundle(path: str) -> BlockBundle:
         label=rec.get("label", path),
         cartan_b=cartan_b,
         spec=spec,
-        forms=_list(rec.get("forms") or [], "forms", path),
+        forms=[] if rec.get("forms") is None else _list(rec["forms"], "forms", path),
         ordering=ordering,
         partition=partition,
         known_kb=known_kb,

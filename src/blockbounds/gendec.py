@@ -6,8 +6,10 @@ multiple of the power basis), which makes the coefficient matrices A_i of a
 decomposition matrix Q = sum A_i zeta^i literal coefficients of its entries:
 ``GenDecData`` keeps each row's nonzero ones.
 
-Verifiers never raise on a mathematical failure: a failed identity is report
-content, because these tools exist to locate inconsistent inputs.
+The verifiers expect the products of ``bounds._Expected``, the subsection's
+one table of C_bar P_g that the refined k0(B) row reads too.  They never
+raise on a mathematical failure: a failed identity is report content,
+because these tools exist to locate inconsistent inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .bounds import PreconditionError, SubsectionSpec, _of_prime
+from .bounds import SubsectionSpec, _Expected
 from .exactmat import (
     DomainError,
     RationalMatrix,
@@ -309,7 +311,7 @@ class GenDecData:
         return self._blocks
 
 
-def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
+def fourier_split(entries, spec: SubsectionSpec) -> GenDecData:
     """Split a matrix over Z[zeta_q] into its integer coefficient matrices.
 
     On the basis zeta^1 .. zeta^phi(q), A_i holds the zeta^i coefficients of
@@ -319,12 +321,9 @@ def fourier_split(entries, spec: SubsectionSpec | None = None) -> GenDecData:
     rows = [list(r) for r in entries]
     if not rows or not rows[0]:
         raise DomainError("matrix must be at least 1x1")
-    first = rows[0][0]
-    q = first.q
+    q = rows[0][0].q
     if any(x.q != q for r in rows for x in r):
         raise DomainError("entries must share one conductor")
-    if spec is None:
-        spec = SubsectionSpec(first.p if q > 1 else 2, q)
     if spec.q != q:
         raise DomainError(f"spec has q = {spec.q} but entries have conductor {q}")
     return _split_cells([[enumerate(x.coeffs, 1) for x in r] for r in rows], spec)
@@ -363,32 +362,6 @@ def _gram_blocks(data: GenDecData) -> dict:
     return blocks
 
 
-class _Expected:
-    """What both verifiers read of (spec, C_bar) for data with l columns;
-    ``verify_all`` builds it once and passes it to each.  ``perms`` maps
-    each unit of N to its column permutation, ``cm`` is C_bar as int rows
-    and ``zero`` the l x l zero block.  ``cp``, the one table of expected
-    products, maps each d in N to C_bar P_d as int rows, P_d e_b = e_perm[b]:
-    d sends column b to column perm[b] (``SubsectionSpec.perm_of``), so
-    Q^d = Q P_d, and as C_bar commutes with P_g, both verifiers expect
-    P(g, d) = (Q^g)^t conj(Q^d) = q C_bar P_{d/g}, or 0 when d/g is not in
-    N.  Nothing in it may be modified."""
-
-    __slots__ = ("q", "l", "perms", "cm", "zero", "cp")
-
-    def __init__(self, spec: SubsectionSpec, c_bar, l: int):
-        if c_bar.l != l:
-            raise DomainError("Cartan size does not match the column count")
-        _of_prime(c_bar, spec)
-        self.q = spec.q
-        self.l = l
-        self.perms = perms = {unit: spec.perm_of(unit, l) for unit in spec.elements}
-        self.cm = cm = c_bar.ints
-        self.zero = [[0] * l for _ in range(l)]
-        self.cp = {d: [[row[perm[b]] for b in range(l)] for row in cm]
-                   for d, perm in perms.items()}
-
-
 def _orthogonality_rows(pairs: int, bad_entry=None, bad_pairs=None, comm=None) -> list:
     """The orthogonality, galois-orthogonality and cartan-permutation-
     commutation rows for phi(q)^2 = ``pairs`` Galois pairs: ``bad_entry``
@@ -407,9 +380,9 @@ def _orthogonality_rows(pairs: int, bad_entry=None, bad_pairs=None, comm=None) -
 
 def verify_orthogonality(data: GenDecData, c_bar, expected=None) -> VerificationReport:
     """Check Q^t conj(Q) = q C_bar, each P(gamma, delta) against the
-    ``_Expected`` product q C_bar P_{delta/gamma}, and that C_bar commutes
-    with every fusion permutation matrix.  ``expected`` is the ``_Expected``
-    of (data, c_bar) when the caller has built it.
+    ``bounds._Expected`` product q C_bar P_{delta/gamma}, and that C_bar
+    commutes with every fusion permutation matrix.  ``expected`` is the
+    ``_Expected`` of (data, c_bar) when the caller has built it.
 
     Galois automorphisms commute with complex conjugation and fix the
     rational expected matrices, so P(gamma, delta) is the image of
@@ -601,24 +574,21 @@ def _rank_row(got: int, expected: int) -> CheckResult:
     return CheckResult("rank", got == expected, f"rank {got}, expected l*phi(q)/n = {expected}")
 
 
-def height_zero_valuation_check(row, c_tilde: RationalMatrix, p: int) -> bool:
-    """True iff d C~ conj(d)^t has p-adic valuation zero.
+def height_zero_valuation_check(row, c_bar) -> bool:
+    """True iff d C~ conj(d)^t has p-adic valuation zero, for the integral
+    C~ = p^d C_bar^{-1}: p^d, the largest elementary divisor of C_bar, is the
+    common denominator of its inverse (``CartanData.inverse_rows``).
 
     Valuation zero is equivalent to a nonzero image under zeta -> 1 modulo p,
     since (1 - zeta) generates the unique prime over p for prime-power
     conductor.  That image is a ring map to F_p which conjugation does not
-    change, so it is sum_ab C~_ab r_a r_b with r_a the residue of d_a.
-    ``c_tilde`` must be the integral matrix p^d C^{-1}.  An entry of ``row``
-    may be an ``int``, which is its own image.
+    change, so it is sum_ab C~_ab r_a r_b with r_a the residue of d_a.  An
+    entry of ``row`` may be an ``int``, which is its own image.
     """
-    ct, s = _cleared_int_rows(c_tilde)
-    if s != 1:
-        raise PreconditionError("p^d C^{-1} must have integer entries")
     residues = [x if type(x) is int else x.residue_at_one() for x in row]
-    l = len(residues)
-    if c_tilde.rows != l or c_tilde.cols != l:
+    if len(residues) != c_bar.l:
         raise DomainError("row length does not match the matrix")
-    return _valuation_zero(residues, ct, p)
+    return _valuation_zero(residues, c_bar.inverse_rows[0], c_bar.p)
 
 
 def _valuation_zero(residues, ct: list, p: int) -> bool:
@@ -630,12 +600,6 @@ def _valuation_zero(residues, ct: list, p: int) -> bool:
         for b, x in enumerate(crow)
     )
     return total % p != 0
-
-
-def c_tilde_of(c_bar) -> RationalMatrix:
-    """p^d C^{-1} for the dominated block: p^d, the largest elementary divisor
-    of the integer matrix C, is the common denominator of C^{-1}."""
-    return RationalMatrix(c_bar.inverse_rows[0])
 
 
 def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
@@ -657,11 +621,11 @@ def verify_all(data: GenDecData, c_bar, heights=None) -> VerificationReport:
       traces of the four powers of zeta in t_i s_-d(t_j) the -1/p parts
       cancel (the four exponents agree modulo q/p), leaving w(i, j, d).  So
       the ``gram`` row passes iff P(g, d) = q C_bar P_{d/g} for every pair,
-      which is what the Galois check expects (both read ``_Expected.cp``),
-      for any N.  Then P(1, 1) = q C_bar, and since P(d, g) is the
-      conjugate transpose of P(g, d), C_bar P_x = P_x C_bar for every x: no
-      input passes the ``gram`` row and fails orthogonality, the Galois
-      check or commutation.
+      which is what the Galois check expects (both read the one table
+      ``bounds._Expected.cp``), for any N.  Then P(1, 1) = q C_bar, and
+      since P(d, g) is the conjugate transpose of P(g, d), C_bar P_x =
+      P_x C_bar for every x: no input passes the ``gram`` row and fails
+      orthogonality, the Galois check or commutation.
     - *Rank.*  X = [Q^s_g]_g = [A_1 .. A_phi] (V^t (x) I_l) has the rank of
       the coefficient matrix, which is that of its Hermitian Gram
       (P(g, d))_{g,d}.  That vanishes across distinct cosets of N, and on a

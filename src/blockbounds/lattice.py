@@ -39,9 +39,9 @@ DEFAULT_DIM_CAP = 24
 
 
 class GramForm:
-    """Symmetric positive definite ``matrix`` = ``ints`` / ``scale``, checked on construction."""
+    """A symmetric positive definite matrix as ``ints`` / ``scale``, checked on construction."""
 
-    __slots__ = ("matrix", "ints", "scale")
+    __slots__ = ("ints", "scale")
 
     def __init__(self, matrix: RationalMatrix):
         if not matrix.is_symmetric():
@@ -49,7 +49,6 @@ class GramForm:
         self.ints, self.scale = _cleared_int_rows(matrix)
         if not _minors_positive([row[:] for row in self.ints]):
             raise DomainError("Gram matrix must be positive definite")
-        self.matrix = matrix
 
 
 def _check_cap(what: str, size: int, max_dim: int):
@@ -62,11 +61,11 @@ def _check_cap(what: str, size: int, max_dim: int):
         )
 
 
-def _gram_form(ints: list[list[int]], scale: int, matrix=None) -> GramForm:
+def _gram_form(ints: list[list[int]], scale: int) -> GramForm:
     """GramForm ints / scale, unchecked: known symmetric positive definite by the
-    caller's elimination, or as C^{-1} by C's checks.  ``matrix`` may be None."""
+    caller's elimination, or as C^{-1} by C's checks."""
     form = object.__new__(GramForm)
-    form.ints, form.scale, form.matrix = ints, scale, matrix
+    form.ints, form.scale = ints, scale
     return form
 
 
@@ -180,8 +179,6 @@ def form_minimum(
     ints, s = form.ints, form.scale
     _check_cap("dimension", len(ints), max_dim)
     g = gcd(*(x for row in ints for x in row))
-    if s == g == 1 and form.matrix is not None:
-        return _form_minimum_cached(form.matrix)
     found = _form_minimum_cached(RationalMatrix([[x // g for x in row] for row in ints]))
     return LatticeMinimum(
         value=found.value * g / s,

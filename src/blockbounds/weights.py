@@ -122,7 +122,7 @@ def certified_weight(
         raise CertificationError(
             f"{provenance}: not positive definite: integer vector {vec} has form "
             f"value {val} <= 0 (leading principal minor {k + 1} fails)")
-    m = form_minimum(_gram_form(ints, s, matrix), max_dim=max_dim)
+    m = form_minimum(_gram_form(ints, s), max_dim=max_dim)
     if m.value < 1:
         raise CertificationError(
             f"{provenance}: integer vector {m.witness} has form value {m.value} < 1")

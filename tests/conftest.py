@@ -40,7 +40,6 @@ from blockbounds.gendec import (
     CheckResult,
     GenDecData,
     VerificationReport,
-    c_tilde_of,
     cyc_reduce,
     neg_residue_index,
     rank_check,
@@ -613,6 +612,12 @@ def reference_gram_identity(data, c_bar):
     return VerificationReport(tuple(checks))
 
 
+def reference_c_tilde(c_bar) -> RationalMatrix:
+    """p^d C_bar^{-1} from ``reference_inverse``: its common denominator is
+    p^d, the largest elementary divisor of C_bar."""
+    return RationalMatrix(_cleared_int_rows(reference_inverse(c_bar.matrix))[0])
+
+
 def reference_height_zero(row, c_tilde: RationalMatrix, p: int, q: int) -> bool:
     """Residue modulo p of the cyclotomic product d C~ conj(d)^t."""
     acc = CyclotomicInteger.zero(q)
@@ -733,7 +738,7 @@ def reference_verify_all(data, c_bar, heights=None) -> VerificationReport:
         f"{nonzero} of {data.k} rows of the coefficient matrix are nonzero",
     ))
     if heights is not None:
-        ct = c_tilde_of(c_bar)
+        ct = reference_c_tilde(c_bar)
         offenders = [r for r, h in enumerate(heights) if h == 0
                      and not reference_height_zero(row_of(data, r), ct, data.p, data.q)]
         checks.append(CheckResult(

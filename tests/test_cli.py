@@ -602,6 +602,69 @@ def test_gendec_verify_of_an_order_four_action(tmp_path, capsys):
             assert any(name.startswith("gram(") for name in failing), label
 
 
+def test_one_subsection_table_and_no_perm_of_per_command(tmp_path, capsys, monkeypatch):
+    # `gendec verify` on an acted-on file and `bounds compare` on a bundle
+    # with a refined k0(B) row each build one bounds._Expected table, and
+    # read its permutations from there, not from SubsectionSpec.perm_of
+    import blockbounds.bounds as bounds
+    import blockbounds.gendec as gendec
+
+    calls = {"perm_of": 0, "table": 0}
+    perm_of, table = bounds.SubsectionSpec.perm_of, bounds._Expected
+
+    def counted_perm_of(*args):
+        calls["perm_of"] += 1
+        return perm_of(*args)
+
+    def counted_table(*args):
+        calls["table"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(bounds.SubsectionSpec, "perm_of", counted_perm_of)
+    monkeypatch.setattr(bounds, "_Expected", counted_table)
+    monkeypatch.setattr(gendec, "_Expected", counted_table)
+    cells, cbar, shift = orbit_cells(13, 5)
+    gendec_files = []
+    for label, perm in (("natural", [i + 1 for i in shift]),
+                        ("inverse", [shift.index(i) + 1 for i in range(len(shift))])):
+        path = tmp_path / f"c13-{label}.json"
+        path.write_text(json.dumps(gendec_record(13, cells, cbar, [0] * 13, perm, [5])))
+        gendec_files.append((["gendec", "verify"], path))
+    bundle = tmp_path / "swap.json"  # C_bar = I_2, the unit 2 swapping its columns
+    bundle.write_text(json.dumps({
+        "p": 3, "q": 3, "n_generators": [2], "ibr_action": [[2, 1]],
+        "cartan": {"normalization": "b_bar",
+                   "matrix": {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}},
+    }))
+    for command, path in [*gendec_files, (["bounds", "compare"], bundle)]:
+        calls.update(perm_of=0, table=0)
+        assert run(command + ["--input", str(path), "--format", "records"]) in (0, 1)
+        out = json.loads(capsys.readouterr().out)
+        assert calls == {"perm_of": 0, "table": 1}, (command, path.name)
+    refined = {r["name"]: r for r in out["rows"]}["refined k0(B) bound"]
+    assert refined["value"] == "4"  # tr(W C P_N) + (q-1)/n tr(W C) = 2 + 2
+
+
+@pytest.mark.parametrize("value", [0, False, "", {}, "x"], ids=repr)
+@pytest.mark.parametrize("field", ["n_generators", "forms", "ordering", "partition",
+                                   "ibr_action", "heights", "spec.n_generators",
+                                   "spec.ibr_action"])
+def test_list_fields_refuse_every_other_type(tmp_path, capsys, field, value):
+    # only an absent field or null reads as empty; bundle fields, then the
+    # fields of a gendec record
+    if field == "heights" or field.startswith("spec."):
+        command, rec = "gendec verify", s3_subsection()
+    else:
+        command, rec = "bounds compare", agl18_bundle()
+    *parent, key = field.split(".")
+    (rec[parent[0]] if parent else rec)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rec))
+    assert run(command.split() + ["--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and f"'{key}' must be" in err
+
+
 def test_exit_code_on_unwritable_output(tmp_path, capsys):
     for command in (["fixtures", "emit", "agl18"],
                     ["weights", "build", "--kind", "un", "--n", "3"]):

@@ -2,7 +2,8 @@
 never in a traceback.
 
 Inputs are valid records with a few fields replaced or deleted, freshly
-drawn matrices of size at most 6x6, form files with indices up to 40, and
+drawn matrices of size at most 6x6 with partitions of their indices (empty
+blocks included), form files with indices up to 40, and
 argument lists drawn from the real vocabulary, including unwritable
 ``--output`` paths.  Drawn values include huge integers (as a defect, a
 declared size or anything else), digit strings longer than int()
@@ -108,16 +109,30 @@ def mutated(draw, base):
 
 
 @st.composite
+def partitions(draw, n):
+    """None, or the indices 1..n dealt into one to three blocks, so that a
+    block may be empty."""
+    if draw(st.booleans()):
+        return None
+    blocks = [[] for _ in range(draw(st.integers(1, 3)))]
+    for i in range(1, n + 1):
+        blocks[draw(st.integers(0, len(blocks) - 1))].append(i)
+    return blocks
+
+
+@st.composite
 def bundles(draw):
     if draw(st.booleans()):
         return draw(mutated(agl18_bundle()))
     p = draw(st.sampled_from([2, 3, 5]))
+    matrix = draw(matrix_records(symmetric_nonnegative=True))
     bundle = {
         "label": "fuzz",
         "p": p,
         "q": draw(st.sampled_from([1, 1, p, p * p])),
         "cartan": {"normalization": draw(st.sampled_from(["b", "b_bar"])),
-                   "matrix": draw(matrix_records(symmetric_nonnegative=True))},
+                   "matrix": matrix},
+        "partition": draw(partitions(matrix["cols"])),
         "forms": draw(st.lists(st.lists(
             st.lists(st.integers(0, 7), min_size=3, max_size=3), max_size=3), max_size=2)),
         "known_kb": draw(st.one_of(st.none(), st.integers(-1, 30))),

@@ -7,10 +7,8 @@ from blockbounds import (
     CyclotomicInteger,
     DomainError,
     PermutationAction,
-    PreconditionError,
     RationalMatrix,
     SubsectionSpec,
-    c_tilde_of,
     cyc_reduce,
     fourier_split,
     height_zero_valuation_check,
@@ -35,6 +33,7 @@ from conftest import (
     q_matrix_of,
     reference_fourier_split,
     reference_gram_identity,
+    reference_c_tilde,
     reference_height_zero,
     reference_orthogonality,
     reference_verify_all,
@@ -273,9 +272,6 @@ def test_fourier_split_q1_is_identity():
     entries = [[CyclotomicInteger.from_int(1, 3)], [CyclotomicInteger.from_int(1, -2)]]
     data = fourier_split(entries, spec)
     assert RationalMatrix(data.stack[0]) == RationalMatrix([[3], [-2]])
-    # without a spec: N trivial, p read from the conductor (2 for q = 1)
-    assert fourier_split(entries).stack == data.stack
-    assert fourier_split([[CyclotomicInteger.from_int(9, 2)]]).spec.p == 3
 
 
 def cbar1(p):
@@ -379,19 +375,20 @@ def test_verify_q2_column():
 
 def test_height_zero_valuation_examples():
     one = CyclotomicInteger.from_int(3, 1)
-    ct = RationalMatrix([[1]])
-    assert height_zero_valuation_check([one], ct, 3)
-    assert not height_zero_valuation_check([CyclotomicInteger.zero(3)], ct, 3)
-    assert height_zero_valuation_check([-1 * one], ct, 3)
-    with pytest.raises(PreconditionError):
-        height_zero_valuation_check([one], RationalMatrix([["1/3"]]), 3)
+    assert height_zero_valuation_check([one], cbar1(3))
+    assert not height_zero_valuation_check([CyclotomicInteger.zero(3)], cbar1(3))
+    assert height_zero_valuation_check([-1 * one], cbar1(3))
+    # C_bar's own inverse rows: 3 C_bar^{-1} = [[2, -1], [-1, 2]], and p = 3
+    c_bar = CartanData(RationalMatrix([[2, 1], [1, 2]]), 3)
+    assert height_zero_valuation_check([one, 0], c_bar)
+    assert height_zero_valuation_check([1, 1], c_bar)  # 2 - 1 - 1 + 2 = 2
+    assert not height_zero_valuation_check([one, -1], c_bar)  # 2 + 1 + 1 + 2 = 6
 
 
 def test_valuation_zero_rows_are_nonzero():
     data = s3_data()
-    ct = c_tilde_of(cbar1(3))
     for r in range(data.k):
-        if height_zero_valuation_check(row_of(data, r), ct, 3):
+        if height_zero_valuation_check(row_of(data, r), cbar1(3)):
             assert any(not x.is_zero() for x in row_of(data, r))
 
 
@@ -423,10 +420,9 @@ def test_c9_c3_full_verification():
 def test_c9_c3_rank_and_heights():
     data = c9_c3_data()
     assert rank_check(data).ok  # rank 2 = 1*6/3
-    ct = c_tilde_of(cbar1(3))
     # positive-height rows vanish, so they fail the valuation-zero test
-    assert not height_zero_valuation_check(row_of(data, 9), ct, 3)
-    assert height_zero_valuation_check(row_of(data, 0), ct, 3)
+    assert not height_zero_valuation_check(row_of(data, 9), cbar1(3))
+    assert height_zero_valuation_check(row_of(data, 0), cbar1(3))
 
 
 def swap_action_data():
@@ -601,10 +597,10 @@ def test_integer_verifiers_match_pair_loop_reference():
         ok = all(c.passed for c in ortho + gram)
         if corrupt is not None:
             assert ok == (not corrupt), label
-        ct = c_tilde_of(c_bar)
+        ct = reference_c_tilde(c_bar)
         for r in range(data.k):
             row = row_of(data, r)
-            assert height_zero_valuation_check(row, ct, data.p) == \
+            assert height_zero_valuation_check(row, c_bar) == \
                 reference_height_zero(row, ct, data.p, data.q), (label, r)
 
 

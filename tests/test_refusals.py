@@ -28,6 +28,7 @@ from blockbounds import (
     RationalMatrix,
     ShapeError,
     SubsectionSpec,
+    classical_bounds,
     compare_all,
     cyc_reduce,
     dade_cyclic_bound,
@@ -119,9 +120,11 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
      "conductors differ"),
     ("cyc-reduce-length", lambda: cyc_reduce([0] * 4, 3), DomainError,
      "need at most 3 raw coefficients"),
-    ("split-empty", lambda: fourier_split([[]]), DomainError, "matrix must be at least 1x1"),
+    ("split-empty", lambda: fourier_split([[]], S3_SPEC), DomainError,
+     "matrix must be at least 1x1"),
     ("split-conductors",
-     lambda: fourier_split([[CyclotomicInteger.from_int(3, 1), CyclotomicInteger.from_int(4, 1)]]),
+     lambda: fourier_split([[CyclotomicInteger.from_int(3, 1), CyclotomicInteger.from_int(4, 1)]],
+                           S3_SPEC),
      DomainError, "entries must share one conductor"),
     ("split-spec", lambda: fourier_split([[CyclotomicInteger.from_int(9, 1)]], S3_SPEC),
      DomainError, "spec has q = 3 but entries have conductor 9"),
@@ -130,8 +133,11 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
     ("verify-heights", lambda: verify_all(_s3_data(), CartanData(RationalMatrix([[1]]), 3),
                                           [0, 0]),
      DomainError, "need one height per row"),
-    ("valuation-row", lambda: height_zero_valuation_check([1], C2.matrix, 3), DomainError,
+    ("valuation-row", lambda: height_zero_valuation_check([1], C2), DomainError,
      "row length does not match the matrix"),
+    ("partition-empty-block",
+     lambda: classical_bounds(C2, partition=[[0, 1], []]),
+     DomainError, "partition blocks must be nonempty"),
     ("valuation-zero", lambda: valuation(0, 2), DomainError, "the valuation of 0 is infinite"),
     ("closure-unit", lambda: unit_group_closure(9, (3,)), DomainError,
      "generator 3 is not a unit modulo 9"),
@@ -213,6 +219,9 @@ CLI_REFUSALS = [  # (id, command, input record, exit status, stderr; {path} is t
      "input error: {path}: declared shape 3x1 does not match data 2x1\n"),
     ("gendec-disagrees", "bounds compare", _s3_bundle(q=1, n_generators=[], ibr_action=None),
      2, "input error: {path}: gendec sub-record disagrees with the bundle\n"),
+    ("partition-empty-block", "bounds compare",
+     {**agl18_bundle(), "partition": [[1, 2, 3, 4, 5], []]}, 2,
+     "input error: partition blocks must be nonempty\n"),
 ]
 
 
