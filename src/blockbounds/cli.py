@@ -110,89 +110,89 @@ def _require(record: dict, field: str, path: str):
     return record[field]
 
 
-def _integer(value, field: str, path: str) -> int:
-    """``value`` if it is an integer; booleans are not."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{path}: '{field}' must be an integer, not {value!r}")
+def _int_list(value) -> bool:
+    return type(value) is list and all(type(x) is int for x in value)
+
+
+# What a field may be, by the kind that its refusal names; JSON booleans are
+# not integers.
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a list of integers": _int_list,
+    "an object": lambda v: type(v) is dict,
+    "a list": lambda v: type(v) is list,
+    "a list of [i, j, q_ij] integer triples":
+        lambda v: type(v) is list and all(_int_list(t) and len(t) == 3 for t in v),
+    "an object keyed by integer exponents":
+        lambda v: type(v) is dict and all(map(_EXPONENT.fullmatch, v)),
+}
+
+
+def _field(kind: str, value, field: str, path: str):
+    """``value`` if it is ``kind``, a key of ``_KINDS``; else the one refusal."""
+    if not _KINDS[kind](value):
+        raise InputError(f"{path}: '{field}' must be {kind}, not {value!r}")
     return value
 
 
-def _integer_list(value, field: str, path: str) -> list:
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise InputError(f"{path}: '{field}' must be a list of integers, not {value!r}")
-    return value
-
-
-def _object(value, field: str, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{path}: '{field}' must be an object, not {value!r}")
-    return value
-
-
-def _list(value, field: str, path: str) -> list:
-    if not isinstance(value, list):
-        raise InputError(f"{path}: '{field}' must be a list, not {value!r}")
-    return value
+def _permutation(images: list, degree: int, name: str) -> tuple:
+    """1-indexed ``images`` as a 0-indexed permutation of degree ``degree``, or
+    a refusal headed by ``name``; a wrong length builds no range of ``degree``."""
+    if len(images) != degree or sorted(images) != list(range(1, degree + 1)):
+        raise InputError(f"{name} is not 1-indexed of degree {degree}")
+    return tuple(x - 1 for x in images)
 
 
 def _load_action(arrays, degree: int, path: str) -> PermutationAction | None:
     if arrays is None:
         return None
-    gens = []
-    for arr in _list(arrays, "ibr_action", path):
-        _integer_list(arr, "ibr_action", path)
-        if len(arr) != degree or sorted(arr) != list(range(1, degree + 1)):
-            raise InputError(
-                f"{path}: permutation {arr} is not 1-indexed of degree {degree}"
-            )
-        gens.append(tuple(x - 1 for x in arr))
-    return PermutationAction(degree, gens)
+    return PermutationAction(degree, [
+        _permutation(_field("a list of integers", arr, "ibr_action", path), degree,
+                     f"{path}: permutation {arr}")
+        for arr in _field("a list", arrays, "ibr_action", path)])
 
 
-def _load_cartan(record: dict, matrix, p: int, q: int, defect, path: str,
-                 known: CartanData | None) -> CartanData:
-    """b's Cartan data from a ``cartan`` record and its parsed ``matrix``;
-    ``known`` (or None) is returned when it has the same matrix, p and defect."""
+def _load_cartan(record: dict, matrix, p: int, q: int, defect, path: str) -> CartanData:
+    """b's Cartan data from a ``cartan`` record and its parsed ``matrix``."""
     normalization = _require(record, "normalization", path)
     if normalization not in ("b", "b_bar"):
         raise InputError(f"{path}: normalization must be 'b' or 'b_bar'")
     if defect is not None:
-        defect = _integer(defect, "defect", path)
+        defect = _field("an integer", defect, "defect", path)
     if normalization == "b_bar":
         matrix = matrix.scale(q)
-    if known is not None and (known.matrix, known.p, known.defect) == (matrix, p, defect):
-        return known
     try:
         return CartanData(matrix, p, defect)
     except DomainError as exc:
         raise InputError(f"{path}: bad Cartan matrix: {exc}") from exc
 
 
-def _load_spec(record: dict, l: int, path: str) -> SubsectionSpec:
-    p = _integer(_require(record, "p", path), "p", path)
-    q = _integer(_require(record, "q", path), "q", path)
-    gens = record.get("n_generators")
-    gens = [] if gens is None else _integer_list(gens, "n_generators", path)
-    action = _load_action(record.get("ibr_action"), l, path)
+def _load_subsection(rec: dict, path: str, l: int | None = None) -> tuple:
+    """(SubsectionSpec, b's CartanData) of a bundle or of a gendec ``spec``
+    record; the action has degree ``l``, by default the Cartan matrix's size."""
+    p, q = _require(rec, "p", path), _require(rec, "q", path)
+    cartan_rec = _field("an object", _require(rec, "cartan", path), "cartan", path)
+    matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
+    p, q = _field("an integer", p, "p", path), _field("an integer", q, "q", path)
+    gens = rec.get("n_generators")
+    gens = [] if gens is None else _field("a list of integers", gens, "n_generators", path)
+    action = _load_action(rec.get("ibr_action"), matrix.rows if l is None else l, path)
     try:
-        return SubsectionSpec(p, q, gens, action)
+        spec = SubsectionSpec(p, q, gens, action)
     except DomainError as exc:
         raise InputError(f"{path}: bad subsection data: {exc}") from exc
+    return spec, _load_cartan(cartan_rec, matrix, p, q, rec.get("defect"), path)
 
 
 def _powers_cell(cell, r: int, c: int, path: str) -> list:
     """The ``powers`` cell (r, c), integer-string exponents mapped to
-    integers, as (exponent, coefficient) int pairs; its field name is
-    formatted only for an error."""
-    if not isinstance(cell, dict) or not all(map(_EXPONENT.fullmatch, cell)):
-        raise InputError(f"{path}: 'powers[{r}][{c}]' must be an object keyed by integer "
-                         f"exponents, not {cell!r}")
+    integers, as (exponent, coefficient) int pairs; a coefficient's field
+    name is formatted only for an error."""
+    _field("an object keyed by integer exponents", cell, f"powers[{r}][{c}]", path)
     pairs = []
     for e, x in cell.items():
         if type(x) is not int:
-            _integer(x, f"powers[{r}][{c}][{e}]", path)
+            _field("an integer", x, f"powers[{r}][{c}][{e}]", path)
         try:
             pairs.append((int(e), x))
         except ValueError:  # more digits than int() converts
@@ -201,26 +201,21 @@ def _powers_cell(cell, r: int, c: int, path: str) -> list:
     return pairs
 
 
-def _load_gendec(record: dict, path: str, bundle_cartan: CartanData | None) -> tuple:
+def _load_gendec(record: dict, path: str) -> tuple:
     """Returns (GenDecData, CartanData of the dominated block, heights)."""
-    q = _require(record, "q", path)
-    p = _require(record, "p", path)
-    k = _integer(_require(record, "k", path), "k", path)
-    l = _integer(_require(record, "l", path), "l", path)
-    spec_rec = _object(_require(record, "spec", path), "spec", path)
+    q, p = _require(record, "q", path), _require(record, "p", path)
+    k = _field("an integer", _require(record, "k", path), "k", path)
+    l = _field("an integer", _require(record, "l", path), "l", path)
+    spec_rec = _field("an object", _require(record, "spec", path), "spec", path)
     if spec_rec.get("p", p) != p or spec_rec.get("q", q) != q:
         raise InputError(f"{path}: spec sub-record disagrees on p or q")
-    spec = _load_spec({**spec_rec, "p": p, "q": q}, l, path)
-    cartan_rec = _object(_require(spec_rec, "cartan", path), "cartan", path)
-    matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
-    cartan_b = _load_cartan(cartan_rec, matrix, p, q, spec_rec.get("defect"), path,
-                            bundle_cartan)
+    spec, cartan_b = _load_subsection({**spec_rec, "p": p, "q": q}, path, l)
     if cartan_b.l != l:
         raise InputError(f"{path}: cartan size {cartan_b.l} does not match l = {l}")
-    qm = _object(_require(record, "q_matrix", path), "q_matrix", path)
+    qm = _field("an object", _require(record, "q_matrix", path), "q_matrix", path)
     try:
         if "stack" in qm:
-            stack = _list(qm["stack"], "stack", path)
+            stack = _field("a list", qm["stack"], "stack", path)
             data = GenDecData([matrix_from_record(m) for m in stack], spec)
         elif "powers" in qm:
             rows = qm["powers"]
@@ -236,52 +231,47 @@ def _load_gendec(record: dict, path: str, bundle_cartan: CartanData | None) -> t
     except DomainError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if data.k != k or data.l != l:
-        raise InputError(
-            f"{path}: declared shape {k}x{l} does not match data "
-            f"{data.k}x{data.l}"
-        )
+        raise InputError(f"{path}: declared shape {k}x{l} does not match data {data.k}x{data.l}")
     heights = record.get("heights")
-    if heights is not None and len(_integer_list(heights, "heights", path)) != k:
+    if heights is not None and len(_field("a list of integers", heights, "heights", path)) != k:
         raise InputError(f"{path}: 'heights' must be a list of {k} integers, one a row")
     return data, c_bar, heights
 
 
 def _load_bundle(path: str) -> BlockBundle:
     rec = _load_json(path)
-    p = _require(rec, "p", path)
-    q = _require(rec, "q", path)
-    cartan_rec = _object(_require(rec, "cartan", path), "cartan", path)
-    matrix = matrix_from_record(_require(cartan_rec, "matrix", path))
-    l = matrix.rows
-    spec = _load_spec(rec, l, path)
-    cartan_b = _load_cartan(cartan_rec, matrix, p, q, rec.get("defect"), path, None)
+    spec, cartan_b = _load_subsection(rec, path)
     ordering = rec.get("ordering")
     if ordering is not None:
-        ordering = tuple(x - 1 for x in _integer_list(ordering, "ordering", path))
+        ordering = tuple(x - 1 for x in _field("a list of integers", ordering, "ordering", path))
     partition = rec.get("partition")
     if partition is not None:
-        if not isinstance(partition, list):
-            raise InputError(f"{path}: 'partition' must be a list of blocks")
         partition = tuple(
-            tuple(x - 1 for x in _integer_list(blk, "partition", path))
-            for blk in partition
+            tuple(x - 1 for x in _field("a list of integers", blk, "partition", path))
+            for blk in _field("a list", partition, "partition", path)
         )
     known_kb = rec.get("known_kb")
     if known_kb is not None:
-        known_kb = _integer(known_kb, "known_kb", path)
+        known_kb = _field("an integer", known_kb, "known_kb", path)
     gendec = c_bar = heights = None
     if rec.get("gendec") is not None:
-        gendec_rec = _object(rec["gendec"], "gendec", path)
-        gendec, c_bar, heights = _load_gendec(gendec_rec, path, cartan_b)
-        if gendec.q != q or gendec.p != p or gendec.l != l:
+        gendec, c_bar, heights = _load_gendec(_field("an object", rec["gendec"], "gendec", path),
+                                              path)
+        # for the bundle's own subsection: the same p, q, N and action of each
+        # unit of N, and an equal C_bar (the matrix first, so that q divides
+        # C), defect included; the bundle's C_bar then serves both reports
+        sub, l = gendec.spec, cartan_b.l
+        if ((sub.p, sub.q, sub.elements) != (spec.p, spec.q, spec.elements)
+                or c_bar.matrix.scale(spec.q) != cartan_b.matrix
+                or c_bar.defect != _normalized_cartan(cartan_b, spec).defect
+                or any(sub.perm_of(g, l) != spec.perm_of(g, l) for g in spec.elements)):
             raise InputError(f"{path}: gendec sub-record disagrees with the bundle")
-        if c_bar.matrix.scale(q) != cartan_b.matrix:
-            raise InputError(f"{path}: gendec Cartan disagrees with the bundle")
+        c_bar = _normalized_cartan(cartan_b, spec)
     return BlockBundle(
         label=rec.get("label", path),
         cartan_b=cartan_b,
         spec=spec,
-        forms=[] if rec.get("forms") is None else _list(rec["forms"], "forms", path),
+        forms=[] if rec.get("forms") is None else _field("a list", rec["forms"], "forms", path),
         ordering=ordering,
         partition=partition,
         known_kb=known_kb,
@@ -450,15 +440,8 @@ _PARSER = _build_parser()
 
 
 def _parse_triples(data, path: str) -> list:
-    """A form: a list of [i, j, q_ij] triples of integers; booleans are not."""
-    if not isinstance(data, list) or not all(
-        isinstance(t, list) and len(t) == 3
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in t)
-        for t in data
-    ):
-        raise InputError(f"{path}: 'form' must be a list of [i, j, q_ij] integer "
-                         f"triples, not {data!r}")
-    return [tuple(t) for t in data]
+    """A form: a list of [i, j, q_ij] triples of integers."""
+    return [tuple(t) for t in _field("a list of [i, j, q_ij] integer triples", data, "form", path)]
 
 
 def _cmd_bounds_compare(args) -> int:
@@ -511,40 +494,39 @@ def _cmd_lattice_min(args) -> int:
     return 0
 
 
+# The options that each --kind of ``weights build`` needs.
+_NEEDS = {"un": ["--n"], "form": ["--input"], "blowup": ["--input", "--perm", "--blocks"],
+          "candidates": ["--input", "--p"]}
+
+
 def _cmd_weights_build(args) -> int:
-    kind = args.kind
+    kind, needs = args.kind, _NEEDS[args.kind]
+    if any(getattr(args, option[2:]) is None for option in needs):
+        *rest, last = needs
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise InputError(f"--kind {kind} needs {listed}")
     if kind == "un":
-        if args.n is None:
-            raise InputError("--kind un needs --n")
         w = wada_weight(args.n, max_dim=args.max_dim)
-        _emit(_weight_record(w), args.output)
-        return 0
-    if kind == "form":
-        if args.input is None:
-            raise InputError("--kind form needs --input")
+    elif kind == "form":
         triples = _parse_triples(_load_json(args.input), args.input)
         w = from_quadratic_form(triples, max_dim=args.max_dim)
-        _emit(_weight_record(w), args.output)
-        return 0
-    if kind == "blowup":
-        if args.input is None or args.perm is None or args.blocks is None:
-            raise InputError("--kind blowup needs --input, --perm and --blocks")
+    elif kind == "blowup":
         matrix = matrix_from_record(_load_json(args.input))
         try:
             images = [int(x) for x in args.perm.split(",")]
         except ValueError:
-            raise InputError(
-                f"--perm {args.perm!r} must be comma-separated integers"
-            ) from None
-        if sorted(images) != list(range(1, matrix.rows + 1)):
-            raise InputError(f"--perm {args.perm} is not 1-indexed of degree {matrix.rows}")
-        perm = tuple(x - 1 for x in images)
+            raise InputError(f"--perm {args.perm!r} must be comma-separated integers") from None
+        perm = _permutation(images, matrix.rows, f"--perm {args.perm}")
         w = block_tridiagonal_weight(matrix, perm, args.blocks, max_dim=args.max_dim)
-        _emit(_weight_record(w), args.output)
+    else:
+        _emit(_candidates_record(args), args.output)
         return 0
-    # candidates
-    if args.input is None or args.p is None:
-        raise InputError("--kind candidates needs --input and --p")
+    _emit(_weight_record(w), args.output)
+    return 0
+
+
+def _candidates_record(args) -> dict:
+    """``weights build --kind candidates``: every ranked candidate."""
     matrix = matrix_from_record(_load_json(args.input))
     try:
         cartan = CartanData(matrix, args.p)
@@ -552,23 +534,17 @@ def _cmd_weights_build(args) -> int:
         raise InputError(f"{args.input}: {exc}") from exc
     action = None
     if args.action:
-        arrays = _load_json(args.action)
-        action = _load_action(arrays, matrix.rows, args.action)
+        action = _load_action(_load_json(args.action), matrix.rows, args.action)
     ranked = weight_candidates(cartan, action, max_dim=args.max_dim)
-    payload = {
-        "candidates": [
-            {"provenance": w.provenance, "trace": str(tr), "approx": _approx(tr),
-             "minimum": str(w.certificate.value),
-             "matrix": matrix_to_record(w.matrix)}
-            for w, tr in ranked
-        ]
-    }
-    _emit(payload, args.output)
-    return 0
+    return {"candidates": [
+        {"provenance": w.provenance, "trace": str(tr), "approx": _approx(tr),
+         "minimum": str(w.certificate.value), "matrix": matrix_to_record(w.matrix)}
+        for w, tr in ranked
+    ]}
 
 
 def _cmd_gendec_verify(args) -> int:
-    data, c_bar, heights = _load_gendec(_load_json(args.input), args.input, None)
+    data, c_bar, heights = _load_gendec(_load_json(args.input), args.input)
     report = verify_all(data, c_bar, heights)
     return _print_verification(report, args.format == "records")
 

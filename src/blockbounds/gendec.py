@@ -25,7 +25,7 @@ from .exactmat import (
     _cleared_int_rows,
     _rows_repr,
 )
-from .ntheory import prime_and_phi, units_mod
+from .ntheory import check_unit_count, prime_and_phi, units_mod
 
 
 def _int_coeffs(values) -> tuple[int, ...]:
@@ -271,6 +271,9 @@ class GenDecData:
         self._set(rows, spec, k, l)
 
     def _set(self, rows, spec: SubsectionSpec, k: int, l: int):
+        # both producers, __init__ and _split_cells, pass here before any
+        # verifier builds a list of phi(q) units or coefficient matrices
+        check_unit_count(spec.q, "for decomposition data")
         self.rows, self.spec, self.k, self.l = tuple(rows), spec, k, l
         self._stack = self._blocks = None
 

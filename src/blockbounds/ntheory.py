@@ -15,8 +15,8 @@ class DomainError(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3317044064679887385961981
 
-# Largest subgroup of (Z/q)^x that unit_group_closure lists, and the most
-# units unit_of_order searches; every catalog uses q <= 81, so 2^16 is ample.
+# Largest subgroup of (Z/q)^x that unit_group_closure lists, and the largest
+# phi(q) that check_unit_count allows; every catalog uses q <= 81.
 MAX_UNIT_GROUP = 1 << 16
 
 
@@ -179,11 +179,17 @@ def multiplicative_order(g: int, q: int) -> int:
     return o
 
 
+def check_unit_count(q: int, purpose: str):
+    """Refuse, naming ``purpose``, a prime power q with more than
+    MAX_UNIT_GROUP units, before any is listed."""
+    if prime_and_phi(q)[1] > MAX_UNIT_GROUP:
+        raise DomainError(f"more than {MAX_UNIT_GROUP} units modulo {q} {purpose}")
+
+
 def unit_of_order(q: int, n: int) -> int:
     """Some unit of multiplicative order n modulo the prime power q (brute-force
-    search); DomainError above MAX_UNIT_GROUP units, before any is listed."""
-    if prime_and_phi(q)[1] > MAX_UNIT_GROUP:
-        raise DomainError(f"more than {MAX_UNIT_GROUP} units modulo {q} to search")
+    search), within ``check_unit_count``."""
+    check_unit_count(q, "to search")
     for g in units_mod(q):
         if multiplicative_order(g, q) == n:
             return g

@@ -17,14 +17,19 @@ powers of zeta, the entries of a coefficient stack).
 from __future__ import annotations
 
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockbounds
 from blockbounds import (
     CartanData,
     CyclotomicInteger,
@@ -747,3 +752,24 @@ def reference_verify_all(data, c_bar, heights=None) -> VerificationReport:
             else f"rows {offenders} fail the valuation-zero test",
         ))
     return VerificationReport(tuple(checks))
+
+
+def run_bounded(argv):
+    """The command line's run(argv) in a child process held to 60 s and 1 GiB
+    of address space; returns (exit status, seconds spent inside run, stderr)."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    script = (
+        "import sys, time; from blockbounds.cli import run; "
+        "t = time.perf_counter(); rc = run(sys.argv[1:]); "
+        "print(time.perf_counter() - t); sys.exit(rc)"
+    )
+    src = str(Path(blockbounds.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        timeout=60, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=cap,
+    )
+    return proc.returncode, float(proc.stdout.split()[-1]), proc.stderr

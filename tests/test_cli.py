@@ -12,7 +12,7 @@ from blockbounds.exactmat import matrix_from_record
 from blockbounds.fixtures import FIXTURES, agl18_bundle, s3_subsection
 from blockbounds.gendec import cyc_reduce
 from conftest import (data_from_cells, dihedral_cells, gendec_record, orbit_cells,
-                      reference_verify_all)
+                      reference_verify_all, run_bounded)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,30 +122,6 @@ def test_k0_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "6"
     assert run(["k0", "--p", "2", "--q", "8", "--n-gen", "5", "--format", "records"]) == 0
     assert json.loads(capsys.readouterr().out)["k0"] == 8
-
-
-def run_bounded(argv):
-    """run(argv) in a child process held to 60 s and 1 GiB of address space;
-    returns (exit status, seconds spent inside run, stderr)."""
-    import resource
-    import subprocess
-    import sys
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    script = (
-        "import sys, time; from blockbounds.cli import run; "
-        "t = time.perf_counter(); rc = run(sys.argv[1:]); "
-        "print(time.perf_counter() - t); sys.exit(rc)"
-    )
-    src = str(Path(blockbounds.__file__).parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
-        timeout=60, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-        preexec_fn=cap,
-    )
-    return proc.returncode, float(proc.stdout.split()[-1]), proc.stderr
 
 
 def test_k0_work_is_bounded_on_huge_p_and_q():
@@ -324,9 +300,10 @@ def test_bundle_with_gendec_subrecord(tmp_path, capsys):
 
 
 def test_bundle_gendec_c_bar_is_built_by_the_loader_only(tmp_path, capsys, monkeypatch):
-    # two CartanData, one normalization: the bundle's C, reused for the
-    # gendec record's equal C, and C_bar, made from it once by the loader
-    # and read again by compare_all
+    # two CartanData and two normalizations, all made by the loader: the
+    # bundle's C and the gendec record's equal C, each validated, and their
+    # C_bar; the bundle's C_bar serves both reports, so compare_all reads
+    # it again and makes none
     from blockbounds.exactmat import CartanData
 
     path = s3_block_bundle(tmp_path)
@@ -347,9 +324,9 @@ def test_bundle_gendec_c_bar_is_built_by_the_loader_only(tmp_path, capsys, monke
     monkeypatch.setattr(CartanData, "_divided", counting_divided)
     assert run(["bounds", "compare", "--input", str(path)]) == 0
     assert "gendec verification passed" in capsys.readouterr().out
-    assert (len(built) + len(normalized), len(normalized)) == (2, 1)
-    # a gendec record whose C or defect differs from the bundle's gets its
-    # own CartanData, validated and refused as before
+    assert (len(built), len(normalized)) == (2, 2)
+    # a gendec record's own C and defect are validated first, then compared
+    # with the bundle's
     rec = json.loads(path.read_text())
     rec["gendec"]["spec"]["defect"] = 2
     path.write_text(json.dumps(rec))
@@ -364,7 +341,7 @@ def test_bundle_gendec_c_bar_is_built_by_the_loader_only(tmp_path, capsys, monke
     built.clear()
     assert run(["bounds", "compare", "--input", str(path)]) == 2
     assert capsys.readouterr().err == (
-        f"input error: {path}: gendec Cartan disagrees with the bundle\n"
+        f"input error: {path}: gendec sub-record disagrees with the bundle\n"
     )
     assert len(built) == 2
 
@@ -373,9 +350,10 @@ def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monke
     # per command: one _inverse_rows per distinct matrix that some row reads;
     # C cleared to integer rows once, plus the working copy of its
     # elimination, and a C_bar made from C's rows never; a fixed number of
-    # symmetry checks (C once and each weight once: a supplied form's weight
-    # is certified once, and C^-1 reaches the search from CartanData, so it
-    # is never checked); no GramForm validated, since the C^-1 and weight
+    # symmetry checks (C once, a gendec sub-record's own C once, and each
+    # weight once: a supplied form's weight is certified once, and C^-1
+    # reaches the search from CartanData, so it is never checked); no
+    # GramForm validated, since the C^-1 and weight
     # forms hand the search rows already known; and no RationalMatrix C^-1
     # (exactmat.inverse): the inverse-cartan candidate is C's inverse rows
     # over their minimum, certified by the C^-1 search, not checked again
@@ -430,8 +408,9 @@ def test_each_cartan_matrix_is_inverted_and_cleared_once(tmp_path, capsys, monke
         (compare + [str(emit(tmp_path, "agl18"))], [c], 5, {content(c): 2}, []),
         (compare + [write("agl18-q2", at_q2)], [c2], 4, {content(c2): 2, content(c): 0},
          []),
-        (compare + [write("s3", s3)], [[[3]], [[1]]], 3, {}, []),
-        (compare + [write("s3-defect", s3_defect)], [[[3]]], 3, {}, []),
+        (compare + [write("s3", s3)], [[[3]], [[1]]], 4, {}, []),
+        # each declared defect is checked by an inversion of its own C
+        (compare + [write("s3-defect", s3_defect)], [[[3]], [[3]]], 4, {}, []),
         (["gendec", "verify", "--input", str(emit(tmp_path, "s3-subsection"))],
          [[[1]]], 1, {}, []),
     ]
@@ -663,6 +642,78 @@ def test_list_fields_refuse_every_other_type(tmp_path, capsys, field, value):
     assert run(command.split() + ["--input", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("input error: ") and f"'{key}' must be" in err
+
+
+FIELD_KINDS = [  # (command, base record, place, value, field, kind, value shown)
+    ("bounds compare", agl18_bundle, ("p",), "2", "p", "an integer", "2"),
+    ("bounds compare", agl18_bundle, ("ordering",), [1, True], "ordering",
+     "a list of integers", [1, True]),
+    ("bounds compare", agl18_bundle, ("cartan",), 5, "cartan", "an object", 5),
+    ("bounds compare", agl18_bundle, ("forms",), 5, "forms", "a list", 5),
+    ("bounds compare", agl18_bundle, ("partition",), "x", "partition", "a list", "x"),
+    ("bounds compare", agl18_bundle, ("partition",), [[1], ["2"]], "partition",
+     "a list of integers", ["2"]),
+    ("bounds compare", agl18_bundle, ("forms",), [5], "form",
+     "a list of [i, j, q_ij] integer triples", 5),
+    ("weights build --kind form", agl18_bundle, (), [[1, 1]], "form",
+     "a list of [i, j, q_ij] integer triples", [[1, 1]]),
+    ("gendec verify", s3_subsection, ("spec",), [3], "spec", "an object", [3]),
+    ("gendec verify", s3_subsection, ("heights",), ["a"], "heights", "a list of integers",
+     ["a"]),
+    ("gendec verify", s3_subsection, ("q_matrix", "powers", 0, 0), [1], "powers[0][0]",
+     "an object keyed by integer exponents", [1]),
+    ("gendec verify", s3_subsection, ("q_matrix", "powers", 0, 0), {"0": 1.5},
+     "powers[0][0][0]", "an integer", 1.5),
+]
+
+
+@pytest.mark.parametrize("command, base, place, value, field, kind, shown", FIELD_KINDS,
+                         ids=[f"{case[4]}-{case[5]}" for case in FIELD_KINDS])
+def test_every_field_kind_is_refused_in_one_wording(tmp_path, capsys, command, base, place,
+                                                    value, field, kind, shown):
+    rec = base()
+    if place:
+        target = rec
+        for key in place[:-1]:
+            target = target[key]
+        target[place[-1]] = value
+    else:
+        rec = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rec))
+    assert run(command.split() + ["--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"input error: {path}: '{field}' must be {kind}, "
+                                       f"not {shown!r}\n")
+
+
+def test_field_kinds_are_all_reached():
+    from blockbounds import cli
+
+    assert {case[5] for case in FIELD_KINDS} == set(cli._KINDS)
+
+
+def test_weights_build_names_the_options_each_kind_needs(capsys):
+    for kind, needs in [("un", "--n"), ("form", "--input"),
+                        ("blowup", "--input, --perm and --blocks"),
+                        ("candidates", "--input and --p")]:
+        assert run(["weights", "build", "--kind", kind]) == 2
+        assert capsys.readouterr().err == f"input error: --kind {kind} needs {needs}\n"
+
+
+def test_one_indexed_permutations_keep_their_messages(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}))
+    blowup = ["weights", "build", "--kind", "blowup", "--input", str(w), "--blocks", "2"]
+    for perm, message in [("1,3", "--perm 1,3 is not 1-indexed of degree 2"),
+                          ("1,x", "--perm '1,x' must be comma-separated integers")]:
+        assert run(blowup + ["--perm", perm]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({**agl18_bundle(), "n_generators": [1],
+                                "ibr_action": [[1, 2, 3, 4, 4]]}))
+    assert run(["bounds", "compare", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (f"input error: {path}: permutation [1, 2, 3, 4, 4] "
+                                       "is not 1-indexed of degree 5\n")
 
 
 def test_exit_code_on_unwritable_output(tmp_path, capsys):

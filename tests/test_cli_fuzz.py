@@ -1,10 +1,11 @@
 """Fuzzed command line: every input ends in exit status 0, 1, 2 or 3 and
 never in a traceback.
 
-Inputs are valid records with a few fields replaced or deleted, freshly
-drawn matrices of size at most 6x6 with partitions of their indices (empty
-blocks included), form files with indices up to 40, and
-argument lists drawn from the real vocabulary, including unwritable
+Inputs are valid records with a few fields replaced or deleted, gendec
+files at conductors with more than 2^16 units (run in bounded child
+processes), freshly drawn matrices of size at most 6x6 with partitions of
+their indices (empty blocks included), form files with indices up to 40,
+and argument lists drawn from the real vocabulary, including unwritable
 ``--output`` paths.  Drawn values include huge integers (as a defect, a
 declared size or anything else), digit strings longer than int()
 converts, and valid matrix entries beyond the float range.  Runs are
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from blockbounds.cli import run
 from blockbounds.fixtures import agl18_bundle, s3_subsection
+from conftest import run_bounded
 
 
 def fuzz(cases):
@@ -220,6 +222,33 @@ def huge_gendec_files(draw):
 @given(record=huge_gendec_files())
 def test_fuzz_gendec_files_with_huge_values(workdir, record):
     run_on(workdir, "gendec.json", record, ["gendec", "verify"])
+
+
+@st.composite
+def large_conductor_files(draw):
+    """The S3 fixture at a prime-power conductor q with phi(q) > 2^16, set in
+    q, spec.q and p together, with N = <-1> and one cell redrawn."""
+    p, q = draw(st.one_of(
+        st.integers(18, 60).map(lambda k: (2, 2**k)),
+        st.sampled_from([(3, 3**12), (5, 5**8), (65539, 65539), (2**31 - 1, 2**31 - 1)])))
+    record = s3_subsection()
+    record["p"] = record["spec"]["p"] = p
+    record["q"] = record["spec"]["q"] = q
+    record["spec"]["n_generators"] = [q - 1]
+    record["q_matrix"]["powers"][0][0] = {str(draw(st.integers(0, q))): draw(st.integers(-3, 3))}
+    return record
+
+
+@fuzz(12)
+@given(record=large_conductor_files())
+def test_fuzz_large_conductors(workdir, record):
+    # each in a child process held to 1 GiB and 60 s: every such file is
+    # refused before a list of phi(q) units or coefficient matrices is built
+    path = workdir / "conductor.json"
+    path.write_text(json.dumps(record))
+    rc, seconds, err = run_bounded(["gendec", "verify", "--input", str(path)])
+    assert rc == 2 and f"units modulo {record['q']} " in err and "Traceback" not in err, err
+    assert seconds < 10
 
 
 @fuzz(200)

@@ -826,15 +826,14 @@ def test_verify_all_never_builds_the_dense_stack(monkeypatch):
     monkeypatch.setattr(GenDecData, "stack",
                         property(lambda data: built.append(data) or dense.fget(data)))
     cells, cbar, heights = dihedral_cells(2187)
-    data, c_bar, hs = _load_gendec(gendec_record(2187, cells, cbar, heights), "d2187.json",
-                               None)
+    data, c_bar, hs = _load_gendec(gendec_record(2187, cells, cbar, heights), "d2187.json")
     assert verify_all(data, c_bar, hs).ok
     assert built == []
     # the S3 column at q = 3^9: almost every product A_i^t A_j fails
     rec = s3_subsection()
     rec["q"] = rec["spec"]["q"] = 3**9
     rec["spec"]["n_generators"] = [3**9 - 1]
-    data, c_bar, hs = _load_gendec(rec, "s3.json", None)
+    data, c_bar, hs = _load_gendec(rec, "s3.json")
     report = verify_all(data, c_bar, hs)
     assert not report.ok and len(report.failures()) > 50000
     assert len(built) <= 1

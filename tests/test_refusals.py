@@ -23,6 +23,7 @@ from blockbounds import (
     CertificationError,
     CyclotomicInteger,
     DomainError,
+    GenDecData,
     InternalInvariantError,
     PermutationAction,
     RationalMatrix,
@@ -55,6 +56,7 @@ from blockbounds.ntheory import (
     unit_of_order,
     valuation,
 )
+from conftest import run_bounded
 
 C2 = CartanData(RationalMatrix([[2, 1], [1, 2]]), 3)
 S3_SPEC = SubsectionSpec(3, 3, (2,), PermutationAction(1, [(0,)]))
@@ -144,6 +146,14 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
     ("order-unit", lambda: multiplicative_order(3, 9), DomainError, "3 is not a unit modulo 9"),
     ("order-search-size", lambda: unit_of_order(3 ** 30, 2), DomainError,
      "more than 65536 units modulo 205891132094649 to search"),
+    # phi(2^18) = 2^17 coefficient matrices: refused by both producers of
+    # decomposition data, before a verifier lists them
+    ("gendec-units-constructor",
+     lambda: GenDecData([[[0]]] * 2**17, SubsectionSpec(2, 2**18)), DomainError,
+     "more than 65536 units modulo 262144 for decomposition data"),
+    ("gendec-units-split",
+     lambda: fourier_split([[CyclotomicInteger.from_int(2**18, 1)]], SubsectionSpec(2, 2**18)),
+     DomainError, "more than 65536 units modulo 262144 for decomposition data"),
     ("order-missing", lambda: unit_of_order(25, 3), DomainError,
      "(Z/25)^x has no element of order 3"),
     ("symmetrize-input",
@@ -191,6 +201,33 @@ def _s3_bundle(**changes) -> dict:
     return bundle
 
 
+def _power_of_two_record(q: int) -> dict:
+    """A 1x1 ``powers`` file at q = 2^k with trivial N."""
+    return {"q": q, "p": 2, "k": 1, "l": 1,
+            "spec": {"cartan": {"normalization": "b_bar",
+                                "matrix": {"rows": 1, "cols": 1, "entries": [["1"]]}}},
+            "q_matrix": {"powers": [[{"0": 1}]]}}
+
+
+def _swap_bundle(sub_action) -> dict:
+    """C_bar = I_2 at q = 3, the unit 2 swapping the columns, around a
+    gendec sub-record whose unit 2 acts by ``sub_action``: Q has the rows
+    (z, z^2), (z^2, z) and (1, 1), whose columns zeta -> zeta^2 swaps."""
+    spec = {"n_generators": [2], "cartan": {
+        "normalization": "b_bar",
+        "matrix": {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}}}
+    sub = {"q": 3, "p": 3, "k": 3, "l": 2, "spec": {**spec, "ibr_action": [sub_action]},
+           "q_matrix": {"powers": [[{"1": 1}, {"2": 1}], [{"2": 1}, {"1": 1}],
+                                   [{"0": 1}, {"0": 1}]]}}
+    return {"p": 3, "q": 3, **spec, "ibr_action": [[2, 1]], "gendec": sub}
+
+
+def _s3_bundle_with(changes: dict, sub_changes: dict) -> dict:
+    bundle = _s3_bundle(**changes)
+    bundle["gendec"]["spec"].update(sub_changes)
+    return bundle
+
+
 def _stacked_s3() -> dict:
     rec = s3_subsection()
     rec["q_matrix"] = {"stack": [{"rows": 2, "cols": 1, "entries": [["-1"], ["1"]]}] * 2}
@@ -219,6 +256,23 @@ CLI_REFUSALS = [  # (id, command, input record, exit status, stderr; {path} is t
      "input error: {path}: declared shape 3x1 does not match data 2x1\n"),
     ("gendec-disagrees", "bounds compare", _s3_bundle(q=1, n_generators=[], ibr_action=None),
      2, "input error: {path}: gendec sub-record disagrees with the bundle\n"),
+    # the sub-record must be for the bundle's own subsection: N, the action,
+    # a defect on one side only, and C
+    ("gendec-disagrees-n", "bounds compare", _s3_bundle(n_generators=[1]), 2,
+     "input error: {path}: gendec sub-record disagrees with the bundle\n"),
+    ("gendec-disagrees-action", "bounds compare", _swap_bundle([1, 2]), 2,
+     "input error: {path}: gendec sub-record disagrees with the bundle\n"),
+    ("gendec-disagrees-defect-sub", "bounds compare", _s3_bundle_with({}, {"defect": 1}), 2,
+     "input error: {path}: gendec sub-record disagrees with the bundle\n"),
+    ("gendec-disagrees-defect-bundle", "bounds compare", _s3_bundle(defect=1), 2,
+     "input error: {path}: gendec sub-record disagrees with the bundle\n"),
+    ("gendec-disagrees-cartan", "bounds compare",
+     _s3_bundle_with({}, {"cartan": {"normalization": "b",
+                                     "matrix": {"rows": 1, "cols": 1, "entries": [["6"]]}}}),
+     2, "input error: {path}: gendec sub-record disagrees with the bundle\n"),
+    # 2^17 units, so that a regression costs seconds, not all memory
+    ("gendec-units", "gendec verify", _power_of_two_record(2**18), 2,
+     "input error: {path}: more than 65536 units modulo 262144 for decomposition data\n"),
     ("partition-empty-block", "bounds compare",
      {**agl18_bundle(), "partition": [[1, 2, 3, 4, 5], []]}, 2,
      "input error: partition blocks must be nonempty\n"),
@@ -234,6 +288,24 @@ def test_cli_refusal(tmp_path, capsys, command, record, status, stderr):
     assert run(command.split() + ["--input", str(path)]) == status
     out, err = capsys.readouterr()
     assert err == stderr.format(path=path) and out == ""
+
+
+def test_matching_subrecord_with_an_action_is_verified(tmp_path, capsys):
+    # the same action on both sides passes the sub-record check
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(_swap_bundle([2, 1])))
+    assert run(["bounds", "compare", "--input", str(path)]) == 0
+    assert "gendec verification passed" in capsys.readouterr().out
+
+
+def test_units_at_the_cap_still_get_a_report(tmp_path):
+    # phi(2^17) = 2^16 units is the cap itself: a report (this data fails
+    # its checks), not a refusal
+    path = tmp_path / "p2_17.json"
+    path.write_text(json.dumps(_power_of_two_record(2**17)))
+    rc, seconds, err = run_bounded(["gendec", "verify", "--input", str(path),
+                                    "--format", "records"])
+    assert (rc, err) == (1, "") and seconds < 30
 
 
 def test_blow_up_needs_a_block(tmp_path, capsys):
