@@ -29,9 +29,9 @@ from .lattice import DEFAULT_DIM_CAP, _gram_form, form_minimum
 from .weights import (
     PermutationAction,
     WeightMatrix,
+    _fixed_by,
     _form_coeffs,
     _of_degree,
-    commutes_with,
     compose,
     from_quadratic_form,
     symmetrize,
@@ -177,7 +177,6 @@ class BoundReport:
     inputs: tuple[tuple[str, str], ...] = ()
     strict: tuple[tuple[str, bool], ...] = ()
     notes: tuple[str, ...] = ()
-    _weight: WeightMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.value < 1:
@@ -230,16 +229,14 @@ def _normalized_cartan(c: CartanData, spec: SubsectionSpec) -> CartanData:
 
 
 def _aligned_weight(
-    weight: WeightMatrix, spec: SubsectionSpec, degree: int, max_dim: int
+    weight: WeightMatrix, spec: SubsectionSpec, c_bar: CartanData, max_dim: int
 ) -> tuple[WeightMatrix, tuple[str, ...]]:
-    """Symmetrize the weight over the action when it does not commute."""
-    action = _of_degree(spec.ibr_action, degree)
-    if action is None or action.is_trivial:
-        return weight, ()
-    if all(commutes_with(weight.matrix, g) for g in action.generators):
+    """``symmetrize``'s weight for the action, which must fix ``c_bar``, and its note."""
+    action = _fixed_by(spec.ibr_action, c_bar)
+    if action is None:
         return weight, ()
     averaged = symmetrize(weight, action, max_dim=max_dim)
-    return averaged, ("weight symmetrized over the fusion action",)
+    return averaged, (() if averaged is weight else ("weight symmetrized over the fusion action",))
 
 
 def subsection_k_bound(
@@ -259,7 +256,7 @@ def subsection_k_bound(
             "the k(B) bound needs the fusion quotient to be a p'-group "
             "(its order divides p - 1)"
         )
-    weight, notes = _aligned_weight(weight, spec, c_bar.l, max_dim)
+    weight, notes = _aligned_weight(weight, spec, c_bar, max_dim)
     tr = trace_pairing(weight.matrix, c_bar)
     n, q = spec.n, spec.q
     value = (Fraction(n) + Fraction(q - 1, n)) * tr
@@ -287,7 +284,7 @@ def subsection_k0_bound(
     """k0(B) <= k0(<u> x| N) tr(W C) <= q tr(W C), any subsection; ``c_bar``
     is the Cartan matrix of the dominated block."""
     _of_prime(c_bar, spec)
-    weight, notes = _aligned_weight(weight, spec, c_bar.l, max_dim)
+    weight, notes = _aligned_weight(weight, spec, c_bar, max_dim)
     tr = trace_pairing(weight.matrix, c_bar)
     k0 = k0_semidirect(spec)
     return BoundReport(
@@ -373,22 +370,25 @@ def classical_bounds(
 
 def kw_bound(c: CartanData, form_coeffs, max_dim: int = DEFAULT_DIM_CAP) -> BoundReport:
     """k(B) <= sum_{i<=j} q_ij c_ij for a positive definite integral form."""
+    return _kw_report(c, form_coeffs, max_dim)[0]
+
+
+def _kw_report(c: CartanData, form_coeffs, max_dim: int) -> tuple[BoundReport, WeightMatrix]:
+    """``kw_bound``'s report and the certified weight of its form."""
     l = c.l
     coeffs = _form_coeffs(form_coeffs, size=l)
     w = from_quadratic_form(coeffs, size=l, max_dim=max_dim)
     value = Fraction(sum(v * c.ints[i - 1][j - 1] for (i, j), v in coeffs.items()))
     if value != trace_pairing(w.matrix, c):
         raise InternalInvariantError("form bound differs from the trace pairing tr(W C)")
-    rep = BoundReport(
+    return BoundReport(
         name="quadratic form bound",
         target="k(B)",
         value=value,
         citation="Kuelshammer-Wada",
         inputs=_echo(form=tuple(sorted(coeffs.items())),
                      minimum=w.certificate.value),
-    )
-    object.__setattr__(rep, "_weight", w)  # the certified weight, reused by compare_all
-    return rep
+    ), w
 
 
 def inverse_cartan_bound(c: CartanData, max_dim: int = DEFAULT_DIM_CAP) -> BoundReport:
@@ -531,8 +531,8 @@ def compare_all(
 
     form_weights = []
     for idx, form in enumerate(forms, start=1):
-        rep = kw_bound(cartan_b, form, max_dim=max_dim)
-        form_weights.append(rep._weight)
+        rep, w = _kw_report(cartan_b, form, max_dim)
+        form_weights.append(w)
         rows.append(replace(rep, name=f"quadratic form bound (form #{idx})"))
 
     rows.append(inverse_cartan_bound(cartan_b, max_dim=max_dim))
@@ -555,7 +555,7 @@ def compare_all(
     rows.append(subsection_k0_bound(c_bar, spec, best_weight, max_dim=max_dim))
 
     if action is not None and spec.p > 2 and spec.n_p == 1 and q > 1:
-        w_aligned, _ = _aligned_weight(best_weight, spec, l, max_dim)
+        w_aligned, _ = _aligned_weight(best_weight, spec, c_bar, max_dim)
         # sum_g C_bar P_g, entry by entry over the rows a of every C_bar P_g
         cp = _Expected(spec, c_bar, l).cp.values()
         summed = RationalMatrix([list(map(sum, zip(*rows))) for rows in zip(*cp)])

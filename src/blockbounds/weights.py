@@ -6,6 +6,11 @@ certifies its output through ``certified_weight``, the one certifier; a
 failed certification here is a bug, not an input problem.  The one weight
 built without a search of its own is the ``inverse-cartan`` candidate
 C^{-1}/m: its certificate is the search for m, the minimum of C^{-1}.
+
+A fusion action is kept as its generators and no group is listed:
+``symmetrize`` alone decides whether a weight is averaged over it, by means
+over the orbits of the l^2 index pairs, and ``_fixed_by`` refuses an action
+that does not fix the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from math import gcd
 from .exactmat import (
     CartanData,
     DomainError,
+    InconsistentDataError,
     InternalInvariantError,
     RationalMatrix,
     _cleared_int_rows,
     _ldl_rows,
-    kron,
     trace_pairing,
 )
 from .lattice import (
@@ -43,34 +48,17 @@ def compose(a, b) -> tuple[int, ...]:
     return tuple(a[x] for x in b)
 
 
-def _identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 class PermutationAction:
-    """A permutation group on {0..degree-1}, enumerated on construction."""
+    """A permutation group on {0..degree-1}, kept as its validated generators."""
 
-    __slots__ = ("degree", "generators", "elements")
+    __slots__ = ("degree", "generators")
 
     def __init__(self, degree: int, generators):
-        gens = []
-        for g in generators:
-            g = tuple(g)
+        self.degree = degree
+        self.generators = tuple(map(tuple, generators))
+        for g in self.generators:
             if sorted(g) != list(range(degree)):
                 raise DomainError(f"{g} is not a permutation of degree {degree}")
-            gens.append(g)
-        self.degree = degree
-        self.generators = tuple(gens)
-        elems = closure(_identity_perm(degree), lambda a: [compose(g, a) for g in gens])
-        self.elements = tuple(sorted(elems))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
 
 
 @dataclass(frozen=True)
@@ -84,6 +72,14 @@ def _of_degree(action: PermutationAction | None, l: int) -> PermutationAction | 
     """``action``, refused unless it is None or permutes ``l`` columns."""
     if action is not None and action.degree != l:
         raise DomainError(f"action degree {action.degree} does not match l = {l}")
+    return action
+
+
+def _fixed_by(action: PermutationAction | None, c: CartanData) -> PermutationAction | None:
+    """``action``, refused unless it is None or has C's degree and fixes C."""
+    if _of_degree(action, c.l) is not None and not all(
+            commutes_with(c.matrix, g) for g in action.generators):
+        raise InconsistentDataError("the fusion action does not fix the Cartan matrix")
     return action
 
 
@@ -151,11 +147,6 @@ def commutes_with(matrix: RationalMatrix, perm) -> bool:
     return matrix.permuted(perm) == matrix
 
 
-def _shift_matrix(m: int) -> RationalMatrix:
-    rows = [[1 if j == i + 1 else 0 for j in range(m)] for i in range(m)]
-    return RationalMatrix(rows)
-
-
 def block_tridiagonal_weight(
     w: WeightMatrix | RationalMatrix,
     perm,
@@ -172,41 +163,37 @@ def block_tridiagonal_weight(
         raise DomainError("weight matrix does not commute with the permutation")
     if m == 1:
         return certified_weight(wm, "block-tridiagonal(m=1)", max_dim=max_dim)
-    _check_cap("weight matrix size", m * wm.rows, max_dim)
-    half = Fraction(1, 2)
-    shift = _shift_matrix(m)
-    # (P W)[a] = W[perm^-1(a)] and (P^t W)[a] = W[perm(a)]: rows reindexed
-    pw = RationalMatrix([wm.row(perm.index(a)) for a in range(wm.rows)])
-    ptw = RationalMatrix([wm.row(i) for i in perm])
-    big = (
-        kron(RationalMatrix.identity(m), wm)
-        - kron(shift, pw.scale(half))
-        - kron(shift.transpose(), ptw.scale(half))
-    )
+    n = wm.rows
+    _check_cap("weight matrix size", m * n, max_dim)
+    # (P W)[r] = W[perm^-1(r)] and (P^t W)[r] = W[perm(r)]: rows reindexed;
+    # block row a holds -(1/2)P^tW in column a - 1, W in a, -(1/2)PW in a + 1
+    pw = [[-x / 2 for x in wm.row(perm.index(r))] for r in range(n)]
+    ptw = [[-x / 2 for x in wm.row(perm[r])] for r in range(n)]
+    blocks = {-1: ptw, 0: list(wm), 1: pw}
+    zero = [[0] * n] * n
+    big = RationalMatrix([[x for b in range(m) for x in blocks.get(b - a, zero)[r]]
+                          for a in range(m) for r in range(n)])
     return certified_weight(big, f"block-tridiagonal(m={m})", max_dim=max_dim)
 
 
 def symmetrize(
-    w: WeightMatrix | RationalMatrix,
-    action: PermutationAction,
-    max_dim: int = DEFAULT_DIM_CAP,
+    w: WeightMatrix, action: PermutationAction, max_dim: int = DEFAULT_DIM_CAP
 ) -> WeightMatrix:
-    """Group-average (1/2n) sum_g P_g (W + W^t) P_g^t over the action.
-
-    The result commutes with every P_g and has the same trace pairing
-    tr(W C) against any C that commutes with the action.
-    """
-    wm = w.matrix if isinstance(w, WeightMatrix) else w
-    sym = wm + wm.transpose()
-    if isinstance(w, RationalMatrix):  # (W + W^t)/2 has the quadratic form of W
-        certified_weight(sym.scale(Fraction(1, 2)), "symmetrize input", max_dim=max_dim)
-    _of_degree(action, wm.rows)
-    n = action.order
-    acc = RationalMatrix.zeros(wm.rows, wm.cols)
-    for g in action.elements:
-        acc = acc + sym.permuted(g)
-    avg = acc.scale(Fraction(1, 2 * n))
-    if not all(commutes_with(avg, g) for g in action.generators):
+    """``w`` itself when it commutes with every P_g, else the certified average
+    (1/|G|) sum_g P_g W P_g^t: entry (i, j) is the mean of W over the orbit O
+    of (i, j) under (a, b) -> (g(a), g(b)), which the sum meets |G|/|O| times
+    each, so no group element is listed.  The result pairs with any C that
+    commutes with the action as ``w`` does."""
+    wm, gens, l = w.matrix, action.generators, w.matrix.rows
+    _of_degree(action, l)
+    if all(commutes_with(wm, g) for g in gens):
+        return w
+    mean = {}
+    for ij in ((i, j) for i in range(l) for j in range(l) if (i, j) not in mean):
+        orbit = list(closure(ij, lambda ab: [(g[ab[0]], g[ab[1]]) for g in gens]))
+        mean.update(dict.fromkeys(orbit, sum(wm[a, b] for a, b in orbit) / len(orbit)))
+    avg = RationalMatrix([[mean[i, j] for j in range(l)] for i in range(l)])
+    if not all(commutes_with(avg, g) for g in gens):
         raise InternalInvariantError("group average does not commute with the action")
     return certified_weight(avg, "symmetrized", max_dim=max_dim)
 
@@ -319,7 +306,7 @@ def weight_candidates(
     variants under the action.  These are candidates, not proven optima.
     """
     l = c.l
-    action = _of_degree(action, l)
+    action = _fixed_by(action, c)
     cm = c.matrix
     out: list[WeightMatrix] = []
     out.append(
@@ -346,10 +333,10 @@ def weight_candidates(
         certificate=LatticeMinimum(Fraction(1), found.witness, found.num_minimizers),
         provenance="inverse-cartan",
     ))
-    if action is not None and not action.is_trivial:
+    if action is not None:
         for wm in list(out):
-            if not all(commutes_with(wm.matrix, g) for g in action.generators):
-                averaged = symmetrize(wm, action, max_dim=max_dim)
+            averaged = symmetrize(wm, action, max_dim=max_dim)
+            if averaged is not wm:
                 out.append(replace(averaged, provenance=f"symmetrized-{wm.provenance}"))
     scored = [(wm, trace_pairing(wm.matrix, c)) for wm in out]
     got, l_over_m = scored[at_inverse][1], Fraction(l) / mval

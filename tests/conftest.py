@@ -8,7 +8,8 @@ keeps as index tuples, a textbook Gram-Schmidt for the LLL conditions, the
 ``Fraction`` Fincke-Pohst descent that the library's integer search replaced,
 the ``Fraction`` back substitution that the library's integer inverse
 replaced, the ``Fraction`` trace pairing that its integer dot product
-replaced, the reduce-and-compare ``verify_all`` that the library's coset zero
+replaced, the group average over every listed group element that its orbit
+means replaced, the reduce-and-compare ``verify_all`` that the library's coset zero
 test replaced, the dense Gram-block scan that its sparse rows replaced, and
 the cyclotomic helpers that no library path needs (field trace, conjugation,
 powers of zeta, the entries of a coefficient stack).
@@ -223,6 +224,23 @@ def reference_trace_pairing(a: RationalMatrix, b) -> Fraction:
     if isinstance(b, CartanData):
         b = b.matrix
     return sum(x * y for row, col in zip(a, zip(*b)) for x, y in zip(row, col))
+
+
+def reference_group_average(w: RationalMatrix, generators) -> RationalMatrix:
+    """(1/2|G|) sum_g P_g (W + W^t) P_g^t over every element g of the group G
+    that the permutations ``generators`` span, listed by closing the identity
+    under composition: the average that ``weights.symmetrize`` took before it
+    took means over the orbits of index pairs."""
+    ident = tuple(range(w.rows))
+    group, frontier = {ident}, {ident}
+    while frontier:
+        frontier = {tuple(g[x] for x in a) for a in frontier for g in generators} - group
+        group |= frontier
+    sym = w + w.transpose()
+    acc = RationalMatrix.zeros(w.rows, w.rows)
+    for g in group:
+        acc = acc + sym.permuted(g)
+    return acc.scale(Fraction(1, 2 * len(group)))
 
 
 def gram_schmidt(gram: RationalMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:

@@ -496,7 +496,7 @@ def test_compare_all_refined_k0_row_sharpens_under_nontrivial_action():
         report = compare_all(CartanData(c_bar.scale(q), p), spec)
         refined = {r.name: r for r in report.rows}["refined k0(B) bound"]
         best = weight_candidates(CartanData(c_bar, p), spec.ibr_action)[0][0]
-        w, _ = _aligned_weight(best, spec, l, DEFAULT_DIM_CAP)
+        w, _ = _aligned_weight(best, spec, CartanData(c_bar, p), DEFAULT_DIM_CAP)
         assert refined.inputs == (("n", str(spec.n)), ("q", str(q)),
                                   ("weight", w.provenance))
         p_n = RationalMatrix.zeros(l, l)
@@ -556,7 +556,7 @@ def test_compare_all_sums_match_the_matrix_product_and_fraction_routes(monkeypat
         if spec.acts_nontrivially:
             c_bar = _normalized_cartan(cartan_b, spec)
             best = weight_candidates(c_bar, spec.ibr_action)[0][0]
-            w, _ = _aligned_weight(best, spec, c_bar.l, DEFAULT_DIM_CAP)
+            w, _ = _aligned_weight(best, spec, c_bar, DEFAULT_DIM_CAP)
             wc = w.matrix @ c_bar.matrix
             old = sum(
                 wc[g_i, i]

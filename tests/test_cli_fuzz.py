@@ -2,8 +2,9 @@
 never in a traceback.
 
 Inputs are valid records with a few fields replaced or deleted, gendec
-files at conductors with more than 2^16 units (run in bounded child
-processes), freshly drawn matrices of size at most 6x6 with partitions of
+files at conductors with more than 2^16 units and fusion actions whose
+generators span S_l for l up to 14 (both run in bounded child processes),
+freshly drawn matrices of size at most 6x6 with partitions of
 their indices (empty blocks included), form files with indices up to 40,
 and argument lists drawn from the real vocabulary, including unwritable
 ``--output`` paths.  Drawn values include huge integers (as a defect, a
@@ -249,6 +250,51 @@ def test_fuzz_large_conductors(workdir, record):
     rc, seconds, err = run_bounded(["gendec", "verify", "--input", str(path)])
     assert rc == 2 and f"units modulo {record['q']} " in err and "Traceback" not in err, err
     assert seconds < 10
+
+
+@st.composite
+def symmetric_group_generators(draw):
+    """(l, 1-indexed images of a transposition and an l-cycle) for l = 9..14,
+    both relabelled by one drawn permutation: they span S_l, of l! elements."""
+    l = draw(st.integers(9, 14))
+    relabel = draw(st.permutations(range(1, l + 1)))
+    swap = [2, 1] + list(range(3, l + 1))
+    cycle = [i % l + 1 for i in range(1, l + 1)]
+    # i -> relabel(g(relabel^-1(i))), 1-indexed
+    back = {x: i for i, x in enumerate(relabel, start=1)}
+    return l, [[relabel[g[back[i] - 1] - 1] for i in range(1, l + 1)] for g in (swap, cycle)]
+
+
+@fuzz(12)
+@given(drawn=symmetric_group_generators(), units=st.tuples(st.integers(1, 8), st.integers(1, 2)))
+def test_fuzz_action_spans_a_symmetric_group(workdir, drawn, units):
+    # each in a child process held to 1 GiB and 60 s: the generators of S_l
+    # are kept as given and no group element is listed.  N is abelian and S_l
+    # is not, so no unit-to-permutation table exists: a bundle and a gendec
+    # file are refused, while candidates for I + J, which S_l fixes, are made
+    l, gens = drawn
+    ones_plus_identity = {"rows": l, "cols": l,
+                          "entries": [[str(1 + (i == j)) for j in range(l)] for i in range(l)]}
+    cartan = {"normalization": "b_bar", "matrix": ones_plus_identity}
+    bundle_units = [u if u % 3 else 2 for u in units]  # units modulo 9
+    bundle = {"p": 3, "q": 9, "n_generators": bundle_units, "ibr_action": gens, "cartan": cartan}
+    gendec = s3_subsection()
+    gendec["l"] = l
+    gendec["spec"].update(n_generators=[units[1], 2], ibr_action=gens, cartan=cartan)
+    files = {"bundle.json": bundle, "gendec.json": gendec, "action.json": gens,
+             "ij.json": ones_plus_identity}
+    for name, record in files.items():
+        (workdir / name).write_text(json.dumps(record))
+    refused = "bad subsection data: permutations do not define an action of the fusion quotient"
+    for argv, status in (
+            (["bounds", "compare", "--input", str(workdir / "bundle.json")], 2),
+            (["gendec", "verify", "--input", str(workdir / "gendec.json")], 2),
+            (["weights", "build", "--kind", "candidates", "--input", str(workdir / "ij.json"),
+              "--p", "3", "--action", str(workdir / "action.json")], 0)):
+        rc, seconds, err = run_bounded(argv)
+        assert (rc, "Traceback" in err) == (status, False), (argv, err)
+        assert status == 0 or refused in err, err
+        assert seconds < 2, (argv, seconds)
 
 
 @fuzz(200)

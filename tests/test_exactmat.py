@@ -7,7 +7,6 @@ import pytest
 from blockbounds import (
     CartanData,
     DomainError,
-    PermutationAction,
     RationalMatrix,
     ShapeError,
     SingularMatrixError,
@@ -29,6 +28,7 @@ from conftest import (
     minor_gcd_divisors,
     perm_matrix,
     random_unimodular,
+    reference_group_average,
     reference_inverse,
     reference_trace_pairing,
 )
@@ -381,11 +381,7 @@ def test_trace_pairing_matches_the_fraction_sum_on_weight_shapes():
                 form[i][j] = form[j][i] = Fraction(rng.randint(-3, 3), 2)
         form = RationalMatrix(form)
         # (1/2n) sum_g P_g (W + W^t) P_g^t over the cyclic group of a shuffle
-        action = PermutationAction(l, [order])
-        averaged = RationalMatrix.zeros(l, l)
-        for g in action.elements:
-            averaged = averaged + (path + path.transpose()).permuted(g)
-        averaged = averaged.scale(Fraction(1, 2 * action.order))
+        averaged = reference_group_average(path, [order])
         m = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         scaled_inverse = inverse(c).scale(1 / m)
         for w in (path, form, averaged, scaled_inverse):

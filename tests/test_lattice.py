@@ -395,22 +395,13 @@ def test_certify_decides_positive_definiteness_once(monkeypatch):
 
 
 def test_certify_symmetrizes_and_reports():
-    # a raw asymmetric matrix is certified as (W + W^t)/2, which has its
-    # quadratic form: [[2, 1], [0, 2]] passes as [[2, 1/2], [1/2, 2]], and
-    # [[1, 4], [0, 1]] is refused as [[1, 2], [2, 1]]
+    # the average of a certified weight is certified anew and says where it
+    # came from: diag(2, 4) averaged over the swap is 3 I
     swap = PermutationAction(2, [(1, 0)])
-    half = Fraction(1, 2)
-    out = symmetrize(RationalMatrix([[2, 1], [0, 2]]), swap)
-    assert out.matrix == RationalMatrix([[2, half], [half, 2]])
+    out = symmetrize(certified_weight(RationalMatrix([[2, 0], [0, 4]]), "w"), swap)
+    assert out.matrix == RationalMatrix([[3, 0], [0, 3]])
     assert out.provenance == "symmetrized"
-    with pytest.raises(CertificationError) as info:
-        symmetrize(RationalMatrix([[1, 4], [0, 1]]), swap)
-    with pytest.raises(CertificationError) as sym:
-        certified_weight(RationalMatrix([[1, 2], [2, 1]]), "symmetrize input")
-    assert str(info.value) == str(sym.value) == (
-        "symmetrize input: not positive definite: integer vector (-2, 1) has form "
-        "value -3 <= 0 (leading principal minor 2 fails)"
-    )
+    assert out.certificate == form_minimum(out.matrix) and out.certificate.value == 3
 
 
 def test_every_certified_matrix_is_positive_definite():

@@ -20,10 +20,10 @@ import pytest
 import blockbounds
 from blockbounds import (
     CartanData,
-    CertificationError,
     CyclotomicInteger,
     DomainError,
     GenDecData,
+    InconsistentDataError,
     InternalInvariantError,
     PermutationAction,
     RationalMatrix,
@@ -60,6 +60,10 @@ from conftest import run_bounded
 
 C2 = CartanData(RationalMatrix([[2, 1], [1, 2]]), 3)
 S3_SPEC = SubsectionSpec(3, 3, (2,), PermutationAction(1, [(0,)]))
+# the unit 2 swaps the columns, which C_bar = [[2, 1], [1, 3]] does not allow
+SWAP_SPEC = SubsectionSpec(3, 3, (2,), PermutationAction(2, [(1, 0)]))
+UNFIXED = CartanData(RationalMatrix([[2, 1], [1, 3]]), 3)
+NOT_FIXED = "the fusion action does not fix the Cartan matrix"
 
 
 def _s3_data():
@@ -81,6 +85,16 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
     ("action-degree-candidates",
      lambda: weight_candidates(C2, PermutationAction(3, [(1, 2, 0)])), DomainError,
      "action degree 3 does not match l = 2"),
+    ("unfixed-cartan-subsection-k", lambda: subsection_k_bound(UNFIXED, SWAP_SPEC, wada_weight(2)),
+     InconsistentDataError, NOT_FIXED),
+    ("unfixed-cartan-subsection-k0",
+     lambda: subsection_k0_bound(UNFIXED, SWAP_SPEC, wada_weight(2)),
+     InconsistentDataError, NOT_FIXED),
+    ("unfixed-cartan-candidates",
+     lambda: weight_candidates(UNFIXED, SWAP_SPEC.ibr_action), InconsistentDataError, NOT_FIXED),
+    ("unfixed-cartan-compare",
+     lambda: compare_all(CartanData(UNFIXED.matrix.scale(3), 3), SWAP_SPEC),
+     InconsistentDataError, NOT_FIXED),
     ("prime-compare",
      lambda: compare_all(CartanData(RationalMatrix([[9]]), 2), SubsectionSpec(3, 3, (2,))),
      DomainError, "Cartan data has p = 2 but the subsection has p = 3"),
@@ -156,11 +170,6 @@ LIBRARY_REFUSALS = [  # (id, call, class, message)
      DomainError, "more than 65536 units modulo 262144 for decomposition data"),
     ("order-missing", lambda: unit_of_order(25, 3), DomainError,
      "(Z/25)^x has no element of order 3"),
-    ("symmetrize-input",
-     lambda: symmetrize(RationalMatrix([[1, 2], [2, 1]]), PermutationAction(2, [(1, 0)])),
-     CertificationError,
-     "symmetrize input: not positive definite: integer vector (-2, 1) has form value -3 "
-     "<= 0 (leading principal minor 2 fails)"),
     ("symmetrize-degree", lambda: symmetrize(wada_weight(2), PermutationAction(1, [(0,)])),
      DomainError, "action degree 1 does not match l = 2"),
     ("form-coefficients", lambda: from_quadratic_form({(1, 1): Fraction(3, 2)}), DomainError,
@@ -276,6 +285,13 @@ CLI_REFUSALS = [  # (id, command, input record, exit status, stderr; {path} is t
     ("partition-empty-block", "bounds compare",
      {**agl18_bundle(), "partition": [[1, 2, 3, 4, 5], []]}, 2,
      "input error: partition blocks must be nonempty\n"),
+    # the weighted rows pair C_bar with weights averaged over the swap, which
+    # C_bar = [[2, 1], [1, 3]] does not commute with
+    ("unfixed-cartan", "bounds compare",
+     {"p": 3, "q": 3, "n_generators": [2], "ibr_action": [[2, 1]],
+      "cartan": {"normalization": "b_bar",
+                 "matrix": {"rows": 2, "cols": 2, "entries": [["2", "1"], ["1", "3"]]}}}, 1,
+     f"mathematical check failed: {NOT_FIXED}\n"),
 ]
 
 
@@ -360,6 +376,15 @@ def test_weight_candidates_from_the_command_line_with_an_action(tmp_path, capsys
     assert sorted(acted) == sorted(plain + ["symmetrized-wada-path"])
 
 
+def test_weight_candidates_refuse_an_action_that_does_not_fix_c(tmp_path, capsys):
+    paths = _inputs(tmp_path)
+    argv = ["weights", "build", "--kind", "candidates", "--input", paths["gram"], "--p", "3"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--action", paths["swap"]]) == 1
+    assert capsys.readouterr() == ("", f"mathematical check failed: {NOT_FIXED}\n")
+
+
 def _inputs(tmp_path) -> dict:
     files = {
         "agl18": agl18_bundle(),
@@ -369,6 +394,7 @@ def _inputs(tmp_path) -> dict:
         "c3": {"rows": 3, "cols": 3,
                "entries": [["4", "1", "1"], ["1", "4", "1"], ["1", "1", "4"]]},
         "action": [[2, 3, 1]],
+        "swap": [[2, 1]],
     }
     paths = {}
     for name, rec in files.items():
@@ -421,8 +447,10 @@ FAULTS = [  # (id, command with {name} inputs, fault, message)
      "set(weights, '_ldl_rows', ldl_rows)",
      "witness coordinate 0 is not integral"),
     ("group-average", "weights build --kind candidates --input {c3} --p 3 --action {action}",
+     # every orbit of index pairs is the pair itself, so the "average" of the
+     # path weight is the path weight, which the 3-cycle moves
      "from blockbounds import weights\n"
-     "set(weights, 'commutes_with', lambda matrix, perm: False)",
+     "set(weights, 'closure', lambda seed, images: iter([seed]))",
      "group average does not commute with the action"),
 ]
 

@@ -13,6 +13,7 @@ from blockbounds import (
     certified_weight,
     from_quadratic_form,
     inverse,
+    kron,
     symmetrize,
     wada_weight,
     weight_candidates,
@@ -26,6 +27,7 @@ from conftest import (
     random_pd_int_matrix,
     random_unimodular,
     reference_form_minimum,
+    reference_group_average,
 )
 
 
@@ -105,6 +107,10 @@ def test_blowup_matches_blockwise_formula():
         big = block_tridiagonal_weight(w, perm, m).matrix
         pw = p @ w
         ptw = p.transpose() @ w
+        # the Kronecker construction that the direct rows replaced
+        shift = RationalMatrix([[int(j == i + 1) for j in range(m)] for i in range(m)])
+        assert big == (kron(RationalMatrix.identity(m), w) - kron(shift, pw.scale(half(1)))
+                       - kron(shift.transpose(), ptw.scale(half(1))))
         for bi in range(m):
             for bj in range(m):
                 for r in range(n):
@@ -121,33 +127,94 @@ def test_blowup_matches_blockwise_formula():
 
 
 def test_symmetrize_trivial_action_keeps_symmetric_input():
-    action = PermutationAction(2, [(0, 1)])
-    w = RationalMatrix([[2, 1], [1, 2]])
-    assert symmetrize(w, action).matrix == w
+    # a weight that commutes with every generator comes back as the same object
+    w = certified_weight(RationalMatrix([[2, 1], [1, 2]]), "w")
+    for gens in ([(0, 1)], [], [(1, 0)], [(1, 0), (1, 0)]):
+        assert symmetrize(w, PermutationAction(2, gens)) is w
 
 
 def test_symmetrize_two_element_example():
     action = PermutationAction(2, [(1, 0)])
-    w = RationalMatrix([[1, 1], [0, 1]])
+    w = certified_weight(RationalMatrix([[1, 0], [0, 2]]), "diag(1,2)")
     out = symmetrize(w, action)
-    assert out.matrix == RationalMatrix([[1, half(1)], [half(1), 1]])
+    assert out.matrix == RationalMatrix([[half(3), 0], [0, half(3)]])
+    assert out.provenance == "symmetrized"
 
 
 def test_symmetrize_preserves_trace_pairing():
     action = PermutationAction(2, [(1, 0)])
-    w = RationalMatrix([[1, 1], [0, 1]])
+    w = certified_weight(RationalMatrix([[1, half(1)], [half(1), 2]]), "w")
     c = RationalMatrix([[2, 1], [1, 2]])  # commutes with the swap
-    assert (symmetrize(w, action).matrix @ c).trace() == (w @ c).trace()
+    assert (symmetrize(w, action).matrix @ c).trace() == (w.matrix @ c).trace()
 
 
 def test_symmetrize_output_commutes_with_action():
     rng = random.Random(22)
     action = PermutationAction(3, [(1, 2, 0)])
     for _ in range(10):
-        w = random_pd_int_matrix(rng, 3)
+        w = certified_weight(random_pd_int_matrix(rng, 3), "w")
         out = symmetrize(w, action)
-        for g in action.elements:
+        for g in action.generators:
             assert commutes_with(out.matrix, g)
+
+
+def _seeded_generators(rng, l: int, kind: int) -> list:
+    """Generators of degree l: the identity, none, an intransitive pair, one
+    permutation repeated, S_l as a relabelled transposition and l-cycle, or
+    one or two random permutations."""
+    def shuffled():
+        perm = list(range(l))
+        rng.shuffle(perm)
+        return tuple(perm)
+
+    if kind == 0:
+        return [tuple(range(l))]
+    if kind == 1:
+        return []
+    if kind == 2:  # each preserves {0..cut-1} and {cut..l-1}
+        cut = rng.randint(1, l)
+        gens = []
+        for _ in range(2):
+            low, high = list(range(cut)), list(range(cut, l))
+            rng.shuffle(low)
+            rng.shuffle(high)
+            gens.append(tuple(low + high))
+        return gens
+    if kind == 3:
+        return [shuffled()] * rng.randint(2, 3)
+    if kind == 4:
+        relabel = shuffled()
+        swap = tuple(1 if i == 0 else 0 if i == 1 else i for i in range(l)) if l > 1 else (0,)
+        cycle = tuple((i + 1) % l for i in range(l))
+        # g relabelled: relabel(i) -> relabel(g(i))
+        return [tuple(relabel[g[relabel.index(i)]] for i in range(l)) for g in (swap, cycle)]
+    return [shuffled() for _ in range(rng.randint(1, 2))]
+
+
+def test_symmetrize_is_the_average_over_the_listed_group():
+    # orbit means against (1/2|G|) sum_g P_g (W + W^t) P_g^t over every
+    # listed element of G, with the certificate of that average; a weight
+    # that commutes with the generators comes back as the same object
+    rng = random.Random(34)
+    kept = averaged = 0
+    for trial in range(144):
+        l = trial % 6 + 1
+        gens = _seeded_generators(rng, l, trial // 6 % 6)
+        if trial % 2:
+            w = certified_weight(random_pd_int_matrix(rng, l, spread=1), "w")
+        else:
+            w = certified_weight(wada_weight(l).matrix.permuted(
+                rng.sample(range(l), l)), "w")
+        expected = reference_group_average(w.matrix, gens)
+        out = symmetrize(w, PermutationAction(l, gens))
+        if all(commutes_with(w.matrix, g) for g in gens):
+            assert out is w and expected == w.matrix
+            kept += 1
+        else:
+            assert out.matrix == expected and out.provenance == "symmetrized"
+            assert out.certificate == certified_weight(expected, "average").certificate
+            averaged += 1
+    assert kept > 20 and averaged > 20
 
 
 def test_from_quadratic_form_unit_form():
@@ -306,10 +373,10 @@ def test_trace_pairing_is_basic_set_invariant():
         assert certified_weight(new_w, "basis change").certificate.value == 1
 
 
-def test_permutation_action_enumeration():
-    act = PermutationAction(3, [(1, 2, 0)])
-    assert act.order == 3
-    assert act.is_trivial is False
-    assert PermutationAction(3, []).is_trivial
+def test_permutation_action_keeps_validated_generators():
+    act = PermutationAction(3, [[1, 2, 0], (0, 1, 2)])
+    assert (act.degree, act.generators) == (3, ((1, 2, 0), (0, 1, 2)))
+    assert not hasattr(act, "elements")
+    assert PermutationAction(3, []).generators == ()
     with pytest.raises(DomainError):
         PermutationAction(3, [(0, 0, 1)])
